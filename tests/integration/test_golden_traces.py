@@ -5,7 +5,7 @@ generated predictor kernels and the packed storage layouts all promise the
 same statistics as the scalar reference loop.  The parity suites check that
 promise pairwise within one revision; these fixtures pin it **across**
 revisions.  Each fixture is a small deterministic snapshot of one figure
-driver (Figure 1, Figure 2 and Figure 8 at smoke scale) committed under
+driver (Figures 1, 2, 8 and 10 at smoke scale) committed under
 ``tests/integration/golden/``; the test recomputes the figure and compares
 the result exactly — every float, every rendered row.  A kernel or storage
 rewrite that silently shifts any paper result fails here even if it is
@@ -26,7 +26,8 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, os.pardir, "src"))
 
-from repro.experiments import fig1_flush_single, fig2_flush_smt, fig8_xor_pht
+from repro.experiments import (fig1_flush_single, fig2_flush_smt, fig8_xor_pht,
+                               fig10_smt_predictors)
 from repro.experiments.scaling import ExperimentScale
 from repro.workloads.pairs import SINGLE_THREAD_PAIRS, SMT2_PAIRS, SMT4_QUADS
 
@@ -75,7 +76,12 @@ def _fig8():
                             intervals=["8M"])
 
 
-RUNNERS = {"fig1": _fig1, "fig2": _fig2, "fig8": _fig8}
+def _fig10():
+    # All four SMT predictors x {baseline, CF, PF, Noisy-XOR-BP}.
+    return fig10_smt_predictors.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:2])
+
+
+RUNNERS = {"fig1": _fig1, "fig2": _fig2, "fig8": _fig8, "fig10": _fig10}
 
 
 def _golden_path(name):
