@@ -31,11 +31,14 @@ Writes ``BENCH_engine.json`` at the repository root.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
-CI runs the reduced-scale smoke mode, which measures one encoded preset and
-verifies the fast path without touching ``BENCH_engine.json``::
+CI runs the reduced-scale smoke mode, which measures one preset on one
+direction predictor and verifies the fast path without touching
+``BENCH_engine.json``::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
         --smoke --preset noisy_xor_bp --backend numpy
+    PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
+        --smoke --preset baseline --predictor tage_sc_l
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ REPEATS = int(os.environ.get("BENCH_REPEATS", "3"))
 SWEEP_PRESETS = ("baseline", "xor_bp", "noisy_xor_bp", "xor_btb",
                  "noisy_xor_btb")
 SWEEP_PREDICTORS = ("tage", "gshare")
+
+#: Direction predictors with a generated ``exec_kernel`` (``--predictor``);
+#: the numpy backend vectorizes only the first two.
+KERNEL_PREDICTORS = ("tage", "gshare", "tournament", "ltage", "tage_sc_l")
+NUMPY_PREDICTORS = ("tage", "gshare")
 
 #: Backend sweep: the presets whose hot loop the numpy window kernels
 #: target (TAGE table walk, passthrough and fused-XOR arms).  Measured at
@@ -115,8 +123,8 @@ def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
     Expectations are derived per structure from the preset's protection
     config: an XOR-mechanism structure must ride the fused-XOR fast path,
     anything else the passthrough one.  On top of the storage flags, the
-    packed-BTB probe kernel and the gshare/TAGE execute kernels must report
-    the matching specialisation arm.  Guards the benchmark and the CI smoke
+    packed-BTB probe kernel and the direction predictor's execute kernel
+    must report the matching specialisation arm.  Guards the benchmark and the CI smoke
     step against silent fallbacks to the generic dispatch.
     """
     bpu = core.bpu
@@ -171,6 +179,10 @@ def assert_backend_kernels(core: SingleThreadCore, preset: str,
         return
     bpu = core.bpu
     base = bpu.direction.exec_kernel(0)
+    if bpu.direction.name not in NUMPY_PREDICTORS:
+        raise AssertionError(
+            f"the numpy backend has no window kernel for "
+            f"{bpu.direction.name}")
     kernel = core.backend.direction_kernel_fetch(bpu.direction)(0)
     if getattr(kernel, "backend", None) != "numpy":
         raise AssertionError(
@@ -216,12 +228,14 @@ def _measure(engine: str, *, preset: str = "baseline", predictor: str = "tage",
             "branches_simulated": branches}
 
 
-def run_smoke(preset: str, repeats: int, backend: str) -> None:
+def run_smoke(preset: str, repeats: int, backend: str,
+              predictor: str = "tage") -> None:
     """Reduced-scale CI smoke: measure one preset, verify its fast path."""
     scale = ExperimentScale(st_target_branches=4_000, st_warmup_branches=1_000)
-    entry = _measure("batched", preset=preset, repeats=repeats, scale=scale,
-                     check_fast_path=True, backend=backend)
-    print(f"smoke {preset} ({backend} backend): "
+    entry = _measure("batched", preset=preset, predictor=predictor,
+                     repeats=repeats, scale=scale, check_fast_path=True,
+                     backend=backend)
+    print(f"smoke {predictor}/{preset} ({backend} backend): "
           f"{entry['branches_per_second']:,.0f} branches/s "
           f"({entry['branches_simulated']} branches), fast path verified")
 
@@ -235,11 +249,15 @@ def main(argv=None) -> dict:
     parser.add_argument("--backend", default="python",
                         help="execution backend used by --smoke "
                              "(default: python)")
+    parser.add_argument("--predictor", default="tage",
+                        choices=KERNEL_PREDICTORS,
+                        help="direction predictor used by --smoke "
+                             "(default: tage)")
     parser.add_argument("--repeats", type=int, default=REPEATS)
     args = parser.parse_args(argv)
 
     if args.smoke:
-        run_smoke(args.preset, args.repeats, args.backend)
+        run_smoke(args.preset, args.repeats, args.backend, args.predictor)
         return {}
 
     print(f"case={PAIR.case} ({PAIR.label()}), config=fpga_prototype, "

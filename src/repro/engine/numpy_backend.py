@@ -628,7 +628,7 @@ class _TageFetch:
             source = _tage_consume_source(p, encoded, diversified)
             code = compile(source, f"<tage-numpy-kernel {key}>", "exec")
             self._code[key] = code
-        ns = p._kernel_namespace(thread_id, bundle)
+        ns = p._kernel_namespace(thread_id, base.arm, bundle)
         window = _Window(ns, base, _TagePre(p, thread_id, bundle))
         exec(code, ns)
         fn = ns["_kernel"]

@@ -189,5 +189,8 @@ class LocalHistoryTable:
         self._entries[idx] = ((self._entries[idx] << 1) | int(taken)) & self._mask
 
     def flush(self) -> None:
-        """Clear all local histories (used by flush-based isolation)."""
-        self._entries = [0] * self._n_entries
+        """Clear all local histories (used by flush-based isolation).
+
+        Reset in place: generated predictor kernels bind the entry list.
+        """
+        self._entries[:] = [0] * self._n_entries

@@ -11,8 +11,9 @@ that the isolation mechanisms cover the loop table as well.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+from .kernelgen import bind_table, emit_read, emit_write
 from .table import PredictorTable, TableIsolation
 
 __all__ = ["LoopPredictor", "LoopPrediction"]
@@ -127,6 +128,70 @@ class LoopPredictor:
             trip = observed
             confidence = 0
         self._table.write(index, self._pack(tag, trip, 0, confidence), thread_id)
+
+    # -- generated-kernel fragment ---------------------------------------------
+    def kernel_lines(self, arm: str) -> List[str]:
+        """Kernel lines running :meth:`lookup` then :meth:`update` inline.
+
+        Expects ``pc``, ``pc2 = pc >> 2`` and ``taken`` in scope and leaves
+        the lookup result in ``loop_valid`` / ``loop_taken``.  The entry is
+        read once: nothing else writes the loop table in between, so the
+        update sees the word the lookup saw.
+        """
+        table = self._table
+        conf_bits = self._conf_bits
+        iter_bits = self._iter_bits
+        imask = self._iter_mask
+        cmask = self._conf_mask
+        cur_shift = conf_bits
+        trip_shift = conf_bits + iter_bits
+        tag_shift = conf_bits + 2 * iter_bits
+        lines = [
+            f"    loop_index = pc2 & {self._index_mask}",
+            f"    loop_tag = (pc >> {2 + self._index_mask.bit_length()})"
+            f" & {self._tag_mask}",
+        ]
+        lines += emit_read(arm, "LP", table, "loop_index", "loop_word")
+        lines += [
+            "    loop_current = (loop_word >> "
+            f"{cur_shift}) & {imask}",
+            f"    loop_trip = (loop_word >> {trip_shift}) & {imask}",
+            "    if loop_word == 0 or"
+            f" (loop_word >> {tag_shift}) & {self._tag_mask} != loop_tag:",
+            "        loop_valid = loop_taken = False",
+            "        if not taken:",
+        ]
+        lines += emit_write(arm, "LP", table, "loop_index",
+                            f"loop_tag << {tag_shift}", "            ")
+        lines += [
+            "    else:",
+            f"        loop_conf = loop_word & {cmask}",
+            f"        loop_valid = loop_conf >= {self._threshold}",
+            "        loop_taken = loop_valid and loop_current < loop_trip",
+            "        if taken:",
+            f"            if loop_current < {imask}:",
+            f"                loop_word += {1 << cur_shift}",
+        ]
+        lines += emit_write(arm, "LP", table, "loop_index", "loop_word",
+                            "            ")
+        lines += [
+            "        else:",
+            "            if loop_current == loop_trip and loop_trip != 0:",
+            f"                if loop_conf < {cmask}:",
+            "                    loop_conf += 1",
+            "            else:",
+            "                loop_trip = loop_current",
+            "                loop_conf = 0",
+        ]
+        lines += emit_write(
+            arm, "LP", table, "loop_index",
+            f"(loop_word & {((1 << self._tag_bits) - 1) << tag_shift})"
+            f" | (loop_trip << {trip_shift}) | loop_conf", "            ")
+        return lines
+
+    def bind_kernel(self, namespace: dict, arm: str, thread_id: int) -> None:
+        """Bind the globals :meth:`kernel_lines` uses for one thread."""
+        bind_table(namespace, "LP", self._table, arm, thread_id)
 
     # -- structure access -----------------------------------------------------
     @property

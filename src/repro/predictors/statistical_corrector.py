@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from .counters import signed_saturating_update
 from .history import GlobalHistory, LocalHistoryTable, fold_history
+from .kernelgen import bind_table, emit_read, emit_write, fold_expr
 from .table import PredictorTable, TableIsolation
 
 __all__ = ["StatisticalCorrector"]
@@ -154,6 +155,100 @@ class StatisticalCorrector:
         is_backward = bool((pc >> 20) & 1)
         if is_backward:
             self._backward_history.push(taken, thread_id)
+
+    # -- generated-kernel fragment ---------------------------------------------
+    def _kernel_components(self):
+        """(name, table, index-expression) of every component, in vote order."""
+        bits = self._index_bits
+        mask = self._index_mask
+        parts = []
+        for i, (table, length) in enumerate(zip(self._tables,
+                                                self._history_lengths)):
+            history = f"(ghr_value & {(1 << length) - 1})"
+            parts.append((f"SG{i}", table, f"(pc2 ^ "
+                          f"{fold_expr(history, length, bits)}) & {mask}"))
+        backward = fold_expr("sc_backward", self._backward_history.bits, bits)
+        parts.append(("SB", self._backward_table,
+                      f"(pc2 ^ {backward}) & {mask}"))
+        parts.append(("SL", self._local_table, f"(pc2 ^ sc_local) & {mask}"))
+        return parts
+
+    def kernel_lines(self, arm: str) -> List[str]:
+        """Kernel lines running :meth:`correct` then :meth:`update` inline.
+
+        Expects ``pc``, ``pc2 = pc >> 2``, ``taken``, the pre-push global
+        history ``ghr_value``, the pre-corrector prediction ``sc_pre`` and
+        its confidence ``sc_conf`` in scope; leaves the final prediction in
+        ``final``.  Each component counter is read once: nothing writes the
+        corrector between the vote and the update, so the update's re-read
+        would return the same words.
+        """
+        bits = self._counter_bits
+        sign = 1 << (bits - 1)
+        low = sign - 1
+        local = self._local_history
+        lines = [
+            "    sc_backward = sc_bw_values.get(TID, 0)",
+            f"    sc_local_index = pc2 & {local._index_mask}",
+            "    sc_local = sc_local_entries[sc_local_index]",
+        ]
+        parts = self._kernel_components()
+        names = []
+        for name, table, index in parts:
+            lines.append(f"    {name}_idx = {index}")
+            lines += emit_read(arm, name, table, f"{name}_idx", f"{name}_v")
+            lines.append(f"    {name}_v = ({name}_v & {low}) - ({name}_v & {sign})")
+            names.append(f"{name}_v")
+        # Sum of (2 * counter + 1) over the components, plus TAGE's own vote.
+        lines += [
+            f"    total = (8 if sc_pre else -8) + 2 * ({' + '.join(names)})"
+            f" + {len(parts)}",
+            "    sc_taken = total >= 0",
+            "    threshold = sc._use_threshold",
+            "    if sc_taken == sc_pre:",
+            "        final = sc_pre",
+            "    elif sc_conf and abs(total) < threshold:",
+            "        final = sc_pre",
+            "    elif abs(total) >= threshold // 2:",
+            "        final = sc_taken",
+            "    else:",
+            "        final = sc_pre",
+            "    if final != taken:",
+            "        if sc_taken == taken:",
+            "            threshold = threshold - 1 if threshold > 2 else 2",
+            "        else:",
+            f"            threshold = threshold + 1 if threshold < "
+            f"{8 * len(self._tables)} else {8 * len(self._tables)}",
+            "        sc._use_threshold = threshold",
+            "    if sc_taken != taken or abs(total) < 4 * threshold:",
+            "        if taken:",
+        ]
+        for name, _, _ in parts:
+            lines.append(f"            {name}_v = {name}_v + 1 if {name}_v < {low}"
+                         f" else {low}")
+        lines.append("        else:")
+        for name, _, _ in parts:
+            lines.append(f"            {name}_v = {name}_v - 1 if {name}_v > "
+                         f"{-sign} else {-sign}")
+        for name, table, _ in parts:
+            lines += emit_write(arm, name, table, f"{name}_idx",
+                                f"{name}_v & {(1 << bits) - 1}", "        ")
+        lines += [
+            f"    sc_local_entries[sc_local_index] = ((sc_local << 1) | taken)"
+            f" & {(1 << local.history_bits) - 1}",
+            "    if (pc >> 20) & 1:",
+            "        sc_bw_values[TID] = ((sc_backward << 1) | taken)"
+            f" & {self._backward_history._mask}",
+        ]
+        return lines
+
+    def bind_kernel(self, namespace: dict, arm: str, thread_id: int) -> None:
+        """Bind the globals :meth:`kernel_lines` uses for one thread."""
+        namespace["sc"] = self
+        namespace["sc_bw_values"] = self._backward_history._values
+        namespace["sc_local_entries"] = self._local_history._entries
+        for name, table, _ in self._kernel_components():
+            bind_table(namespace, name, table, arm, thread_id)
 
     # -- structure access -----------------------------------------------------
     def tables(self) -> List[PredictorTable]:

@@ -51,6 +51,7 @@ from .base import DirectionPrediction, DirectionPredictor, PredictorStats
 from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
+from .kernelgen import make_kernel
 from .table import PredictorTable, TableIsolation, supports_fused_xor
 
 __all__ = ["TageConfig", "TagePredictor", "geometric_history_lengths"]
@@ -249,15 +250,12 @@ class TagePredictor(DirectionPredictor):
         # ``False`` marks a thread whose isolation policy cannot be fused
         # (owner tracking, non-XOR encoders) — those take the generic path.
         self._kernel_masks: Dict[int, object] = {}
-        self._zero_row_keys = [0] * cfg.table_entries
         self._zero_base_row_keys = [0] * self._base_words.n_entries
         # Per-thread specialised kernels (generated functions, see
-        # ``_build_exec_fn``) and the compiled kernel code objects, keyed by
-        # isolation arm.  The kernels close over per-thread masks and state,
-        # so they register as a second mask cache: key re-randomisation
-        # drops them and the switch-time refresh rebuilds them eagerly.
+        # ``_build_exec_fn``).  The kernels close over per-thread masks and
+        # state, so they register as a second mask cache: key
+        # re-randomisation drops them and the next fetch rebuilds them.
         self._exec_fns: Dict[int, object] = {}
-        self._kernel_code: Dict[tuple, object] = {}
         attached = self._tables[0].isolation
         if supports_fused_xor(attached):
             attached.register_fast_mask_cache(self, self._kernel_masks,
@@ -266,22 +264,6 @@ class TagePredictor(DirectionPredictor):
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
                                               self._build_exec_fn)
-        # Per-call constants of the generic fused-execute path (non-fusable
-        # isolation policies), packed into one tuple so that path pays a
-        # single attribute load instead of ~25.  Every member is immutable
-        # or never rebound after construction.
-        self._exec_bundle = (
-            cfg.n_tables, cfg.useful_bits + cfg.counter_bits,
-            self._ctr_mask, self._u_mask, self._tag_mask, self._ctr_weak_taken,
-            1 << (cfg.counter_bits - 1), 1 << (cfg.use_alt_bits - 1),
-            cfg.useful_bits,
-            self._base_index_mask, self._base_cpw, self._base_threshold,
-            index_bits, (1 << index_bits) - 1, self._path, self._ghr,
-            cfg.useful_reset_period, (1 << tag1_bits) - 1,
-            self._old_mask, self._old_gather, self._new_masks,
-            self._swar_i.guard_mask, self._swar_i.lane_mask,
-            self._swar_t0.guard_mask, self._swar_t0.lane_mask, tag_bits,
-            self._swar_t1.guard_mask, self._swar_t1.lane_mask, tag1_bits)
 
     # -- entry packing --------------------------------------------------------
     def _pack(self, tag: int, ctr: int, useful: int) -> int:
@@ -546,44 +528,41 @@ class TagePredictor(DirectionPredictor):
             fn = self._build_exec_fn(thread_id)
         return fn
 
-    def _build_exec_fn(self, thread_id: int):
-        """Build, cache and return one thread's specialised kernel."""
+    def _kernel_bundle(self, thread_id: int):
+        """The thread's cached kernel-mask bundle (``False``: generic arm)."""
         bundle = self._kernel_masks.get(thread_id)
         if bundle is None:
             bundle = self._build_kernel_masks(thread_id)
-        if bundle is False:
-            # Non-fusable isolation (owner tracking / non-XOR encoders).
-            generic = self._execute_generic
+        return bundle
 
-            def fn(pc, taken, thread_id=thread_id, _generic=generic):
-                return _generic(pc, taken, thread_id)
-        else:
-            encoded = bundle[0]
-            diversified = encoded and bool(
-                getattr(self._tables[0].isolation, "_row_diversified", False))
-            key = (encoded, diversified)
-            code = self._kernel_code.get(key)
-            if code is None:
-                source = self._kernel_source(encoded, diversified)
-                code = compile(source, f"<tage-kernel {key}>", "exec")
-                self._kernel_code[key] = code
-            namespace = self._kernel_namespace(thread_id, bundle)
-            exec(code, namespace)
-            fn = namespace["_kernel"]
+    def _diversified(self, arm: str) -> bool:
+        """Whether a fused-XOR arm must apply the per-row content keys."""
+        return arm == "fused-xor" and bool(
+            getattr(self._tables[0].isolation, "_row_diversified", False))
+
+    def _build_exec_fn(self, thread_id: int):
+        """Build, cache and return one thread's specialised kernel."""
+        bundle = self._kernel_bundle(thread_id)
         # Which specialisation this kernel runs (benchmarks and tests assert
         # the intended arm is active instead of a silent generic fallback).
-        fn.arm = ("generic" if bundle is False
-                  else "fused-xor" if bundle[0] else "passthrough")
+        arm = ("generic" if bundle is False
+               else "fused-xor" if bundle[0] else "passthrough")
+        diversified = self._diversified(arm)
+        fn = make_kernel(self._kernel_source(arm, diversified),
+                         f"<tage-kernel {arm} {diversified}>",
+                         self._kernel_namespace(thread_id, arm, bundle), arm)
         self._exec_fns[thread_id] = fn
         return fn
 
-    def _kernel_namespace(self, thread_id: int, bundle) -> dict:
+    def _kernel_namespace(self, thread_id: int, arm: str, bundle,
+                          pstats: Optional[PredictorStats] = None) -> dict:
         """Globals of one generated kernel: bound state + per-thread masks.
 
         Every bound object is identity-stable across branches (storage lists
         are reset in place, the history dicts are cleared in place); events
         that do change identities — flushes, key rotation, stats resets —
-        invalidate the kernel itself.
+        invalidate the kernel itself.  Composite predictors pass their own
+        ``pstats`` so this component's statistics stay untouched.
         """
         namespace = {
             "flat": self._flat,
@@ -591,7 +570,7 @@ class TagePredictor(DirectionPredictor):
             "path_values": self._path._values,
             "ghr_values": self._ghr._values,
             "regs": self._folded_regs(thread_id),
-            "pstats": self.stats(thread_id),
+            "pstats": self.stats(thread_id) if pstats is None else pstats,
             "predictor": self,
             "TID": thread_id,
         }
@@ -599,7 +578,13 @@ class TagePredictor(DirectionPredictor):
             namespace["old_gather"] = self._old_gather
         else:
             namespace["gather"] = self._gather_insert_masks
-        if bundle[0]:
+        if arm == "generic":
+            for t, table in enumerate(self._tables):
+                namespace[f"R{t}"] = table.read
+                namespace[f"W{t}"] = table.write
+            namespace["BR"] = self._base_words.read
+            namespace["BW"] = self._base_words.write
+        elif arm == "fused-xor":
             _, consts, base_index_key, base_content_key, base_row_keys = bundle
             for entry in consts:
                 t, _toff, mkey, ckey, row_keys = entry[:5]
@@ -614,19 +599,31 @@ class TagePredictor(DirectionPredictor):
             namespace["BRK"] = base_row_keys
         return namespace
 
-    def _kernel_source(self, encoded: bool, diversified: bool) -> str:
+    def _kernel_source(self, arm: str, diversified: bool,
+                       tail: Optional[List[str]] = None) -> str:
         """Generate the source of one specialised kernel arm.
 
-        Two arms exist: the *passthrough* arm (baseline / flush presets) and
+        Three arms exist: the *passthrough* arm (baseline / flush presets),
         the *fused-XOR* arm (XOR-BP / Noisy-XOR-BP), which differs only in
-        the mask XORs folded into the index/content math.  Geometry
-        (strides, lane offsets, masks, hash constants) is inlined as
-        literals; per-thread mask values are globals so key rotation swaps
-        namespace entries instead of recompiling.  Statement order mirrors
-        :meth:`_execute_generic` exactly — the parity suite holds the
-        generated kernels, the generic path and the scalar engine
+        the mask XORs folded into the index/content math, and the *generic*
+        arm (Precise Flush owner tracking, non-XOR encoders), which routes
+        every storage access through the tables' own ``read``/``write``.
+        Geometry (strides, lane offsets, masks, hash constants) is inlined
+        as literals; per-thread mask values are globals so key rotation
+        swaps namespace entries instead of recompiling.  Statement order
+        mirrors the scalar ``lookup``/``stats().record``/``update``
+        sequence — the parity suite holds every arm and the scalar engine
         bit-identical.
+
+        Composite predictors (LTAGE, TAGE-SC-L) pass ``tail``: the body then
+        records no statistics and, after the history push, leaves TAGE's
+        prediction in ``predicted``, its confidence in ``confident`` (the
+        provider is not overridden by the alternate, or — without a
+        provider — the base counter is saturated) and the pre-push global
+        history in ``ghr_value``, and continues with the ``tail`` lines.
         """
+        encoded = arm == "fused-xor"
+        generic = arm == "generic"
         cfg = self.config
         n = cfg.n_tables
         ibits = self._index_bits
@@ -696,6 +693,8 @@ class TagePredictor(DirectionPredictor):
             if encoded:
                 decode = f" ^ CK{t}" + (f" ^ RK{t}[row]" if diversified else "")
                 emit(f"    word = {cell}{decode}")
+            elif generic:
+                emit(f"    word = R{t}(row, TID)")
             else:
                 emit(f"    word = {cell}")
             emit("    if word:")
@@ -708,7 +707,10 @@ class TagePredictor(DirectionPredictor):
             emit("            provider_tag = tag")
             emit(f"            provider_ctr = (word >> {ubits}) & {cmask}")
             emit(f"            provider_useful = word & {umask}")
-            emit(f"            provider_base = {toff}")
+            if generic:
+                emit(f"            provider_write = W{t}")
+            else:
+                emit(f"            provider_base = {toff}")
             if encoded:
                 emit(f"            provider_ck = CK{t}")
                 if diversified:
@@ -734,7 +736,10 @@ class TagePredictor(DirectionPredictor):
         base_decode = ""
         if encoded:
             base_decode = " ^ BCK" + (" ^ BRK[base_row]" if diversified else "")
-        emit(f"    base_word = {base_cell}{base_decode}")
+        if generic:
+            emit("    base_word = BR(base_row, TID)")
+        else:
+            emit(f"    base_word = {base_cell}{base_decode}")
         emit(f"    base_counter = (base_word >> base_shift) & {bcmask}")
         emit(f"    base_taken = base_counter >= {self._base_threshold}")
         emit(f"    alt_taken = (alt_ctr >= {thresh}) if alt >= 0 else base_taken")
@@ -749,10 +754,16 @@ class TagePredictor(DirectionPredictor):
         emit("        use_alt = False")
         emit("        predicted = base_taken")
         # -- stats (recorded between lookup and update, as in the BPU) -------
-        emit("    pstats.lookups += 1")
-        emit("    mispredicted = predicted != taken")
-        emit("    if mispredicted:")
-        emit("        pstats.mispredictions += 1")
+        if tail is None:
+            emit("    pstats.lookups += 1")
+            emit("    mispredicted = predicted != taken")
+            emit("    if mispredicted:")
+            emit("        pstats.mispredictions += 1")
+        else:
+            emit("    mispredicted = predicted != taken")
+            emit("    confident = (not use_alt) if provider >= 0 else not ("
+                 f"{self._base_threshold - 1} <= base_counter"
+                 f" <= {self._base_threshold})")
         # -- update ----------------------------------------------------------
         emit("    count = predictor._update_count + 1")
         emit("    predictor._update_count = count")
@@ -799,6 +810,8 @@ class TagePredictor(DirectionPredictor):
             encode = " ^ provider_ck" + (" ^ provider_rk[provider_row]"
                                          if diversified else "")
             emit(f"        flat[provider_base + provider_row] = ({packed}){encode}")
+        elif generic:
+            emit(f"        provider_write(provider_row, {packed}, TID)")
         else:
             emit(f"        flat[provider_base + provider_row] = {packed}")
         # Inlined bimodal base update: trains the base when it predicted (no
@@ -814,6 +827,8 @@ class TagePredictor(DirectionPredictor):
                     f" & {self._base_words._value_mask}")
         if encoded:
             emit(f"        {base_cell} = ({new_word}){base_decode}")
+        elif generic:
+            emit(f"        BW(base_row, {new_word}, TID)")
         else:
             emit(f"        {base_cell} = {new_word}")
         # Allocation on misprediction: the logical index/tag hashes are only
@@ -858,161 +873,11 @@ class TagePredictor(DirectionPredictor):
         pcb = self._path._pc_bits
         emit(f"    path_values[TID] = ((path_value << {pcb})"
              f" | (pc2 & {(1 << pcb) - 1})) & {self._path._mask}")
-        emit("    return predicted")
+        if tail is None:
+            emit("    return predicted")
+        else:
+            lines.extend(tail)
         return "\n".join(lines) + "\n"
-
-    def _execute_generic(self, pc: int, taken: bool, thread_id: int) -> bool:
-        """Fused execute for non-fusable isolation policies.
-
-        Structurally the same flow as :meth:`execute`, but every storage
-        access goes through the table API so owner tracking (Precise Flush)
-        and non-XOR encoders (S-box / shift-XOR ablations) keep their exact
-        generic-dispatch semantics.
-        """
-        (n_tables, ctr_shift, ctr_mask, u_mask, tag_mask, weak_taken,
-         taken_threshold, use_alt_threshold, useful_bits, base_index_mask,
-         base_cpw, base_threshold, index_bits, index_mask, path_obj, ghr,
-         useful_reset_period, tag1_mask, old_mask, old_gather, new_masks,
-         guard_i, lanes_i, guard_t0, lanes_t0, tag_bits, guard_t1, lanes_t1,
-         tag1_bits) = self._exec_bundle
-        tables = self._tables
-        base_words = self._base_words
-
-        # -- lookup ----------------------------------------------------------
-        base_index = (pc >> 2) & base_index_mask
-        base_word_index = base_index // base_cpw
-        base_shift = (base_index % base_cpw) * 2
-        base_word = base_words.read(base_word_index, thread_id)
-        base_counter = (base_word >> base_shift) & 3
-        base_taken = base_counter >= base_threshold
-        regs = self._folded_state.get(thread_id)
-        if regs is None:
-            regs = self._folded_state[thread_id] = [0, 0, 0]
-        packed_i = regs[0]
-        packed_t0 = regs[1]
-        packed_t1 = regs[2]
-        path_value = path_obj._values.get(thread_id, 0)
-        path = path_value & index_mask
-        remaining = path_value >> index_bits
-        while remaining:
-            path ^= remaining & index_mask
-            remaining >>= index_bits
-        pc_bits = (pc >> 2) ^ (pc >> (2 + index_bits))
-        pc2 = pc >> 2
-        lanes_off_i = self._swar_i.lane_offsets
-        lanes_off_t0 = self._swar_t0.lane_offsets
-        lanes_off_t1 = self._swar_t1.lane_offsets
-        provider = -1
-        alt = -1
-        provider_index = provider_tag = provider_ctr = provider_useful = 0
-        alt_ctr = 0
-        for t in range(n_tables):
-            index = (pc_bits ^ ((packed_i >> lanes_off_i[t]) & index_mask)
-                     ^ (path >> (t & 3)) ^ (t * 0x1F)) & index_mask
-            word = tables[t].read(index, thread_id)
-            if word:
-                tag = (pc2 ^ ((packed_t0 >> lanes_off_t0[t]) & tag_mask)
-                       ^ (((packed_t1 >> lanes_off_t1[t]) & tag1_mask) << 1)) \
-                    & tag_mask
-                if ((word >> ctr_shift) & tag_mask) == tag:
-                    alt = provider
-                    alt_ctr = provider_ctr
-                    provider = t
-                    provider_index = index
-                    provider_tag = tag
-                    provider_ctr = (word >> useful_bits) & ctr_mask
-                    provider_useful = word & u_mask
-        alt_taken = (alt_ctr >= taken_threshold) if alt >= 0 else base_taken
-        if provider >= 0:
-            provider_taken = provider_ctr >= taken_threshold
-            use_alt = (provider_useful == 0
-                       and provider_ctr in (weak_taken, weak_taken - 1)
-                       and self._use_alt >= use_alt_threshold)
-            predicted = alt_taken if use_alt else provider_taken
-        else:
-            use_alt = False
-            predicted = base_taken
-
-        # -- stats -----------------------------------------------------------
-        pstats = self._stats.get(thread_id)
-        if pstats is None:
-            pstats = self._stats[thread_id] = PredictorStats()
-        pstats.lookups += 1
-        if predicted != taken:
-            pstats.mispredictions += 1
-
-        # -- update ----------------------------------------------------------
-        mispredicted = predicted != taken
-        self._update_count += 1
-        reset_fired = self._update_count % useful_reset_period == 0
-        if reset_fired:
-            self._graceful_useful_reset(thread_id)
-        if provider >= 0:
-            ctr, useful = provider_ctr, provider_useful
-            if reset_fired:
-                word = tables[provider].read(provider_index, thread_id)
-                ctr = (word >> useful_bits) & ctr_mask
-                useful = word & u_mask
-            provider_taken = ctr >= taken_threshold
-            if use_alt or (useful == 0 and ctr in (weak_taken, weak_taken - 1)):
-                if provider_taken != alt_taken:
-                    if alt_taken == taken:
-                        self._use_alt = min(self._use_alt + 1, self._use_alt_max)
-                    else:
-                        self._use_alt = max(self._use_alt - 1, 0)
-            if taken:
-                new_ctr = ctr + 1 if ctr < ctr_mask else ctr_mask
-            else:
-                new_ctr = ctr - 1 if ctr > 0 else 0
-            new_useful = useful
-            if provider_taken != alt_taken:
-                if provider_taken == taken:
-                    new_useful = min(useful + 1, u_mask)
-                else:
-                    new_useful = max(useful - 1, 0)
-            packed = ((provider_tag << ctr_shift)
-                      | ((new_ctr & ctr_mask) << useful_bits)
-                      | (new_useful & u_mask))
-            tables[provider].write(provider_index, packed, thread_id)
-        if provider < 0 or alt < 0:
-            if taken:
-                new_base = base_counter + 1 if base_counter < 3 else 3
-            else:
-                new_base = base_counter - 1 if base_counter > 0 else 0
-            new_word = (base_word & ~(3 << base_shift)) | (new_base << base_shift)
-            base_words.write(base_word_index, new_word, thread_id)
-        if mispredicted and provider < n_tables - 1:
-            indices = [(pc_bits ^ ((packed_i >> lanes_off_i[t]) & index_mask)
-                        ^ (path >> (t & 3)) ^ (t * 0x1F)) & index_mask
-                       for t in range(n_tables)]
-            tags = [(pc2 ^ ((packed_t0 >> lanes_off_t0[t]) & tag_mask)
-                     ^ (((packed_t1 >> lanes_off_t1[t]) & tag1_mask) << 1))
-                    & tag_mask for t in range(n_tables)]
-            self._allocate(pc, taken, provider, indices, tags, thread_id)
-
-        # -- history push ----------------------------------------------------
-        ghr_values = ghr._values
-        ghr_value = ghr_values.get(thread_id, 0)
-        if old_gather is not None:
-            mask_i, mask_t0, mask_t1 = old_gather[ghr_value & old_mask]
-        else:
-            mask_i, mask_t0, mask_t1 = self._gather_insert_masks(ghr_value)
-        new_bit = 1 if taken else 0
-        new_i, new_t0, new_t1 = new_masks[new_bit]
-        packed_i = ((packed_i << 1) | new_i) ^ mask_i
-        packed_i ^= (packed_i & guard_i) >> index_bits
-        regs[0] = packed_i & lanes_i
-        packed_t0 = ((packed_t0 << 1) | new_t0) ^ mask_t0
-        packed_t0 ^= (packed_t0 & guard_t0) >> tag_bits
-        regs[1] = packed_t0 & lanes_t0
-        packed_t1 = ((packed_t1 << 1) | new_t1) ^ mask_t1
-        packed_t1 ^= (packed_t1 & guard_t1) >> tag1_bits
-        regs[2] = packed_t1 & lanes_t1
-        ghr_values[thread_id] = ((ghr_value << 1) | new_bit) & ghr._mask
-        path_obj._values[thread_id] = \
-            ((path_value << path_obj._pc_bits)
-             | (pc2 & ((1 << path_obj._pc_bits) - 1))) & path_obj._mask
-        return predicted
 
     def _allocate(self, pc: int, taken: bool, provider: int,
                   indices: Sequence[int], tags: Sequence[int],

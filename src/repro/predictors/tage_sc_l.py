@@ -8,15 +8,20 @@ content and index keys attach).  The composition is:
 2. the loop predictor overrides TAGE for confidently captured loops;
 3. the statistical corrector may override the combined prediction when its
    signed vote is strong and disagrees.
+
+The batched-engine kernel is the generated TAGE kernel followed by the loop
+predictor's and the corrector's inlined lookup and update (see
+:class:`repro.predictors.ltage.TageComposite`).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from .base import DirectionPrediction, DirectionPredictor
+from .base import DirectionPrediction
 from .counters import counter_strength
 from .loop import LoopPredictor
+from .ltage import TageComposite
 from .statistical_corrector import StatisticalCorrector
 from .table import PredictorTable, TableIsolation
 from .tage import TageConfig, TagePredictor
@@ -24,7 +29,7 @@ from .tage import TageConfig, TagePredictor
 __all__ = ["TageScLPredictor"]
 
 
-class TageScLPredictor(DirectionPredictor):
+class TageScLPredictor(TageComposite):
     """TAGE + SC + L composite predictor.
 
     Args:
@@ -42,14 +47,32 @@ class TageScLPredictor(DirectionPredictor):
                  loop_entries: int = 256, sc_entries: int = 1024, *,
                  isolation: Optional[TableIsolation] = None,
                  word_bits: int = 32) -> None:
-        super().__init__(isolation)
         if tage_config is None:
             tage_config = TageConfig(n_tables=8, table_entries=4096,
                                      min_history=8, max_history=256)
-        self._tage = TagePredictor(tage_config, isolation=isolation,
-                                   word_bits=word_bits)
+        super().__init__(TagePredictor(tage_config, isolation=isolation,
+                                       word_bits=word_bits), isolation)
         self._loop = LoopPredictor(loop_entries, isolation=isolation)
         self._sc = StatisticalCorrector(sc_entries, isolation=isolation)
+
+    def _kernel_tail(self, arm: str) -> List[str]:
+        return self._loop.kernel_lines(arm) + [
+            "    if loop_valid:",
+            "        sc_pre = loop_taken",
+            "        sc_conf = True",
+            "    else:",
+            "        sc_pre = predicted",
+            "        sc_conf = confident",
+        ] + self._sc.kernel_lines(arm) + [
+            "    pstats.lookups += 1",
+            "    if final != taken:",
+            "        pstats.mispredictions += 1",
+            "    return final",
+        ]
+
+    def _bind_kernel(self, namespace: dict, arm: str, thread_id: int) -> None:
+        self._loop.bind_kernel(namespace, arm, thread_id)
+        self._sc.bind_kernel(namespace, arm, thread_id)
 
     def _tage_confident(self, tage_pred: DirectionPrediction) -> bool:
         meta = tage_pred.meta
@@ -91,11 +114,6 @@ class TageScLPredictor(DirectionPredictor):
         return self._tage.tables() + [self._loop.table] + self._sc.tables()
 
     @property
-    def tage(self) -> TagePredictor:
-        """The TAGE component."""
-        return self._tage
-
-    @property
     def loop(self) -> LoopPredictor:
         """The loop-predictor component."""
         return self._loop
@@ -106,11 +124,11 @@ class TageScLPredictor(DirectionPredictor):
         return self._sc
 
     def flush(self) -> None:
-        self._tage.flush()
+        super().flush()
         self._loop.flush()
         self._sc.flush()
 
     def flush_thread(self, thread_id: int) -> None:
-        self._tage.flush_thread(thread_id)
+        super().flush_thread(thread_id)
         self._loop.flush_thread(thread_id)
         self._sc.flush_thread(thread_id)

@@ -11,16 +11,23 @@ table and an 8192-entry choice table, both indexed by the global (path)
 history.  All second-level tables are built on
 :class:`repro.predictors.table.PackedCounterTable` so that content and index
 encoding apply uniformly, as shown in the figure.
+
+The batched engines drive the predictor through a per-thread generated
+kernel (:meth:`TournamentPredictor.exec_kernel`) on the same three storage
+arms as the TAGE and gshare kernels: passthrough, fused-XOR and generic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .base import DirectionPrediction, DirectionPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, LocalHistoryTable, PathHistory
-from .table import PackedCounterTable, PredictorTable, TableIsolation
+from .kernelgen import (bind_table, emit_read, emit_write, fold_expr,
+                        make_kernel, storage_arm)
+from .table import (PackedCounterTable, PredictorTable, TableIsolation,
+                    supports_fused_xor)
 
 __all__ = ["TournamentPredictor"]
 
@@ -72,6 +79,15 @@ class TournamentPredictor(DirectionPredictor):
         self._path = PathHistory(24, pc_bits_per_branch=2)
         if isolation is not None:
             isolation.register_flushable(self._local_history)
+        # Per-thread kernels (see ``exec_kernel``); they bind the thread's
+        # masks, so under an XOR policy key re-randomisation drops them.
+        self._exec_fns: Dict[int, object] = {}
+        attached = self._local_pht.word_table.isolation
+        if supports_fused_xor(attached):
+            self._exec_token = object()
+            attached.register_fast_mask_cache(self._exec_token,
+                                              self._exec_fns,
+                                              self._build_exec_fn)
 
     # -- index computation ----------------------------------------------------
     def _local_index(self, pc: int) -> int:
@@ -140,6 +156,136 @@ class TournamentPredictor(DirectionPredictor):
         self._ghr.push(taken, thread_id)
         self._path.push(pc, thread_id)
 
+    def execute(self, pc: int, taken: bool, thread_id: int = 0) -> bool:
+        """Fused lookup + stats + update (see :meth:`exec_kernel`)."""
+        fn = self._exec_fns.get(thread_id)
+        if fn is None:
+            fn = self._build_exec_fn(thread_id)
+        return fn(pc, taken)
+
+    def exec_kernel(self, thread_id: int = 0):
+        """Return the thread's specialised execute kernel ``fn(pc, taken)``.
+
+        A generated function with the geometry inlined and the thread's
+        history registers, statistics and storage masks bound in its
+        globals.  It is dropped on key re-randomisation, ``flush`` /
+        ``flush_thread``, ``reset_stats`` and ``invalidate_kernel_masks``;
+        ``.arm`` names the storage arm it runs.
+        """
+        fn = self._exec_fns.get(thread_id)
+        if fn is None:
+            fn = self._build_exec_fn(thread_id)
+        return fn
+
+    def invalidate_kernel_masks(self) -> None:
+        """Drop every cached kernel (tests / manual fast-path flag flips)."""
+        self._exec_fns.clear()
+
+    def _build_exec_fn(self, thread_id: int):
+        arm = storage_arm(self.tables())
+        namespace = {
+            "lh_entries": self._local_history._entries,
+            "ghr_values": self._ghr._values,
+            "path_values": self._path._values,
+            "pstats": self.stats(thread_id),
+            "TID": thread_id,
+        }
+        for name, pht in self._kernel_phts():
+            bind_table(namespace, name, pht.word_table, arm, thread_id)
+        fn = make_kernel(self._kernel_source(arm), f"<tournament-kernel {arm}>",
+                         namespace, arm)
+        self._exec_fns[thread_id] = fn
+        return fn
+
+    def _kernel_phts(self):
+        return (("TL", self._local_pht), ("TG", self._global_pht),
+                ("TC", self._choice_pht))
+
+    def _kernel_source(self, arm: str) -> str:
+        """Generate one kernel arm (statement order of lookup + update).
+
+        Each counter word is read once: the chooser, local and global
+        tables are distinct, so the update's re-reads would return the
+        words the lookup saw.
+        """
+        ghr_bits = self._ghr.bits
+        path_bits = self._path.bits
+        gbits = self._global_mask.bit_length()
+        cbits = self._choice_mask.bit_length()
+        lines = [
+            "def _kernel(pc, taken, thread_id=0):",
+            "    pc2 = pc >> 2",
+            f"    lh_index = pc2 & {self._local_history._index_mask}",
+            "    lh = lh_entries[lh_index]",
+            "    ghr = ghr_values.get(TID, 0)",
+            "    path = path_values.get(TID, 0)",
+            f"    local_index = lh & {self._local_mask}",
+            f"    global_index = ({fold_expr('ghr', ghr_bits, gbits)}"
+            f" ^ {fold_expr('path', path_bits, gbits)}) & {self._global_mask}",
+            f"    choice_index = ({fold_expr('ghr', ghr_bits, cbits)}"
+            f" ^ {fold_expr('path', path_bits, cbits)}) & {self._choice_mask}",
+        ]
+        counters = {"TL": "local_index", "TG": "global_index",
+                    "TC": "choice_index"}
+        for name, pht in self._kernel_phts():
+            index = counters[name]
+            bits = pht.counter_bits
+            cpw = pht.counters_per_word
+            if cpw & (cpw - 1) == 0:
+                word_index = f"{index} >> {cpw.bit_length() - 1}"
+                slot = f"{index} & {cpw - 1}"
+            else:
+                word_index = f"{index} // {cpw}"
+                slot = f"{index} % {cpw}"
+            lines.append(f"    {name}_index = {word_index}")
+            lines.append(f"    {name}_shift = ({slot}) * {bits}")
+            lines += emit_read(arm, name, pht.word_table, f"{name}_index",
+                               f"{name}_word")
+            lines.append(f"    {name}_ctr = ({name}_word >> {name}_shift)"
+                         f" & {(1 << bits) - 1}")
+
+        def train(name: str, pht: PackedCounterTable, direction: str,
+                  pad: str) -> List[str]:
+            top = (1 << pht.counter_bits) - 1
+            vmask = pht.word_table._value_mask
+            new = (f"(({name}_word & ~({top} << {name}_shift))"
+                   f" | ({name}_new << {name}_shift)) & {vmask}")
+            return [f"{pad}if {direction}:",
+                    f"{pad}    {name}_new = {name}_ctr + 1 if {name}_ctr < {top}"
+                    f" else {top}",
+                    f"{pad}else:",
+                    f"{pad}    {name}_new = {name}_ctr - 1 if {name}_ctr > 0"
+                    " else 0"] + emit_write(arm, name, pht.word_table,
+                                            f"{name}_index", new, pad)
+
+        lines += [
+            f"    local_taken = TL_ctr >= {1 << (self._local_pht.counter_bits - 1)}",
+            f"    global_taken = TG_ctr >= {1 << (self._global_pht.counter_bits - 1)}",
+            f"    if TC_ctr >= {1 << (self._choice_pht.counter_bits - 1)}:",
+            "        predicted = global_taken",
+            "    else:",
+            "        predicted = local_taken",
+            "    pstats.lookups += 1",
+            "    if predicted != taken:",
+            "        pstats.mispredictions += 1",
+            # The chooser trains only when the components disagree.
+            "    if local_taken != global_taken:",
+        ]
+        lines += train("TC", self._choice_pht, "global_taken == taken",
+                       "        ")
+        lines += train("TL", self._local_pht, "taken", "    ")
+        lines += train("TG", self._global_pht, "taken", "    ")
+        lh_mask = (1 << self._local_history.history_bits) - 1
+        pc_bits = self._path._pc_bits
+        lines += [
+            f"    lh_entries[lh_index] = ((lh << 1) | taken) & {lh_mask}",
+            f"    ghr_values[TID] = ((ghr << 1) | taken) & {self._ghr._mask}",
+            f"    path_values[TID] = ((path << {pc_bits})"
+            f" | (pc2 & {(1 << pc_bits) - 1})) & {self._path._mask}",
+            "    return predicted",
+        ]
+        return "\n".join(lines) + "\n"
+
     # -- structure access -----------------------------------------------------
     def tables(self) -> List[PredictorTable]:
         return [self._local_pht.word_table, self._global_pht.word_table,
@@ -172,6 +318,9 @@ class TournamentPredictor(DirectionPredictor):
         self._local_history.flush()
         self._ghr.clear()
         self._path.clear()
+        # Storage and histories reset in place, but drop the kernels anyway
+        # so a later set_isolation / flag flip can never serve stale arms.
+        self._exec_fns.clear()
 
     def flush_thread(self, thread_id: int) -> None:
         self._local_pht.flush_thread(thread_id)
@@ -179,3 +328,9 @@ class TournamentPredictor(DirectionPredictor):
         self._choice_pht.flush_thread(thread_id)
         self._ghr.clear(thread_id)
         self._path.clear(thread_id)
+        self._exec_fns.pop(thread_id, None)
+
+    def reset_stats(self) -> None:
+        super().reset_stats()
+        # The kernels bind the (now replaced) stats objects.
+        self._exec_fns.clear()

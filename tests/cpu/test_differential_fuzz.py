@@ -51,7 +51,10 @@ from repro.workloads.generator import make_workload
 MASTER_SEED = 0xD1FF5EED
 
 PRESETS = sorted(preset_names())
-PREDICTORS = ["tage", "gshare", "tournament", "bimodal"]
+PREDICTORS = ["tage", "gshare", "tournament", "bimodal", "ltage", "tage_sc_l"]
+#: Predictors with generated execute kernels: the boundary cases compare
+#: their raw encoded tables (TAGE, gshare, Tournament, loop, corrector).
+KERNEL_PREDICTORS = ["tage", "gshare", "tournament", "ltage", "tage_sc_l"]
 WORKLOADS = ["gcc", "mcf", "milc", "gobmk", "povray", "calculix"]
 
 N_ENGINE_CASES = 24
@@ -63,6 +66,7 @@ _HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 # fill; keep the case counts in step with the preset list as it grows.
 assert N_ENGINE_CASES >= 2 * len(PRESETS)
 assert N_BOUNDARY_CASES >= len(PRESETS)
+assert N_BOUNDARY_CASES >= len(KERNEL_PREDICTORS)
 
 
 def _sample_engine_cases():
@@ -96,7 +100,9 @@ def _sample_boundary_cases():
     for i in range(N_BOUNDARY_CASES):
         preset = PRESETS[i % len(PRESETS)] if i < len(PRESETS) \
             else rng.choice(PRESETS)
-        predictor = rng.choice(["tage", "gshare"])
+        # Every kernel predictor also gets a deterministic slot.
+        predictor = KERNEL_PREDICTORS[i] if i < len(KERNEL_PREDICTORS) \
+            else rng.choice(KERNEL_PREDICTORS)
         workload = rng.choice(WORKLOADS)
         # Random (co-prime-ish) switch/rekey periods and thread interleave.
         switch_every = rng.choice([37, 61, 97, 131])

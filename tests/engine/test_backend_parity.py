@@ -152,11 +152,13 @@ class TestKernelEngagement:
         assert after is not before
 
     def test_generic_direction_predictor_falls_through(self):
-        """Tournament has no kernel protocol: both backends agree on that."""
+        """Tournament has no vectorized kernel: numpy serves the reference."""
         backend = get_backend("numpy")
         bpu = build_bpu(fpga_prototype("tournament"), "xor_bp", seed=7)
-        assert backend.direction_kernel_fetch(bpu.direction) is \
-            get_backend("python").direction_kernel_fetch(bpu.direction)
+        fetch = backend.direction_kernel_fetch(bpu.direction)
+        assert fetch == get_backend("python").direction_kernel_fetch(
+            bpu.direction)
+        assert getattr(fetch(0), "backend", None) is None
 
 
 class TestBackendSelectionThroughCore:

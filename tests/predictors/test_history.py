@@ -142,6 +142,16 @@ class TestLocalHistoryTable:
         lht.flush()
         assert lht.read(0x100) == 0
 
+    def test_flush_resets_entries_in_place(self):
+        # Generated predictor kernels bind the entry list: a flush by another
+        # thread's Complete Flush must clear that list, not replace it.
+        lht = LocalHistoryTable(16, 4)
+        entries = lht._entries
+        lht.push(0x100, True)
+        lht.flush()
+        assert lht._entries is entries
+        assert entries == [0] * 16
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             LocalHistoryTable(100, 8)
