@@ -27,11 +27,8 @@ from typing import Callable, Iterable, List
 
 from .table import PredictorTable
 
-__all__ = ["ARMS", "storage_arm", "bind_table", "emit_read", "emit_write",
+__all__ = ["storage_arm", "bind_table", "emit_read", "emit_write",
            "fold_expr", "make_kernel"]
-
-#: Kernel arms, fastest first.
-ARMS = ("passthrough", "fused-xor", "generic")
 
 
 def storage_arm(tables: Iterable[PredictorTable]) -> str:
@@ -97,24 +94,28 @@ def emit_write(arm: str, name: str, table: PredictorTable, index: str,
     return [f"{pad}{_cell(name, table, f'{name}_row')} = ({value}) ^ {name}_key"]
 
 
-def fold_expr(value: str, history_bits: int, folded_bits: int) -> str:
-    """Expression equal to ``fold_history(value, history_bits, folded_bits)``.
+def fold_expr(value: str, history_bits: int, folded_bits: int,
+              value_bits: int = 0) -> str:
+    """Expression folding the low ``history_bits`` of ``value`` like
+    ``fold_history(value & mask, history_bits, folded_bits)``.
 
-    ``value`` must be a name holding at most ``history_bits`` bits.
+    ``value`` is a name holding at most ``value_bits`` bits (default:
+    ``history_bits``); chunk masks drop any bits above ``history_bits``.
     """
-    mask = (1 << folded_bits) - 1
-    if history_bits <= folded_bits:
-        return f"({value} & {mask})"
+    value_bits = max(value_bits, history_bits)
     terms = []
     for shift in range(0, history_bits, folded_bits):
+        width = min(folded_bits, history_bits - shift)
         term = f"({value} >> {shift})" if shift else value
-        if shift + folded_bits < history_bits:
-            term = f"({term} & {mask})"
+        if shift + width < value_bits:
+            term = f"({term} & {(1 << width) - 1})"
         terms.append(term)
     return "(" + " ^ ".join(terms) + ")"
 
 
-@lru_cache(maxsize=None)
+# Distinct sources are few (predictor geometry x arm); the bound only guards
+# against unbounded growth in a long-lived process.
+@lru_cache(maxsize=256)
 def _compile(source: str, label: str):
     return compile(source, label, "exec")
 

@@ -161,12 +161,12 @@ class StatisticalCorrector:
         """(name, table, index-expression) of every component, in vote order."""
         bits = self._index_bits
         mask = self._index_mask
+        longest = max(self._history_lengths)
         parts = []
         for i, (table, length) in enumerate(zip(self._tables,
                                                 self._history_lengths)):
-            history = f"(ghr_value & {(1 << length) - 1})"
-            parts.append((f"SG{i}", table, f"(pc2 ^ "
-                          f"{fold_expr(history, length, bits)}) & {mask}"))
+            fold = fold_expr("sc_history", length, bits, longest)
+            parts.append((f"SG{i}", table, f"(pc2 ^ {fold}) & {mask}"))
         backward = fold_expr("sc_backward", self._backward_history.bits, bits)
         parts.append(("SB", self._backward_table,
                       f"(pc2 ^ {backward}) & {mask}"))
@@ -188,6 +188,9 @@ class StatisticalCorrector:
         low = sign - 1
         local = self._local_history
         lines = [
+            # The longest component history, cut down from the (much wider)
+            # global history once.
+            f"    sc_history = ghr_value & {(1 << max(self._history_lengths)) - 1}",
             "    sc_backward = sc_bw_values.get(TID, 0)",
             f"    sc_local_index = pc2 & {local._index_mask}",
             "    sc_local = sc_local_entries[sc_local_index]",

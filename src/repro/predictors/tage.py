@@ -38,7 +38,10 @@ packed state rather than per-table objects:
   state and masks bound in the function's globals, so a branch pays no
   attribute loads, constant-tuple unpacking or mask lookups.  The batched
   engines fetch the kernel via :meth:`TagePredictor.exec_kernel` and
-  re-fetch it after every switch notification.
+  re-fetch it after every switch notification.  Non-fusable policies
+  (Precise Flush owner tracking, non-XOR encoders) get a third, *generic*
+  arm of the same generated kernel whose storage accesses go through the
+  tables' own ``read``/``write`` dispatch.
 """
 
 from __future__ import annotations
