@@ -153,8 +153,7 @@ class LoopPredictor:
         ]
         lines += emit_read(arm, "LP", table, "loop_index", "loop_word")
         lines += [
-            "    loop_current = (loop_word >> "
-            f"{cur_shift}) & {imask}",
+            f"    loop_current = (loop_word >> {cur_shift}) & {imask}",
             f"    loop_trip = (loop_word >> {trip_shift}) & {imask}",
             "    if loop_word == 0 or"
             f" (loop_word >> {tag_shift}) & {self._tag_mask} != loop_tag:",

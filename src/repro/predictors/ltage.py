@@ -4,11 +4,11 @@ LTAGE (Seznec, CBP-2) is one of the four predictors evaluated in the paper's
 SMT study (Table 2 lists a 32 KB LTAGE).  The loop predictor overrides TAGE
 whenever it has a confident entry for the branch.
 
-Both TAGE composites (LTAGE here, TAGE-SC-L in :mod:`repro.predictors.
-tage_sc_l`) share :class:`TageComposite`: their batched-engine kernels are
-the generated TAGE kernel (:meth:`TagePredictor._kernel_source`) with the
-side components' lookup and update inlined after it, on the same three
-storage arms (passthrough, fused-XOR, generic).
+Both TAGE composites, LTAGE and TAGE-SC-L, share :class:`TageComposite`:
+their batched-engine kernels are the generated TAGE kernel
+(:meth:`TagePredictor._kernel_source`) with the side components' lookup
+and update inlined after it, on the same three storage arms (passthrough,
+fused-XOR, generic).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ __all__ = ["LTagePredictor", "TageComposite"]
 class TageComposite(DirectionPredictor):
     """TAGE plus side components, with a fused per-thread execute kernel.
 
-    Subclasses own ``self._tage`` and describe their side components with
-    :meth:`_kernel_tail` / :meth:`_bind_kernel`.  The tail runs after the
+    Subclasses pass in their TAGE component and describe their side
+    components with :meth:`_kernel_tail` / :meth:`_bind_kernel`.  The tail runs after the
     whole TAGE body (lookup, update, history push): the side components
     and TAGE touch disjoint state, so running TAGE first is bit-identical
     to the scalar lookup-all / update-all interleaving.  Statistics go on

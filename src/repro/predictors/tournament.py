@@ -190,7 +190,7 @@ class TournamentPredictor(DirectionPredictor):
             "pstats": self.stats(thread_id),
             "TID": thread_id,
         }
-        for name, pht in self._kernel_phts():
+        for name, pht, _ in self._kernel_phts():
             bind_table(namespace, name, pht.word_table, arm, thread_id)
         fn = make_kernel(self._kernel_source(arm), f"<tournament-kernel {arm}>",
                          namespace, arm)
@@ -198,8 +198,10 @@ class TournamentPredictor(DirectionPredictor):
         return fn
 
     def _kernel_phts(self):
-        return (("TL", self._local_pht), ("TG", self._global_pht),
-                ("TC", self._choice_pht))
+        """(kernel name, counter table, counter-index local) per table."""
+        return (("TL", self._local_pht, "local_index"),
+                ("TG", self._global_pht, "global_index"),
+                ("TC", self._choice_pht, "choice_index"))
 
     def _kernel_source(self, arm: str) -> str:
         """Generate one kernel arm (statement order of lookup + update).
@@ -225,10 +227,7 @@ class TournamentPredictor(DirectionPredictor):
             f"    choice_index = ({fold_expr('ghr', ghr_bits, cbits)}"
             f" ^ {fold_expr('path', path_bits, cbits)}) & {self._choice_mask}",
         ]
-        counters = {"TL": "local_index", "TG": "global_index",
-                    "TC": "choice_index"}
-        for name, pht in self._kernel_phts():
-            index = counters[name]
+        for name, pht, index in self._kernel_phts():
             bits = pht.counter_bits
             cpw = pht.counters_per_word
             if cpw & (cpw - 1) == 0:

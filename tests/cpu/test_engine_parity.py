@@ -82,9 +82,10 @@ class TestSingleThreadParity:
         batched = _single_thread(preset, "batched")
         assert _snapshot(batched) == _snapshot(scalar)
 
-    # gshare has its own fused execute; tournament and bimodal take the
-    # generic DirectionPredictor.execute fallback path.
-    @pytest.mark.parametrize("predictor", ["gshare", "tournament", "bimodal"])
+    # gshare, tournament, ltage and tage_sc_l have their own kernels;
+    # bimodal takes the generic DirectionPredictor.execute fallback path.
+    @pytest.mark.parametrize("predictor", ["gshare", "tournament", "bimodal",
+                                           "ltage", "tage_sc_l"])
     def test_other_predictor_parity(self, predictor):
         scalar = _single_thread("baseline", "scalar", predictor=predictor)
         batched = _single_thread("baseline", "batched", predictor=predictor)

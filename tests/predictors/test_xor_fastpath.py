@@ -34,6 +34,9 @@ from repro.workloads.generator import make_workload
 #: structure, so the other side runs the passthrough fast path.
 XOR_PRESETS = ["xor_bp", "noisy_xor_bp", "noisy_xor_btb", "noisy_xor_pht"]
 
+#: Direction predictors with generated execute kernels.
+KERNEL_PREDICTORS = ["tage", "gshare", "tournament", "ltage", "tage_sc_l"]
+
 SCALE = ExperimentScale(
     time_scale=200.0, smt_time_scale=400.0, syscall_time_scale=25.0,
     st_target_branches=2_000, st_warmup_branches=500,
@@ -120,16 +123,16 @@ class TestBpuFastPathVsGenericDispatch:
 
 
 class TestPackedKernelArms:
-    """The packed-BTB and gshare/TAGE kernels must run their intended arm.
+    """The packed-BTB and direction-predictor kernels must run their intended arm.
 
     Silent fallback to the generic dispatch would keep results correct but
     quietly lose the packed fast paths; these assertions (mirrored by the
     throughput benchmark) pin the specialisation choice itself.
     """
 
-    @pytest.mark.parametrize("preset", XOR_PRESETS + ["baseline",
-                                                      "complete_flush"])
-    @pytest.mark.parametrize("predictor", ["tage", "gshare"])
+    @pytest.mark.parametrize("preset", XOR_PRESETS + [
+        "baseline", "complete_flush", "xor_pht", "xor_pht_simple", "xor_btb"])
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
     def test_kernel_arms_match_preset(self, preset, predictor):
         config = resolve_preset(preset)
         bpu = make_bpu(predictor, preset, seed=11)
@@ -144,7 +147,7 @@ class TestPackedKernelArms:
         assert bpu.btb.exec_conditional_kernel(0).arm == want_btb
         assert bpu.direction.exec_kernel(0).arm == want_pht
 
-    @pytest.mark.parametrize("predictor", ["tage", "gshare"])
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
     def test_non_xor_encoder_takes_generic_arm(self, predictor):
         # S-box content encoding is reversible but not plain XOR, so it must
         # not be fused into the packed kernels.
@@ -153,10 +156,12 @@ class TestPackedKernelArms:
         assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
         assert bpu.direction.exec_kernel(0).arm == "generic"
 
-    def test_precise_flush_takes_generic_arm(self):
-        bpu = make_bpu("gshare", "precise_flush", seed=11)
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
+    def test_precise_flush_takes_generic_arm(self, predictor):
+        bpu = make_bpu(predictor, "precise_flush", seed=11)
         assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
-        assert bpu.direction.exec_kernel(0).arm == "generic"
+        for thread in (0, 1):
+            assert bpu.direction.exec_kernel(thread).arm == "generic"
 
 
 class TestNonXorFallbackEquivalence:
@@ -168,7 +173,7 @@ class TestNonXorFallbackEquivalence:
     ``lookup``/``update`` reference flow.
     """
 
-    @pytest.mark.parametrize("predictor", ["tage", "gshare"])
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
     def test_fast_entry_points_match_reference(self, predictor):
         records = make_workload("gobmk", seed=21).segment(1_500)
         fast = make_bpu(predictor, "xor_bp", seed=33,

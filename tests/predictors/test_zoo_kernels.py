@@ -2,38 +2,22 @@
 
 Tournament, LTAGE and TAGE-SC-L run the batched engines through generated
 ``exec_kernel`` functions on three storage arms (passthrough, fused-XOR,
-generic).  These tests pin the arm each isolation preset selects, the
-invalidation protocol (forced generic dispatch, flushes, stats resets) and
-bit-identity of every arm with the scalar ``lookup``/``update`` oracle,
-including the non-XOR encoders that only the generic arm serves.
+generic); ``test_xor_fastpath.py`` pins the arm each preset selects.  These
+tests pin the invalidation protocol (forced generic dispatch, flushes,
+stats resets) and bit-identity of every arm with the scalar
+``lookup``/``update`` oracle, including the non-XOR encoders that only the
+generic arm serves.
 """
 
 import pytest
 
-from repro.core.registry import make_bpu, preset_names, resolve_preset
+from repro.core.registry import make_bpu
 from repro.predictors import LTagePredictor, TageScLPredictor
 from repro.types import BranchType, Privilege
 from repro.workloads.generator import make_workload
 
 ZOO = ["tournament", "ltage", "tage_sc_l"]
 KERNEL_PREDICTORS = ["tage", "gshare"] + ZOO
-
-
-def _expected_arm(preset):
-    config = resolve_preset(preset)
-    if config.pht_mechanism in ("xor", "noisy_xor"):
-        return "fused-xor"
-    if config.pht_mechanism == "precise_flush":
-        return "generic"
-    return "passthrough"
-
-
-@pytest.mark.parametrize("predictor", ZOO)
-@pytest.mark.parametrize("preset", preset_names())
-def test_preset_selects_arm(predictor, preset):
-    bpu = make_bpu(predictor, preset, seed=3)
-    for thread in (0, 1):
-        assert bpu.direction.exec_kernel(thread).arm == _expected_arm(preset)
 
 
 @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
