@@ -120,15 +120,21 @@ def _compile(source: str, label: str):
     return compile(source, label, "exec")
 
 
-def make_kernel(source: str, label: str, namespace: dict,
-                arm: str) -> Callable:
-    """Compile (once per distinct source) and bind one generated kernel.
+def make_kernel(cache: dict, key: tuple, source: Callable[[], str],
+                namespace: dict, arm: str) -> Callable:
+    """Bind one generated kernel, compiling its source only when needed.
 
-    ``source`` defines ``_kernel``; the returned function runs with
-    ``namespace`` as its globals and carries its arm in ``.arm`` so
-    benchmarks and tests can assert no silent generic fallback.
+    ``cache`` is the predictor's own ``key -> code`` map, so a rebuild
+    after a rekey neither regenerates nor recompiles; on a miss,
+    ``source()`` (which defines ``_kernel``) is compiled once per distinct
+    text, shared by every predictor of the same geometry.  The returned
+    function runs with ``namespace`` as its globals and carries its arm in
+    ``.arm`` so benchmarks and tests can assert no silent generic fallback.
     """
-    exec(_compile(source, label), namespace)
+    code = cache.get(key)
+    if code is None:
+        code = cache[key] = _compile(source(), f"<kernel {key}>")
+    exec(code, namespace)
     fn = namespace["_kernel"]
     fn.arm = arm
     return fn

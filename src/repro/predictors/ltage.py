@@ -28,21 +28,22 @@ class TageComposite(DirectionPredictor):
     """TAGE plus side components, with a fused per-thread execute kernel.
 
     Subclasses pass in their TAGE component and describe their side
-    components with :meth:`_kernel_tail` / :meth:`_bind_kernel`.  The tail runs after the
-    whole TAGE body (lookup, update, history push): the side components
-    and TAGE touch disjoint state, so running TAGE first is bit-identical
-    to the scalar lookup-all / update-all interleaving.  Statistics go on
-    the composite only, as on the scalar path.
+    components with :meth:`_kernel_tail` / :meth:`_bind_kernel`.  The tail
+    runs after the whole TAGE body (lookup, update, history push): the
+    side components and TAGE touch disjoint state, so running TAGE first
+    is bit-identical to the scalar lookup-all / update-all interleaving.
+    Statistics go on the composite only, as on the scalar path.
     """
 
     def __init__(self, tage: TagePredictor,
                  isolation: Optional[TableIsolation]) -> None:
         super().__init__(isolation)
         self._tage = tage
-        # Per-thread kernels; they bind the thread's masks, so under an XOR
-        # policy they register as a mask cache and key re-randomisation
-        # drops them.
+        # Per-thread kernels and their code objects by arm.  The kernels
+        # bind the thread's masks, so under an XOR policy they register as
+        # a mask cache and key re-randomisation drops them.
         self._exec_fns: Dict[int, object] = {}
+        self._kernel_code: Dict[tuple, object] = {}
         attached = tage.tagged_tables[0].isolation
         if supports_fused_xor(attached):
             self._exec_token = object()
@@ -87,8 +88,10 @@ class TageComposite(DirectionPredictor):
                                            pstats=self.stats(thread_id))
         self._bind_kernel(namespace, arm, thread_id)
         fn = make_kernel(
-            tage._kernel_source(arm, diversified, tail=self._kernel_tail(arm)),
-            f"<{self.name}-kernel {arm} {diversified}>", namespace, arm)
+            self._kernel_code, (self.name, arm, diversified),
+            lambda: tage._kernel_source(arm, diversified,
+                                        tail=self._kernel_tail(arm)),
+            namespace, arm)
         self._exec_fns[thread_id] = fn
         return fn
 

@@ -255,10 +255,12 @@ class TagePredictor(DirectionPredictor):
         self._kernel_masks: Dict[int, object] = {}
         self._zero_base_row_keys = [0] * self._base_words.n_entries
         # Per-thread specialised kernels (generated functions, see
-        # ``_build_exec_fn``).  The kernels close over per-thread masks and
-        # state, so they register as a second mask cache: key
-        # re-randomisation drops them and the next fetch rebuilds them.
+        # ``_build_exec_fn``) and their code objects, keyed by arm.  The
+        # kernels close over per-thread masks and state, so they register
+        # as a second mask cache: key re-randomisation drops them and the
+        # next fetch rebuilds them.
         self._exec_fns: Dict[int, object] = {}
+        self._kernel_code: Dict[tuple, object] = {}
         attached = self._tables[0].isolation
         if supports_fused_xor(attached):
             attached.register_fast_mask_cache(self, self._kernel_masks,
@@ -551,8 +553,8 @@ class TagePredictor(DirectionPredictor):
         arm = ("generic" if bundle is False
                else "fused-xor" if bundle[0] else "passthrough")
         diversified = self._diversified(arm)
-        fn = make_kernel(self._kernel_source(arm, diversified),
-                         f"<tage-kernel {arm} {diversified}>",
+        fn = make_kernel(self._kernel_code, ("tage", arm, diversified),
+                         lambda: self._kernel_source(arm, diversified),
                          self._kernel_namespace(thread_id, arm, bundle), arm)
         self._exec_fns[thread_id] = fn
         return fn

@@ -79,9 +79,11 @@ class TournamentPredictor(DirectionPredictor):
         self._path = PathHistory(24, pc_bits_per_branch=2)
         if isolation is not None:
             isolation.register_flushable(self._local_history)
-        # Per-thread kernels (see ``exec_kernel``); they bind the thread's
-        # masks, so under an XOR policy key re-randomisation drops them.
+        # Per-thread kernels (see ``exec_kernel``) and their code objects by
+        # arm.  The kernels bind the thread's masks, so under an XOR policy
+        # key re-randomisation drops them.
         self._exec_fns: Dict[int, object] = {}
+        self._kernel_code: Dict[tuple, object] = {}
         attached = self._local_pht.word_table.isolation
         if supports_fused_xor(attached):
             self._exec_token = object()
@@ -192,8 +194,8 @@ class TournamentPredictor(DirectionPredictor):
         }
         for name, pht, _ in self._kernel_phts():
             bind_table(namespace, name, pht.word_table, arm, thread_id)
-        fn = make_kernel(self._kernel_source(arm), f"<tournament-kernel {arm}>",
-                         namespace, arm)
+        fn = make_kernel(self._kernel_code, ("tournament", arm),
+                         lambda: self._kernel_source(arm), namespace, arm)
         self._exec_fns[thread_id] = fn
         return fn
 
