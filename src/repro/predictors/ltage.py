@@ -23,6 +23,14 @@ from .tage import TageConfig, TagePredictor
 
 __all__ = ["LTagePredictor", "TageComposite"]
 
+#: Composite kernels record their statistics on the composite, last.
+_STATS_AND_RETURN = [
+    "    pstats.lookups += 1",
+    "    if final != taken:",
+    "        pstats.mispredictions += 1",
+    "    return final",
+]
+
 
 class TageComposite(DirectionPredictor):
     """TAGE plus side components, with a fused per-thread execute kernel.
@@ -52,7 +60,8 @@ class TageComposite(DirectionPredictor):
                                               self._build_exec_fn)
 
     def _kernel_tail(self, arm: str) -> List[str]:
-        """Kernel lines after the TAGE body; must return the prediction."""
+        """Kernel lines after the TAGE body; leave the prediction in
+        ``final``."""
         raise NotImplementedError
 
     def _bind_kernel(self, namespace: dict, arm: str, thread_id: int) -> None:
@@ -89,8 +98,8 @@ class TageComposite(DirectionPredictor):
         self._bind_kernel(namespace, arm, thread_id)
         fn = make_kernel(
             self._kernel_code, (self.name, arm, diversified),
-            lambda: tage._kernel_source(arm, diversified,
-                                        tail=self._kernel_tail(arm)),
+            lambda: tage._kernel_source(arm, diversified, tail=(
+                self._kernel_tail(arm) + _STATS_AND_RETURN)),
             namespace, arm)
         self._exec_fns[thread_id] = fn
         return fn
@@ -144,12 +153,7 @@ class LTagePredictor(TageComposite):
 
     def _kernel_tail(self, arm: str) -> List[str]:
         return self._loop.kernel_lines(arm) + [
-            "    final = loop_taken if loop_valid else predicted",
-            "    pstats.lookups += 1",
-            "    if final != taken:",
-            "        pstats.mispredictions += 1",
-            "    return final",
-        ]
+            "    final = loop_taken if loop_valid else predicted"]
 
     def _bind_kernel(self, namespace: dict, arm: str, thread_id: int) -> None:
         self._loop.bind_kernel(namespace, arm, thread_id)

@@ -63,12 +63,7 @@ class TageScLPredictor(TageComposite):
             "    else:",
             "        sc_pre = predicted",
             "        sc_conf = confident",
-        ] + self._sc.kernel_lines(arm) + [
-            "    pstats.lookups += 1",
-            "    if final != taken:",
-            "        pstats.mispredictions += 1",
-            "    return final",
-        ]
+        ] + self._sc.kernel_lines(arm)
 
     def _bind_kernel(self, namespace: dict, arm: str, thread_id: int) -> None:
         self._loop.bind_kernel(namespace, arm, thread_id)
