@@ -124,8 +124,8 @@ def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
     config: an XOR-mechanism structure must ride the fused-XOR fast path,
     anything else the passthrough one.  On top of the storage flags, the
     packed-BTB probe kernel and the direction predictor's execute kernel
-    must report the matching specialisation arm.  Guards the benchmark and the CI smoke
-    step against silent fallbacks to the generic dispatch.
+    must report the matching specialisation arm.  Guards the benchmark and
+    the CI smoke step against silent fallbacks to the generic dispatch.
     """
     bpu = core.bpu
     config = resolve_preset(preset)
@@ -178,11 +178,11 @@ def assert_backend_kernels(core: SingleThreadCore, preset: str,
     if backend != "numpy":
         return
     bpu = core.bpu
-    base = bpu.direction.exec_kernel(0)
     if bpu.direction.name not in NUMPY_PREDICTORS:
         raise AssertionError(
             f"the numpy backend has no window kernel for "
             f"{bpu.direction.name}")
+    base = bpu.direction.exec_kernel(0)
     kernel = core.backend.direction_kernel_fetch(bpu.direction)(0)
     if getattr(kernel, "backend", None) != "numpy":
         raise AssertionError(
