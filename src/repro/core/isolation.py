@@ -25,6 +25,7 @@ the same policy at 2-bit granularity (``word_bits=2``).  The registry in
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from ..predictors.table import TableIsolation
@@ -69,25 +70,30 @@ class IsolationMechanism(TableIsolation):
 
     def __init__(self, key_manager: Optional[KeyManager] = None) -> None:
         self.key_manager = key_manager if key_manager is not None else KeyManager()
-        self._flushables: List[object] = []
+        # Weak, in registration order: the structures hold this policy, so
+        # strong references back would make every predictor cyclic garbage.
+        self._flushables: List[weakref.ref] = []
 
     # -- registration ----------------------------------------------------------
     def register_flushable(self, flushable: object) -> None:
-        if flushable not in self._flushables:
-            self._flushables.append(flushable)
+        self._flushables = [ref for ref in self._flushables
+                            if ref() is not None]
+        if not any(ref() is flushable for ref in self._flushables):
+            self._flushables.append(weakref.ref(flushable))
 
     @property
     def flushables(self) -> List[object]:
-        """Structures registered for flush notifications."""
-        return list(self._flushables)
+        """Live structures registered for flush notifications, in order."""
+        live = [ref() for ref in self._flushables]
+        return [entry for entry in live if entry is not None]
 
     # -- flush helpers ---------------------------------------------------------
     def _flush_all(self) -> None:
-        for flushable in self._flushables:
+        for flushable in self.flushables:
             flushable.flush()
 
     def _flush_thread(self, thread_id: int) -> None:
-        for flushable in self._flushables:
+        for flushable in self.flushables:
             flush_thread = getattr(flushable, "flush_thread", None)
             if flush_thread is not None:
                 flush_thread(thread_id)
@@ -237,7 +243,10 @@ class XorContentIsolation(IsolationMechanism):
         # cache is invalidated per thread on every switch notification.
         self._key_cache: dict = {}
         # Fused-XOR mask caches of registered storage structures, keyed by
-        # owner id: owner -> (cache dict, per-thread rebuild callable).
+        # owner id: owner -> (cache dict, weak per-thread rebuild callable).
+        # The rebuilder is bound to the structure, so holding it weakly lets
+        # a finished structure die by reference counting; its entry is dead
+        # from then on (and its id free for reuse by a new owner).
         self._mask_caches: dict = {}
 
     # -- fused-XOR mask protocol ----------------------------------------------
@@ -249,19 +258,29 @@ class XorContentIsolation(IsolationMechanism):
         ``rebuild(thread_id)`` recomputes (and re-installs) one thread's
         bundle.  Registered caches are invalidated per thread whenever that
         thread's key material is regenerated.
+
+        ``rebuild`` must be a bound method.  It is held weakly, through its
+        instance, so registration never keeps a structure alive.  Entries
+        whose rebuilder has died are dropped here, before a new owner can
+        take over a freed owner's id.
         """
-        self._mask_caches[id(owner)] = (cache, rebuild)
+        self._mask_caches = {key: entry
+                             for key, entry in self._mask_caches.items()
+                             if entry[1]() is not None}
+        self._mask_caches[id(owner)] = (cache, weakref.WeakMethod(rebuild))
 
     def refresh_fast_masks(self, thread_id: int) -> None:
-        """Eagerly rebuild every registered mask cache for one thread.
+        """Eagerly rebuild every live registered mask cache for one thread.
 
         Invalidated caches normally rebuild lazily on their first access
         after a switch (one rebuild per switch, nothing in the per-branch
         loop); this helper exists for drivers that want the rebuild cost at
-        a controlled point instead.
+        a controlled point instead.  Entries of dead structures are skipped.
         """
-        for _, rebuild in self._mask_caches.values():
-            rebuild(thread_id)
+        for _, weak_rebuild in list(self._mask_caches.values()):
+            rebuild = weak_rebuild()
+            if rebuild is not None:
+                rebuild(thread_id)
 
     def fused_content_key(self, thread_id: int, width_bits: int,
                           table: object) -> int:

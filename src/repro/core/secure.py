@@ -233,13 +233,25 @@ class BranchPredictionUnit:
         specialised kernels so they rebuild on their generic arm.  Results
         must be bit-identical either way — only throughput changes — which
         is exactly what the differential tests assert.  Any new kernel
-        cache added to a structure must be invalidated here.
+        cache added to a structure must be dropped by
+        :meth:`release_kernels`.
         """
         for table in self.direction.tables():
             table._fast = False
             table._xor_fast = False
         self.btb._fast = False
         self.btb._xor_fast = False
+        self.release_kernels()
+
+    def release_kernels(self) -> None:
+        """Drop every cached specialised kernel of the direction predictor
+        and the BTB.
+
+        A kernel's globals bind the structure that caches it, so a cached
+        kernel keeps its owner in a reference cycle.  Dropping them when a
+        run ends lets the whole unit die by reference counting instead of
+        piling up for the cyclic collector; the next fetch simply rebuilds.
+        """
         invalidate_btb = getattr(self.btb, "invalidate_kernels", None)
         if invalidate_btb is not None:
             invalidate_btb()

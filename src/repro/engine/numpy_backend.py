@@ -207,7 +207,7 @@ class _Window:
     """
 
     __slots__ = ("ns", "base", "precompute", "kernel", "buf",
-                 "scan_from", "cond_pos")
+                 "scan_from", "cond_pos", "__weakref__")
 
     def __init__(self, ns: dict, base, precompute) -> None:
         self.ns = ns
@@ -218,7 +218,22 @@ class _Window:
         self.scan_from = 0
         self.cond_pos: List[int] = []
         ns["W"] = [0, 0]
-        ns["_miss"] = self.miss
+        # The consume kernel owns the window (through ``kernel.feed``); the
+        # links back from its globals and from the window are weak, so a
+        # dropped kernel dies by reference counting.
+        miss = weakref.WeakMethod(self.miss)
+        ns["_miss"] = lambda *args: miss()(*args)
+
+    def bind(self, code, arm: str):
+        """Run the compiled consume ``code`` in the window's namespace and
+        return its kernel, wired to this window."""
+        exec(code, self.ns)
+        fn = self.ns.pop("_kernel")
+        self.kernel = weakref.ref(fn)
+        fn.feed = self.feed
+        fn.arm = arm
+        fn.backend = "numpy"
+        return fn
 
     def feed(self, buf, pos: int) -> None:
         w = self.ns["W"]
@@ -273,7 +288,7 @@ class _Window:
                 and self.scan_from < len(self.buf)):
             # Window exhausted mid-buffer: vectorize the next stretch.
             if self._refill():
-                return self.kernel(*args)
+                return self.kernel()(*args)
         # Stream deviation (or no feed): run the rest of the buffer on
         # the reference kernel, which reads the live history state.
         self.buf = None
@@ -587,22 +602,25 @@ def _tage_consume_source(p: TagePredictor, encoded: bool,
     return "\n".join(lines) + "\n"
 
 
-class _TageFetch:
-    """Backend fetch wrapper for one :class:`TagePredictor`.
+class _Fetch:
+    """Backend fetch wrapper for one structure.
 
     Caches one window kernel per thread, keyed to the identity of the
     reference kernel it shadows — every event that invalidates the
     reference kernel (flush, rekey, stats reset, forced generic
-    dispatch) therefore invalidates the window kernel too.
+    dispatch) therefore invalidates the window kernel too.  A wrapper
+    lives as long as the run that fetched it; nothing outside the run
+    keeps the structure alive.  Subclasses supply
+    ``_build(thread_id, base)``.
     """
 
-    def __init__(self, predictor: TagePredictor) -> None:
-        self._p = predictor
+    def __init__(self, structure, reference) -> None:
+        self._s = structure
+        self._reference = reference
         self._kernels: Dict[int, tuple] = {}
-        self._code: Dict[tuple, object] = {}
 
     def __call__(self, thread_id: int = 0):
-        base = self._p.exec_kernel(thread_id)
+        base = self._reference(thread_id)
         cached = self._kernels.get(thread_id)
         if cached is not None and cached[0] is base:
             return cached[1]
@@ -610,10 +628,17 @@ class _TageFetch:
         self._kernels[thread_id] = (base, fn)
         return fn
 
+
+class _TageFetch(_Fetch):
+    """Fetch wrapper for one :class:`TagePredictor`."""
+
+    def __init__(self, predictor: TagePredictor) -> None:
+        super().__init__(predictor, predictor.exec_kernel)
+
     def _build(self, thread_id: int, base):
         if getattr(base, "arm", "generic") == "generic":
             return base
-        p = self._p
+        p = self._s
         bundle = p._kernel_masks.get(thread_id)
         if bundle is None:
             bundle = p._build_kernel_masks(thread_id)
@@ -622,21 +647,15 @@ class _TageFetch:
         encoded = bundle[0]
         diversified = encoded and bool(
             getattr(p._tables[0].isolation, "_row_diversified", False))
-        key = (encoded, diversified)
-        code = self._code.get(key)
+        key = ("tage-numpy", encoded, diversified)
+        code = p._kernel_code.get(key)
         if code is None:
-            source = _tage_consume_source(p, encoded, diversified)
-            code = compile(source, f"<tage-numpy-kernel {key}>", "exec")
-            self._code[key] = code
+            code = p._kernel_code[key] = compile(
+                _tage_consume_source(p, encoded, diversified),
+                f"<kernel {key}>", "exec")
         ns = p._kernel_namespace(thread_id, base.arm, bundle)
         window = _Window(ns, base, _TagePre(p, thread_id, bundle))
-        exec(code, ns)
-        fn = ns["_kernel"]
-        window.kernel = fn
-        fn.feed = window.feed
-        fn.arm = base.arm
-        fn.backend = "numpy"
-        return fn
+        return window.bind(code, base.arm)
 
 
 # ---------------------------------------------------------------------------
@@ -728,26 +747,16 @@ def _gshare_consume_source(encoded: bool, vmask: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _GshareFetch:
-    """Backend fetch wrapper for one :class:`GsharePredictor`."""
+class _GshareFetch(_Fetch):
+    """Fetch wrapper for one :class:`GsharePredictor`."""
 
     def __init__(self, predictor: GsharePredictor) -> None:
-        self._p = predictor
-        self._kernels: Dict[int, tuple] = {}
+        super().__init__(predictor, predictor.exec_kernel)
         self._code: Dict[bool, object] = {}
-
-    def __call__(self, thread_id: int = 0):
-        base = self._p.exec_kernel(thread_id)
-        cached = self._kernels.get(thread_id)
-        if cached is not None and cached[0] is base:
-            return cached[1]
-        fn = self._build(thread_id, base)
-        self._kernels[thread_id] = (base, fn)
-        return fn
 
     def _build(self, thread_id: int, base):
         arm = getattr(base, "arm", "generic")
-        p = self._p
+        p = self._s
         # History registers wider than an int64 lane stay scalar.
         if arm == "generic" or p._history_bits > 63:
             return base
@@ -765,13 +774,7 @@ class _GshareFetch:
             "TID": thread_id,
         }
         window = _Window(ns, base, _GsharePre(p, thread_id, encoded))
-        exec(code, ns)
-        fn = ns["_kernel"]
-        window.kernel = fn
-        fn.feed = window.feed
-        fn.arm = arm
-        fn.backend = "numpy"
-        return fn
+        return window.bind(code, arm)
 
 
 # ---------------------------------------------------------------------------
@@ -900,37 +903,26 @@ def _btb_consume_source(btb: BranchTargetBuffer, encoded: bool,
     return "\n".join(lines) + "\n"
 
 
-class _BtbFetch:
-    """Backend fetch wrapper for one :class:`BranchTargetBuffer`."""
+class _BtbFetch(_Fetch):
+    """Fetch wrapper for one :class:`BranchTargetBuffer`."""
 
     def __init__(self, btb: BranchTargetBuffer) -> None:
-        self._b = btb
-        self._kernels: Dict[int, tuple] = {}
-        self._code: Dict[tuple, object] = {}
-
-    def __call__(self, thread_id: int = 0):
-        base = self._b.exec_conditional_kernel(thread_id)
-        cached = self._kernels.get(thread_id)
-        if cached is not None and cached[0] is base:
-            return cached[1]
-        fn = self._build(thread_id, base)
-        self._kernels[thread_id] = (base, fn)
-        return fn
+        super().__init__(btb, btb.exec_conditional_kernel)
 
     def _build(self, thread_id: int, base):
         arm = getattr(base, "arm", "generic")
         if arm == "generic":
             return base
-        b = self._b
+        b = self._s
         encoded = arm == "fused-xor"
         diversified = encoded and bool(
             getattr(b._isolation, "_row_diversified", False))
-        key = (encoded, diversified)
-        code = self._code.get(key)
+        key = ("btb-numpy", encoded, diversified)
+        code = b._kernel_code.get(key)
         if code is None:
-            source = _btb_consume_source(b, encoded, diversified)
-            code = compile(source, f"<btb-numpy-kernel {key}>", "exec")
-            self._code[key] = code
+            code = b._kernel_code[key] = compile(
+                _btb_consume_source(b, encoded, diversified),
+                f"<btb-kernel {key}>", "exec")
         ns = {
             "valid": b._valid, "tags": b._tags, "targets": b._targets,
             "types": b._types, "owners": b._owners, "last": b._last,
@@ -943,13 +935,7 @@ class _BtbFetch:
             ns["GK"] = masks[2]
         window = _Window(ns, base, _BtbPre(b, thread_id, encoded,
                                            diversified))
-        exec(code, ns)
-        fn = ns["_kernel"]
-        window.kernel = fn
-        fn.feed = window.feed
-        fn.arm = arm
-        fn.backend = "numpy"
-        return fn
+        return window.bind(code, arm)
 
 
 # ---------------------------------------------------------------------------
@@ -969,29 +955,16 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        self._direction = weakref.WeakKeyDictionary()
-        self._conditional = weakref.WeakKeyDictionary()
-
     def direction_kernel_fetch(self, direction):
         if type(direction) is TagePredictor:
-            fetch = self._direction.get(direction)
-            if fetch is None:
-                fetch = self._direction[direction] = _TageFetch(direction)
-            return fetch
+            return _TageFetch(direction)
         if type(direction) is GsharePredictor:
-            fetch = self._direction.get(direction)
-            if fetch is None:
-                fetch = self._direction[direction] = _GshareFetch(direction)
-            return fetch
+            return _GshareFetch(direction)
         return super().direction_kernel_fetch(direction)
 
     def conditional_kernel_fetch(self, btb):
         if type(btb) is BranchTargetBuffer:
-            fetch = self._conditional.get(btb)
-            if fetch is None:
-                fetch = self._conditional[btb] = _BtbFetch(btb)
-            return fetch
+            return _BtbFetch(btb)
         return super().conditional_kernel_fetch(btb)
 
     def batch_stream(self, workload, n: int, seed_offset: int = 0):

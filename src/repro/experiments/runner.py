@@ -56,9 +56,12 @@ def run_single_thread_case(pair: BenchmarkPair, config: CoreConfig, preset: str,
     core = SingleThreadCore(config, bpu, workloads,
                             time_scale=scale.time_scale,
                             syscall_time_scale=scale.syscall_time_scale)
-    return core.run(target_branches=scale.st_target_branches,
-                    warmup_branches=scale.st_warmup_branches,
-                    mechanism_name=preset)
+    try:
+        return core.run(target_branches=scale.st_target_branches,
+                        warmup_branches=scale.st_warmup_branches,
+                        mechanism_name=preset)
+    finally:
+        bpu.release_kernels()
 
 
 def run_smt_case(pair: BenchmarkPair, config: CoreConfig, preset: str,
@@ -75,9 +78,12 @@ def run_smt_case(pair: BenchmarkPair, config: CoreConfig, preset: str,
                     overrides=bpu_overrides)
     core = SmtCore(config, bpu, workloads, time_scale=scale.smt_time_scale,
                    se_mode=se_mode)
-    return core.run(instructions=scale.smt_instructions,
-                    warmup_instructions=scale.smt_warmup_instructions,
-                    mechanism_name=preset)
+    try:
+        return core.run(instructions=scale.smt_instructions,
+                        warmup_instructions=scale.smt_warmup_instructions,
+                        mechanism_name=preset)
+    finally:
+        bpu.release_kernels()
 
 
 def sweep_single_thread(pairs: Iterable[BenchmarkPair], config: CoreConfig,

@@ -313,7 +313,7 @@ class BranchTargetBuffer:
                     namespace["TRK"] = self._tag_row_keys
                     namespace["GRK"] = self._target_row_keys
             exec(code, namespace)
-            kernel = namespace["_kernel"]
+            kernel = namespace.pop("_kernel")
             kernel.arm = "fused-xor" if encoded else "passthrough"
         else:
             # Non-fusable isolation (owner tracking / non-XOR encoders):

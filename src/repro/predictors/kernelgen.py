@@ -130,11 +130,14 @@ def make_kernel(cache: dict, key: tuple, source: Callable[[], str],
     text, shared by every predictor of the same geometry.  The returned
     function runs with ``namespace`` as its globals and carries its arm in
     ``.arm`` so benchmarks and tests can assert no silent generic fallback.
+    ``_kernel`` is taken back out of the namespace: a function reachable
+    from its own globals is a reference cycle, and kernels must die by
+    reference counting once their owner drops them.
     """
     code = cache.get(key)
     if code is None:
         code = cache[key] = _compile(source(), f"<kernel {key}>")
     exec(code, namespace)
-    fn = namespace["_kernel"]
+    fn = namespace.pop("_kernel")
     fn.arm = arm
     return fn

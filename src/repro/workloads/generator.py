@@ -12,6 +12,11 @@ The stream is driven by a seeded :class:`random.Random`, so the same
 (profile, seed) pair always produces the same trace — experiments are
 reproducible and paired comparisons (Baseline vs. protected) see identical
 workloads.
+
+The static population is a pure function of ``(profile, seed, text_base)``,
+so it is built once per process and shared: every mechanism of a paired
+comparison replays the same population.  It is held as immutable per-site
+columns (:class:`_Population`); each stream keeps its own mutable state.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from functools import lru_cache
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from ..types import BranchType
 from .spec_profiles import BenchmarkProfile, get_profile
@@ -64,6 +70,105 @@ class BranchSite:
     aux: float = 0.0
 
 
+class _Population(NamedTuple):
+    """Immutable static population of one ``(profile, seed, text_base)``.
+
+    Conditional sites are stored column-wise (one tuple per field, indexed
+    by site), which is also the layout the record loop reads.  ``aux`` is
+    the site's secondary parameter as a bool (dominant direction) and
+    ``period`` the same parameter as an int (a pattern site's period).
+    """
+
+    pc: Tuple[int, ...]
+    target: Tuple[int, ...]
+    kind: Tuple[int, ...]
+    param: Tuple[float, ...]
+    param_int: Tuple[int, ...]
+    aux: Tuple[bool, ...]
+    period: Tuple[int, ...]
+    cumulative_weights: Tuple[float, ...]
+    call_sites: Tuple[int, ...]
+    indirect_sites: Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+
+#: Bound of the per-process population memo.  A full ``run all`` manifest
+#: plans 44 distinct populations (132 with three repetitions), so one
+#: process never rebuilds a population it has already built.
+_POPULATION_MEMO_SIZE = 160
+
+
+@lru_cache(maxsize=_POPULATION_MEMO_SIZE)
+def _population(profile: BenchmarkProfile, seed: int,
+                text_base: int) -> _Population:
+    """Build (once per process) the static population of one workload."""
+    rng = random.Random((_stable_hash(profile.name) ^ (seed * 0x9E3779B1))
+                        & 0xFFFFFFFF)
+    n = profile.static_conditional
+    counts = [int(round(n * f)) for f in (profile.loop_fraction,
+                                          profile.biased_fraction,
+                                          profile.pattern_fraction)]
+    counts.append(max(0, n - sum(counts)))
+    kinds = ([_LOOP] * counts[0] + [_BIASED] * counts[1]
+             + [_PATTERN] * counts[2] + [_RANDOM] * counts[3])
+    rng.shuffle(kinds)
+
+    sites = []
+    for i, kind in enumerate(kinds):
+        # Spread sites over a text segment with function-sized clustering
+        # so that BTB sets and tags are exercised realistically.
+        pc = (text_base + (i // 24) * 0x400 + (i % 24) * 12
+              + rng.randrange(3) * 4)
+        target = pc + rng.choice([-1, 1]) * rng.randrange(16, 512, 4)
+        if kind == _LOOP:
+            trip = max(2, int(rng.expovariate(1.0 / profile.mean_trip_count)) + 2)
+            site = (pc, pc - rng.randrange(16, 256, 4), _LOOP, float(trip), 0)
+        elif kind == _BIASED:
+            # Strongly biased branches skew towards not-taken (guard/error
+            # checks), keeping the overall taken ratio near the ~60% that
+            # real integer codes exhibit once loop back-edges are added.
+            dominant_taken = rng.random() < 0.40
+            site = (pc, target, _BIASED, profile.bias_strength,
+                    1 if dominant_taken else 0)
+        elif kind == _PATTERN:
+            # A short repeating local outcome pattern (e.g. TTNTN...): fully
+            # deterministic, so history-based predictors learn it while a
+            # lone 2-bit counter cannot.
+            period = rng.randrange(2, max(3, min(profile.pattern_history, 8) + 1))
+            pattern = 0
+            while pattern in (0, (1 << period) - 1):
+                pattern = rng.getrandbits(period)
+            site = (pc, target, _PATTERN, float(pattern), period)
+        else:
+            bias = rng.uniform(0.70, 0.90)
+            dominant_taken = rng.random() < 0.5
+            site = (pc, target, _RANDOM, bias, 1 if dominant_taken else 0)
+        sites.append(site)
+
+    # Zipf-like reuse weights over a shuffled hotness order.
+    order = list(range(len(sites)))
+    rng.shuffle(order)
+    weights = [0.0] * len(sites)
+    for rank, site_index in enumerate(order):
+        weights[site_index] = 1.0 / ((rank + 1) ** profile.locality)
+
+    # Call and indirect-branch sites.
+    call_sites = tuple(text_base + 0x100000 + i * 0x200
+                       for i in range(profile.static_calls))
+    indirect_sites = []
+    for i in range(profile.static_indirect):
+        pc = text_base + 0x180000 + i * 0x140
+        indirect_sites.append((pc, tuple(pc + 0x40 + t * 0x80
+                                          for t in range(profile.indirect_targets))))
+
+    pcs, targets, site_kinds, params, periods = zip(*sites)
+    return _Population(
+        pc=pcs, target=targets, kind=site_kinds, param=params,
+        param_int=tuple(int(p) for p in params),
+        aux=tuple(bool(a) for a in periods), period=periods,
+        cumulative_weights=tuple(itertools.accumulate(weights)),
+        call_sites=call_sites, indirect_sites=tuple(indirect_sites))
+
+
 class SyntheticWorkload:
     """Reproducible branch-trace stream for one benchmark profile.
 
@@ -79,87 +184,8 @@ class SyntheticWorkload:
             profile = get_profile(profile)
         self.profile: BenchmarkProfile = profile
         self.seed = seed
-        self._text_base = text_base
-        rng = random.Random((_stable_hash(profile.name) ^ (seed * 0x9E3779B1))
-                            & 0xFFFFFFFF)
-        self._build_rng = rng
-        self._sites: List[BranchSite] = []
-        self._call_sites: List[int] = []
-        self._indirect_sites: List[tuple] = []
-        self._cumulative_weights: List[float] = []
-        self._build_population()
+        self._population = _population(profile, seed, text_base)
         self._mean_gap = max(1.0, 1.0 / max(profile.branch_ratio, 1e-3) - 1.0)
-
-    # -- population construction -----------------------------------------------
-    def _place_pc(self, index: int) -> int:
-        # Spread sites over a text segment with function-sized clustering so
-        # that BTB sets and tags are exercised realistically.
-        function = index // 24
-        offset_in_function = index % 24
-        return (self._text_base + function * 0x400
-                + offset_in_function * 12 + (self._build_rng.randrange(3) * 4))
-
-    def _build_population(self) -> None:
-        profile = self.profile
-        rng = self._build_rng
-        n = profile.static_conditional
-        counts = [int(round(n * f)) for f in (profile.loop_fraction,
-                                              profile.biased_fraction,
-                                              profile.pattern_fraction)]
-        counts.append(max(0, n - sum(counts)))
-        kinds = ([_LOOP] * counts[0] + [_BIASED] * counts[1]
-                 + [_PATTERN] * counts[2] + [_RANDOM] * counts[3])
-        rng.shuffle(kinds)
-
-        for i, kind in enumerate(kinds):
-            pc = self._place_pc(i)
-            target = pc + rng.choice([-1, 1]) * rng.randrange(16, 512, 4)
-            if kind == _LOOP:
-                trip = max(2, int(rng.expovariate(1.0 / profile.mean_trip_count)) + 2)
-                site = BranchSite(pc, pc - rng.randrange(16, 256, 4), _LOOP,
-                                  float(trip))
-            elif kind == _BIASED:
-                # Strongly biased branches skew towards not-taken (guard/error
-                # checks), keeping the overall taken ratio near the ~60% that
-                # real integer codes exhibit once loop back-edges are added.
-                dominant_taken = rng.random() < 0.40
-                site = BranchSite(pc, target, _BIASED, profile.bias_strength,
-                                  1.0 if dominant_taken else 0.0)
-            elif kind == _PATTERN:
-                # A short repeating local outcome pattern (e.g. TTNTN...): fully
-                # deterministic, so history-based predictors learn it while a
-                # lone 2-bit counter cannot.
-                period = rng.randrange(2, max(3, min(profile.pattern_history, 8) + 1))
-                pattern = 0
-                while pattern in (0, (1 << period) - 1):
-                    pattern = rng.getrandbits(period)
-                site = BranchSite(pc, target, _PATTERN, float(pattern), float(period))
-            else:
-                bias = rng.uniform(0.70, 0.90)
-                dominant_taken = rng.random() < 0.5
-                site = BranchSite(pc, target, _RANDOM, bias,
-                                  1.0 if dominant_taken else 0.0)
-            self._sites.append(site)
-
-        # Zipf-like reuse weights over a shuffled hotness order.
-        order = list(range(len(self._sites)))
-        rng.shuffle(order)
-        weights = [0.0] * len(self._sites)
-        for rank, site_index in enumerate(order):
-            weights[site_index] = 1.0 / ((rank + 1) ** self.profile.locality)
-        total = 0.0
-        self._cumulative_weights = []
-        for w in weights:
-            total += w
-            self._cumulative_weights.append(total)
-
-        # Call and indirect-branch sites.
-        for i in range(profile.static_calls):
-            self._call_sites.append(self._text_base + 0x100000 + i * 0x200)
-        for i in range(profile.static_indirect):
-            pc = self._text_base + 0x180000 + i * 0x140
-            targets = [pc + 0x40 + t * 0x80 for t in range(profile.indirect_targets)]
-            self._indirect_sites.append((pc, targets))
 
     # -- accessors ---------------------------------------------------------------
     @property
@@ -169,12 +195,16 @@ class SyntheticWorkload:
 
     @property
     def sites(self) -> List[BranchSite]:
-        """Static conditional branch sites."""
-        return self._sites
+        """Static conditional branch sites (fresh objects on every call:
+        the population itself is shared and immutable)."""
+        pop = self._population
+        return [BranchSite(*fields, aux=float(period))
+                for *fields, period in zip(pop.pc, pop.target, pop.kind,
+                                           pop.param, pop.period)]
 
     def static_branch_count(self) -> int:
         """Number of distinct conditional branch addresses."""
-        return len(self._sites)
+        return len(self._population.pc)
 
     def working_set_size(self) -> int:
         """Size of the active branch working set (sites in flight at a time).
@@ -234,15 +264,15 @@ class SyntheticWorkload:
         rng = random.Random((_stable_hash(profile.name)
                              ^ ((self.seed + seed_offset + 1) * 0x85EBCA6B))
                             & 0xFFFFFFFF)
-        cumulative = self._cumulative_weights
+        pop = self._population
+        cumulative = pop.cumulative_weights
         total_weight = cumulative[-1]
-        sites = self._sites
         call_prob = profile.call_fraction / max(profile.conditional_fraction, 1e-6)
         indirect_prob = profile.indirect_fraction / max(profile.conditional_fraction, 1e-6)
-        indirect_sites = self._indirect_sites
-        call_sites = self._call_sites
+        indirect_sites = pop.indirect_sites
+        call_sites = pop.call_sites
         indirect_counters = [0] * max(1, len(indirect_sites))
-        pattern_phase = [0] * len(sites)
+        pattern_phase = [0] * len(pop.pc)
 
         # Local bindings for the per-record hot loop.
         random_ = rng.random
@@ -258,14 +288,14 @@ class SyntheticWorkload:
         return_type = BranchType.RETURN
         indirect_type = BranchType.INDIRECT
         loop_kind, pattern_kind = _LOOP, _PATTERN
-        # Per-site constants as parallel lists: one list index replaces an
-        # attribute (instance-dict) load per field in the record loop.
-        site_pc = [site.pc for site in sites]
-        site_target = [site.target for site in sites]
-        site_kind = [site.kind for site in sites]
-        site_param = [site.param for site in sites]
-        site_param_int = [int(site.param) for site in sites]
-        site_aux = [bool(site.aux) for site in sites]
+        # Per-site constants, bound straight from the shared columns.
+        site_pc = pop.pc
+        site_target = pop.target
+        site_kind = pop.kind
+        site_param = pop.param
+        site_param_int = pop.param_int
+        site_aux = pop.aux
+        site_period = pop.period
 
         # Active working set: an *ordered*, nested-loop-like tour of branch
         # sites.  Real code is loops over code — a small inner region (a
@@ -367,7 +397,7 @@ class SyntheticWorkload:
                             False))
             else:
                 if kind == pattern_kind:
-                    period = int(sites[site_index].aux)
+                    period = site_period[site_index]
                     phase = pattern_phase[site_index]
                     taken = bool((site_param_int[site_index]
                                   >> (phase % period)) & 1)

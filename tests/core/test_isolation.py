@@ -164,6 +164,74 @@ class TestXorContentIsolation:
         assert iso.protects_content and not iso.protects_index
 
 
+class _MaskCacheOwner:
+    """A structure registering a fused-mask cache, counting rebuilds."""
+
+    def __init__(self, log=None):
+        self.cache = {}
+        self.rebuilt = [] if log is None else log
+
+    def rebuild(self, thread_id):
+        self.rebuilt.append((id(self), thread_id))
+
+
+class TestWeakRegistries:
+    """Isolation policies never keep the structures they protect alive."""
+
+    def test_dead_flushables_are_skipped_and_pruned(self):
+        iso = CompleteFlushIsolation(KeyManager(seed=1))
+        kept = PredictorTable(8, 8, isolation=iso)
+        dropped = PredictorTable(8, 8, isolation=iso)
+        assert iso.flushables == [kept, dropped]
+        del dropped
+        assert iso.flushables == [kept]
+        kept.write(1, 42)
+        iso.on_context_switch(0)
+        assert kept.read(1) == 0
+        later = PredictorTable(8, 8, isolation=iso)
+        assert iso.flushables == [kept, later]
+        assert len(iso._flushables) == 2
+
+    def test_dead_mask_cache_is_skipped_on_refresh(self):
+        iso = XorContentIsolation(KeyManager(seed=3))
+        log = []
+        live, dead = _MaskCacheOwner(log), _MaskCacheOwner(log)
+        live_id, dead_id = id(live), id(dead)
+        iso.register_fast_mask_cache(live, live.cache, live.rebuild)
+        iso.register_fast_mask_cache(dead, dead.cache, dead.rebuild)
+        iso.refresh_fast_masks(0)
+        assert log == [(live_id, 0), (dead_id, 0)]
+        del dead
+        iso.refresh_fast_masks(1)  # must not call a dead rebuilder
+        assert log == [(live_id, 0), (dead_id, 0), (live_id, 1)]
+
+    def test_registration_drops_dead_entries(self):
+        iso = XorContentIsolation(KeyManager(seed=3))
+        first = _MaskCacheOwner()
+        iso.register_fast_mask_cache(first, first.cache, first.rebuild)
+        del first
+        second = _MaskCacheOwner()
+        iso.register_fast_mask_cache(second, second.cache, second.rebuild)
+        assert list(iso._mask_caches) == [id(second)]
+
+    def test_reused_owner_id_gets_the_new_entry(self):
+        # A freed owner's id may be handed to a new object; the new
+        # registration must own that slot, not the dead rebuilder.
+        iso = XorContentIsolation(KeyManager(seed=3))
+        token = object()
+        old = _MaskCacheOwner()
+        iso.register_fast_mask_cache(token, old.cache, old.rebuild)
+        del old
+        new = _MaskCacheOwner()
+        iso.register_fast_mask_cache(token, new.cache, new.rebuild)
+        new.cache[0] = "masks"
+        iso.on_context_switch(0)
+        assert new.cache == {}
+        iso.refresh_fast_masks(0)
+        assert new.rebuilt == [(id(new), 0)]
+        assert iso._mask_caches[id(token)][0] is new.cache
+
+
 class TestNoisyXorIsolation:
     def test_index_is_remapped_per_thread(self):
         iso = NoisyXorIsolation(KeyManager(seed=5))

@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Fail on references to repository Markdown files that do not exist.
+
+Docstrings, comments, shipped notes and docs point readers at files such as
+``EXPERIMENTS.md`` or ``docs/knobs.md``; a reference to a file that was never
+written (or has since moved) is a dead end.  This tool scans ``src/``,
+``examples/``, ``benchmarks/``, ``docs/`` and ``README.md`` for every
+``*.md`` reference and checks that it resolves, either relative to the
+referencing file's directory or to the repository root.
+
+Output paths are not references: a name that follows an ``--out``/
+``--output`` flag (``repro report --output results.md``) is what a command
+writes, so it is skipped, as is anything inside a URL.
+
+Usage::
+
+    python tools/check_doc_links.py [--repo-root DIR]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import sys
+from typing import Iterator, List, Tuple
+
+#: Where references are checked.
+SCANNED = ("src", "examples", "benchmarks", "docs", "README.md")
+
+#: A whitespace/quote/bracket-delimited token ending in ``.md``.
+REF_RE = re.compile(r"[^\s`'\"()<>\[\]{}|,;=*]+\.md\b")
+OUTPUT_FLAG_RE = re.compile(r"--out(?:put)?[=\s]+$")
+
+
+def scanned_files(root: str) -> Iterator[str]:
+    """Every text file under the scanned roots, in a stable order."""
+    for entry in SCANNED:
+        path = os.path.join(root, entry)
+        if os.path.isfile(path):
+            yield path
+            continue
+        for dirpath, dirnames, filenames in os.walk(path):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for filename in sorted(filenames):
+                yield os.path.join(dirpath, filename)
+
+
+def references(text: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, target)`` for every ``*.md`` reference in ``text``."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        for match in REF_RE.finditer(line):
+            if "://" in match.group(0):
+                continue
+            if OUTPUT_FLAG_RE.search(line[:match.start()]):
+                continue
+            yield number, match.group(0)
+
+
+def resolves(root: str, referrer: str, target: str) -> bool:
+    """Whether ``target`` names a file next to ``referrer`` or at the root."""
+    return any(os.path.isfile(os.path.normpath(os.path.join(base, target)))
+               for base in (os.path.dirname(referrer), root))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="check that referenced repository *.md files exist")
+    parser.add_argument("--repo-root", default=None,
+                        help="repository root (default: this script's "
+                             "parent's parent)")
+    args = parser.parse_args(argv)
+    root = args.repo_root or os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))
+
+    errors: List[str] = []
+    checked = 0
+    for path in scanned_files(root):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (UnicodeDecodeError, OSError):
+            continue  # binary fixtures carry no references
+        for number, target in references(text):
+            checked += 1
+            if not resolves(root, path, target):
+                relative = os.path.relpath(path, root)
+                errors.append(f"{relative}:{number}: {target} does not exist")
+    if errors:
+        for error in errors:
+            print(f"check_doc_links: {error}", file=sys.stderr)
+        return 1
+    print(f"doc links OK: {checked} *.md reference(s) resolve")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
