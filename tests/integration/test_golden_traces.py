@@ -7,7 +7,10 @@ promise pairwise within one revision; these fixtures pin it **across**
 revisions.  Each fixture is a small deterministic snapshot of one figure
 driver (Figures 1, 2, 8 and 10 at smoke scale) committed under
 ``tests/integration/golden/``; the test recomputes the figure and compares
-the result exactly — every float, every rendered row.  A kernel or storage
+the result exactly — every float, every rendered row.  ``attacks.json`` does
+the same for the caseless security studies that re-simulate on every run:
+the Table 1 rows and per-cell success rates, the Section 5.5 PoC rows, the
+PHT-granularity ablation rows and the Pareto presets' leakage joint counts.  A kernel or storage
 rewrite that silently shifts any paper result fails here even if it is
 self-consistent across its own engines.
 
@@ -26,9 +29,15 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, os.pardir, "src"))
 
-from repro.experiments import (fig1_flush_single, fig2_flush_smt, fig8_xor_pht,
-                               fig10_smt_predictors)
+from dataclasses import replace
+
+from repro.analysis.pareto import DEFAULT_MECHANISMS
+from repro.experiments import (ablations, fig1_flush_single, fig2_flush_smt,
+                               fig8_xor_pht, fig10_smt_predictors, poc_attacks,
+                               table1_security)
 from repro.experiments.scaling import ExperimentScale
+from repro.security.analysis import build_security_table
+from repro.security.leakage import leakage_report
 from repro.workloads.pairs import SINGLE_THREAD_PAIRS, SMT2_PAIRS, SMT4_QUADS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -40,6 +49,15 @@ GOLDEN_SCALE = ExperimentScale(
     time_scale=200.0, smt_time_scale=600.0, syscall_time_scale=25.0,
     st_target_branches=2_000, st_warmup_branches=500,
     smt_instructions=20_000, smt_warmup_instructions=5_000, seed=2021)
+
+
+#: The attack studies at the smallest iteration counts ``scaled_by`` allows
+#: (the perfbench workloads' scale), so the fixture stays a smoke test.
+ATTACK_SCALE = replace(GOLDEN_SCALE, poc_iterations=100, table1_iterations=40)
+
+#: Leakage trials per channel for the Pareto presets (the HTML report's
+#: default, measured in the SMT scenario like :func:`mechanism_profiles`).
+ATTACK_LEAKAGE_TRIALS = 200
 
 
 def _snapshot(result):
@@ -81,7 +99,36 @@ def _fig10():
     return fig10_smt_predictors.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:2])
 
 
+def _rows(result):
+    return [[str(cell) for cell in row] for row in result.rows]
+
+
+def _attacks():
+    cells = [[row.structure, row.preset, core, kind, cell.verdict.value,
+              cell.best_attack, cell.success_rate]
+             for row in build_security_table(
+                 iterations=ATTACK_SCALE.table1_iterations,
+                 seed=ATTACK_SCALE.seed)
+             for (core, kind), cell in row.cells.items()]
+    report = leakage_report([preset for preset, _ in DEFAULT_MECHANISMS],
+                            trials=ATTACK_LEAKAGE_TRIALS, smt=True)
+    return {
+        "table1": _rows(table1_security.run(scale=ATTACK_SCALE)),
+        "table1_cells": cells,
+        "poc_attacks": _rows(poc_attacks.run(scale=ATTACK_SCALE)),
+        "ablation_pht_granularity": _rows(
+            ablations.pht_granularity_ablation(scale=ATTACK_SCALE)),
+        "leakage_report": {
+            mechanism: {channel: estimate.joint_counts
+                        for channel, estimate in channels.items()}
+            for mechanism, channels in report.items()},
+    }
+
+
 RUNNERS = {"fig1": _fig1, "fig2": _fig2, "fig8": _fig8, "fig10": _fig10}
+
+#: Fixtures whose runner already returns the JSON snapshot.
+SNAPSHOT_RUNNERS = {"attacks": _attacks}
 
 
 def _golden_path(name):
@@ -100,12 +147,25 @@ def test_figure_matches_golden_trace(name):
         "--regen`")
 
 
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_RUNNERS))
+def test_attack_studies_match_golden_trace(name):
+    with open(_golden_path(name), "r", encoding="utf-8") as handle:
+        expected = json.load(handle)
+    actual = json.loads(json.dumps(SNAPSHOT_RUNNERS[name]()))
+    assert actual == expected, (
+        f"{name} drifted from its golden trace; regenerate only after an "
+        "intentional statistics change (see the module docstring)")
+
+
 def _regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, runner in sorted(RUNNERS.items()):
+    snapshots = {name: (lambda runner=runner: _snapshot(runner()))
+                 for name, runner in RUNNERS.items()}
+    snapshots.update(SNAPSHOT_RUNNERS)
+    for name, snapshot in sorted(snapshots.items()):
         path = _golden_path(name)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_snapshot(runner()), handle, indent=2, sort_keys=True)
+            json.dump(snapshot(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {path}")
 
