@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.secure import BranchOutcome, BranchPredictionUnit
+from ..core.secure import BranchPredictionUnit
 from ..types import BranchType, Privilege
 
 __all__ = ["TimingChannel", "AttackEnvironment"]
@@ -121,19 +121,22 @@ class AttackEnvironment:
         self.bpu.notify_privilege_switch(self.victim_thread, Privilege.USER)
 
     # -- execution helpers --------------------------------------------------------
+    # Both commit through the unit's fused ``execute_branch_fast``, the
+    # path the batched engines use; the scalar ``execute_branch`` stays the
+    # parity oracle (tests/attacks/test_attack_fastpath.py).
     def victim_branch(self, pc: int, taken: bool, target: int,
-                      branch_type: BranchType = BranchType.CONDITIONAL) -> BranchOutcome:
+                      branch_type: BranchType = BranchType.CONDITIONAL) -> None:
         """The victim commits one branch."""
         self.run_as_victim()
-        return self.bpu.execute_branch(pc, taken, target, branch_type,
-                                       self.victim_thread)
+        self.bpu.execute_branch_fast(pc, taken, target, branch_type,
+                                     self.victim_thread)
 
     def attacker_branch(self, pc: int, taken: bool, target: int,
-                        branch_type: BranchType = BranchType.CONDITIONAL) -> BranchOutcome:
+                        branch_type: BranchType = BranchType.CONDITIONAL) -> None:
         """The attacker commits one branch."""
         self.run_as_attacker()
-        return self.bpu.execute_branch(pc, taken, target, branch_type,
-                                       self.attacker_thread)
+        self.bpu.execute_branch_fast(pc, taken, target, branch_type,
+                                     self.attacker_thread)
 
     # -- attacker observations -----------------------------------------------------
     def attacker_predicted_direction(self, pc: int) -> bool:

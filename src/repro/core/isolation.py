@@ -25,6 +25,7 @@ the same policy at 2-bit granularity (``word_bits=2``).  The registry in
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import List, Optional
 
@@ -43,13 +44,22 @@ __all__ = [
 ]
 
 
-def _table_salt(table: object) -> int:
-    """Deterministic per-table salt derived from the table's name."""
-    name = getattr(table, "name", None) or table.__class__.__name__
+@functools.lru_cache(maxsize=None)
+def _name_salt(name: str) -> int:
     salt = 0
-    for ch in str(name):
+    for ch in name:
         salt = (salt * 131 + ord(ch)) & 0xFFFFFFFF
     return salt
+
+
+def _table_salt(table: object) -> int:
+    """Deterministic per-table salt derived from the table's name.
+
+    Memoized per name: key rebuilds after every switch re-derive it, and a
+    simulation only ever names a handful of tables.
+    """
+    return _name_salt(str(getattr(table, "name", None)
+                          or table.__class__.__name__))
 
 
 class IsolationMechanism(TableIsolation):

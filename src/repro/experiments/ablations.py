@@ -100,8 +100,8 @@ def _cross_privilege_training_rate(rotate_on_privilege: bool,
         result = env.bpu.btb.lookup(SHARED_CALL_PC, env.victim_thread)
         if result.hit and result.target == MALICIOUS_TARGET:
             successes += 1
-        env.bpu.execute_branch(SHARED_CALL_PC, True, LEGITIMATE_TARGET,
-                               BranchType.INDIRECT, env.victim_thread)
+        env.bpu.execute_branch_fast(SHARED_CALL_PC, True, LEGITIMATE_TARGET,
+                                    BranchType.INDIRECT, env.victim_thread)
         env.bpu.notify_privilege_switch(env.victim_thread, Privilege.USER)
     return successes / iterations
 

@@ -39,6 +39,11 @@ class BimodalPredictor(DirectionPredictor):
             n_entries, counter_bits, word_bits=word_bits,
             reset_value=weak_not_taken, name="bimodal_pht", isolation=isolation)
         self._index_mask = n_entries - 1
+        # The fused ``execute`` drives the physical word table directly.
+        self._words = self._pht.word_table
+        self._per_word = self._pht.counters_per_word
+        self._counter_mask = (1 << counter_bits) - 1
+        self._taken_threshold = 1 << (counter_bits - 1)
 
     def index_of(self, pc: int) -> int:
         """Logical table index for a branch PC (before any index encoding)."""
@@ -58,6 +63,35 @@ class BimodalPredictor(DirectionPredictor):
         counter = self._pht.read(index, thread_id)
         self._pht.write(index, saturating_update(counter, taken, self._counter_bits),
                         thread_id)
+
+    def execute(self, pc: int, taken: bool, thread_id: int = 0) -> bool:
+        """Fused lookup + stats + update with one word read and one write.
+
+        State-identical to ``lookup``, ``stats(...).record`` and ``update``
+        on every storage arm: the word goes through the table's own
+        ``read``/``write``, so the isolation dispatch (and Precise Flush's
+        owner stamp) is unchanged, and nothing touches the table between
+        the unfused path's repeated reads of the same word.  A plain method
+        rather than a cached kernel, because the attack scenarios rekey
+        every few branches.
+        """
+        index = (pc >> 2) & self._index_mask
+        word_index = index // self._per_word
+        shift = (index % self._per_word) * self._counter_bits
+        mask = self._counter_mask
+        words = self._words
+        word = words.read(word_index, thread_id)
+        counter = (word >> shift) & mask
+        predicted = counter >= self._taken_threshold
+        self.stats(thread_id).record(predicted == taken)
+        if taken:
+            if counter < mask:
+                counter += 1
+        elif counter > 0:
+            counter -= 1
+        words.write(word_index, (word & ~(mask << shift)) | (counter << shift),
+                    thread_id)
+        return predicted
 
     def tables(self) -> List[PredictorTable]:
         return [self._pht.word_table]
