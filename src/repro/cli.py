@@ -480,10 +480,11 @@ def _stats_line(manifest, executor) -> str:
     CI's store-replay job greps this to prove a 100% store hit rate: every
     unique case served from the store, nothing simulated.
     """
-    cache = executor.cache
-    return (f"cases: {len(manifest.unique_cases())} unique, "
-            f"{executor.simulated} simulated, "
-            f"{cache.store_hits} store hit(s)")
+    from .experiments.manifest import format_stats_line
+
+    return format_stats_line(len(manifest.unique_cases()), executor.simulated,
+                             executor.cache.store_hits,
+                             manifest.caseless_label())
 
 
 def _print_failures(failures) -> None:

@@ -136,12 +136,16 @@ class ExperimentDef:
             their output cannot express error bars, so an N-seed expansion
             would simulate repetitions whose results the fold must discard —
             they stay single-trajectory at any repetition count.
+        resimulates: a caseless experiment whose assembly simulates (the
+            attack studies).  The store serves cases only, so it re-runs on
+            every replay; the stats line says so (:meth:`caseless_label`).
     """
 
     key: str
     plan: Callable[[ExperimentScale], List[CaseSpec]]
     assemble: Callable[[ExperimentScale, SweepExecutor], ExperimentResult]
     repeatable: bool = True
+    resimulates: bool = False
 
 
 def _case_based(key: str, plan_fn, run_fn, *,
@@ -153,11 +157,25 @@ def _case_based(key: str, plan_fn, run_fn, *,
         repeatable=repeatable)
 
 
-def _caseless(key: str, run_fn) -> ExperimentDef:
+def _caseless(key: str, run_fn, *, resimulates: bool = False) -> ExperimentDef:
     return ExperimentDef(
         key=key,
         plan=lambda scale: [],
-        assemble=lambda scale, executor: run_fn(scale))
+        assemble=lambda scale, executor: run_fn(scale),
+        resimulates=resimulates)
+
+
+def format_stats_line(unique: int, simulated: int, store_hits: int,
+                      caseless: str) -> str:
+    """The one assertable statistics line of a run, local or served.
+
+    CI greps the ``cases: N unique, S simulated, T store hit(s)`` prefix to
+    prove a 100% store hit rate; ``caseless`` is the manifest's
+    :meth:`ExperimentManifest.caseless_label`, appended so a replay that
+    simulated no case still admits the studies it re-ran.
+    """
+    return (f"cases: {unique} unique, {simulated} simulated, "
+            f"{store_hits} store hit(s); {caseless}")
 
 
 def _registry() -> "Dict[str, ExperimentDef]":
@@ -189,7 +207,7 @@ def _registry() -> "Dict[str, ExperimentDef]":
         _case_based("figure9", fig9_xor_bp.plan, fig9_xor_bp.run),
         _case_based("figure10", fig10_smt_predictors.plan,
                     fig10_smt_predictors.run),
-        _caseless("table1", table1_security.run),
+        _caseless("table1", table1_security.run, resimulates=True),
         _caseless("table2", table2_configs.run),
         _caseless("table3", table3_benchmarks.run),
         # Figure-less tabular experiments: their rows cannot carry error
@@ -197,13 +215,13 @@ def _registry() -> "Dict[str, ExperimentDef]":
         _case_based("table4", table4_privilege.plan, table4_privilege.run,
                     repeatable=False),
         _caseless("table5", table5_hwcost.run),
-        _caseless("poc_attacks", poc_attacks.run),
+        _caseless("poc_attacks", poc_attacks.run, resimulates=True),
         _case_based("ablation_encoder", ablations.plan_encoder_ablation,
                     ablations.encoder_ablation, repeatable=False),
         _case_based("ablation_key_refresh", ablations.plan_key_refresh_ablation,
                     ablations.key_refresh_ablation, repeatable=False),
         _caseless("ablation_pht_granularity",
-                  ablations.pht_granularity_ablation),
+                  ablations.pht_granularity_ablation, resimulates=True),
         _case_based("ablation_switch_interval",
                     sensitivity.plan_switch_interval_sensitivity,
                     sensitivity.switch_interval_sensitivity),
@@ -299,6 +317,14 @@ class ExperimentManifest:
     def caseless_keys(self) -> List[str]:
         """Experiments whose plan is empty (they run whole at shard time)."""
         return [key for key in self.keys if not self.plans[key]]
+
+    def caseless_label(self) -> str:
+        """``caseless: R re-run (keys), S static`` for the stats line."""
+        caseless = self.caseless_keys()
+        rerun = [key for key in caseless if self.definition(key).resimulates]
+        listed = f" ({', '.join(rerun)})" if rerun else ""
+        return (f"caseless: {len(rerun)} re-run{listed}, "
+                f"{len(caseless) - len(rerun)} static")
 
     def total_planned(self) -> int:
         """Total case references (plans × repetitions) before dedupe."""

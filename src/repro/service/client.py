@@ -135,7 +135,10 @@ class ServiceClient:
         that certifies 100% store hit rates works identically on a served
         run and a local one.
         """
+        from ..experiments.manifest import format_stats_line
+
         stats = document.get("stats", {})
-        return (f"cases: {stats.get('unique', 0)} unique, "
-                f"{stats.get('simulated', 0)} simulated, "
-                f"{stats.get('store_hits', 0)} store hit(s)")
+        return format_stats_line(stats.get("unique", 0),
+                                 stats.get("simulated", 0),
+                                 stats.get("store_hits", 0),
+                                 document.get("caseless", ""))

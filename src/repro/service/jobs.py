@@ -38,6 +38,8 @@ class Job:
         self.manifest = manifest
         self.manifest_hash = manifest.manifest_hash()
         self.unique_cases = len(manifest.unique_cases())
+        #: The stats line's caseless provenance (see ``caseless_label``).
+        self.caseless = manifest.caseless_label()
         self.dir = os.path.join(data_dir, job_id)
         #: Directory the finished figures/tables land in (``repro fetch``
         #: serves these; they are written by the same ``write_outputs`` a
@@ -148,6 +150,7 @@ class Job:
                 "request": self.request.to_wire(),
                 "repetitions": self.request.repetitions,
                 "stats": dict(self.stats),
+                "caseless": self.caseless,
                 "failures": list(self.failures),
                 "error": self.error,
                 "events": len(self.events),

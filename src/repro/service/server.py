@@ -39,6 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from ..experiments.executor import ENGINE_VERSION
+from ..experiments.manifest import format_stats_line
 from .scheduler import JobScheduler
 
 __all__ = ["DEFAULT_PORT", "SimulationService"]
@@ -335,9 +336,8 @@ class _Handler(BaseHTTPRequestHandler):
             except (OSError, ValueError, KeyError):
                 continue  # a missing/foreign file drops out of the report
         stats = job.stats
-        stats_line = (f"cases: {stats['unique']} unique, "
-                      f"{stats['simulated']} simulated, "
-                      f"{stats['store_hits']} store hit(s)")
+        stats_line = format_stats_line(stats["unique"], stats["simulated"],
+                                       stats["store_hits"], job.caseless)
         provenance = {
             "Engine": ENGINE_VERSION,
             "Manifest": job.manifest_hash,

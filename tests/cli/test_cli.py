@@ -292,8 +292,8 @@ class TestRepetitionsOption:
         # Caseless-only manifest: zero executor cases, so the stats line is
         # exact without simulating anything.
         assert main(["run", "all", "--experiments", "table5"]) == 0
-        assert "cases: 0 unique, 0 simulated, 0 store hit(s)" \
-            in capsys.readouterr().out
+        assert ("cases: 0 unique, 0 simulated, 0 store hit(s); "
+                "caseless: 0 re-run, 1 static\n") in capsys.readouterr().out
 
 
 class TestBackendOption:

@@ -14,6 +14,7 @@ from repro.experiments.manifest import (
     build_manifest,
     env_shard,
     experiment_registry,
+    format_stats_line,
     parse_shard,
 )
 from repro.experiments.scaling import ExperimentScale
@@ -105,6 +106,26 @@ class TestManifest:
         assert summary["experiments"]["table5"] == 0
         assert summary["caseless_experiments"] == ["table5"]
         assert summary["unique_cases"] <= summary["planned_cases"]
+
+
+class TestCaselessLabel:
+    def test_full_manifest_names_the_attack_studies(self):
+        manifest = build_manifest(scale=TINY)
+        assert manifest.caseless_label() == (
+            "caseless: 3 re-run (table1, poc_attacks, "
+            "ablation_pht_granularity), 3 static")
+
+    def test_label_follows_the_selection(self):
+        assert build_manifest(["figure1"], scale=TINY).caseless_label() \
+            == "caseless: 0 re-run, 0 static"
+        assert build_manifest(["table2", "poc_attacks"],
+                              scale=TINY).caseless_label() \
+            == "caseless: 1 re-run (poc_attacks), 1 static"
+
+    def test_stats_line_keeps_the_greppable_prefix(self):
+        line = format_stats_line(5, 0, 5, "caseless: 0 re-run, 1 static")
+        assert line.startswith("cases: 5 unique, 0 simulated, 5 store hit(s)")
+        assert line.endswith("; caseless: 0 re-run, 1 static")
 
 
 class TestSharding:

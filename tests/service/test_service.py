@@ -131,10 +131,12 @@ class TestLifecycle:
         stats = final["stats"]
         assert stats["simulated"] == 0
         assert stats["store_hits"] == stats["unique"] > 0
-        # The CI grep's exact format (shared with the CLI's _stats_line).
+        # The CI grep's exact format (shared with the CLI's _stats_line),
+        # admitting that no caseless study re-ran (table5 is static).
         line = ServiceClient(service.url).stats_line(final)
         assert line == (f"cases: {stats['unique']} unique, 0 simulated, "
-                        f"{stats['unique']} store hit(s)")
+                        f"{stats['unique']} store hit(s); "
+                        "caseless: 0 re-run, 1 static")
 
     def test_concurrent_jobs_both_complete(self, service, client):
         first = client.submit({"experiments": ["figure1"]})
