@@ -140,6 +140,7 @@ def run_covert_channel(mechanism: str = "baseline", *,
             received = int(env.attacker_predicted_direction(pc))
             if received != bit:
                 errors += 1
+    bpu.release_kernels()
     return CovertChannelResult(mechanism=mechanism, smt=smt,
                                bits_sent=payload_bits, bit_errors=errors,
                                training_executions=training_executions)

@@ -104,7 +104,11 @@ def run_attack(attack_name: str, mechanism: str = "baseline", *,
                               **(scenario_kwargs or {}))
     env = scenario.build_environment(channel)
     attack = make_attack(attack_name, **(attack_kwargs or {}))
-    return attack.run(env, iterations=iterations, mechanism=mechanism)
+    result = attack.run(env, iterations=iterations, mechanism=mechanism)
+    # The fast path cached BTB kernels that bind the BTB; dropping them lets
+    # the unit die by reference counting instead of waiting for the GC.
+    env.bpu.release_kernels()
+    return result
 
 
 def run_attack_matrix(attack_names: Iterable[str], mechanisms: Iterable[str], *,

@@ -103,6 +103,7 @@ def _cross_privilege_training_rate(rotate_on_privilege: bool,
         env.bpu.execute_branch_fast(SHARED_CALL_PC, True, LEGITIMATE_TARGET,
                                     BranchType.INDIRECT, env.victim_thread)
         env.bpu.notify_privilege_switch(env.victim_thread, Privilege.USER)
+    bpu.release_kernels()
     return successes / iterations
 
 

@@ -185,6 +185,7 @@ def measure_direction_leakage(mechanism: str = "baseline", *,
         env.run_as_attacker()
         observed = int(env.attacker_predicted_direction(_SHARED_CONDITIONAL_PC))
         estimate.joint_counts[secret][observed] += 1
+    bpu.release_kernels()
     return estimate
 
 
@@ -250,6 +251,7 @@ def measure_btb_occupancy_leakage(mechanism: str = "baseline", *,
         env.run_as_attacker()
         evicted = any(not env.attacker_btb_probe(pc) for pc in prime_pcs)
         estimate.joint_counts[secret][int(evicted)] += 1
+    bpu.release_kernels()
     return estimate
 
 

@@ -10,10 +10,14 @@ equal: raw direction-table rows and owners, every BTB way (stored fields,
 owner, LRU stamp), BTB hit counters and per-thread predictor statistics.
 """
 
+import gc
+import weakref
+
 import pytest
 
 import repro.attacks.covert_channel as covert_channel
 import repro.attacks.harness as harness
+import repro.experiments.ablations as ablations
 import repro.security.leakage as leakage
 from repro.attacks import ALL_ATTACKS, run_attack
 from repro.core.secure import BranchPredictionUnit
@@ -127,3 +131,43 @@ def test_only_the_oracle_run_takes_the_scalar_path(scalar, monkeypatch):
     _run(lambda: run_attack("pht_training", "baseline", iterations=1),
          monkeypatch, None, scalar=scalar)
     assert bool(calls) == scalar
+
+
+#: Every driver that builds an attack unit, one call each.
+STUDIES = {
+    "run_attack": lambda preset: run_attack("branchscope", preset, smt=True,
+                                            iterations=4),
+    "covert_channel": lambda preset: covert_channel.run_covert_channel(
+        preset, payload_bits=16),
+    "direction_leakage": lambda preset: leakage.measure_direction_leakage(
+        preset, trials=8, smt=True),
+    "btb_occupancy_leakage": lambda preset:
+        leakage.measure_btb_occupancy_leakage(preset, trials=8),
+    "key_refresh": lambda preset: ablations._cross_privilege_training_rate(
+        True, iterations=4),
+}
+
+
+@pytest.mark.parametrize("preset", ["baseline", "precise_flush", "xor_bp",
+                                    "noisy_xor_bp"])
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_study_frees_its_unit_by_refcount(study, preset, monkeypatch):
+    """The fast path caches BTB kernels that bind the BTB; each study drops
+    them, so its unit is gone on return even with the cyclic GC off."""
+    refs = []
+    for module in (harness, covert_channel, leakage, ablations):
+        def spy(*args, _real=module.make_bpu, **kwargs):
+            bpu = _real(*args, **kwargs)
+            refs.append(weakref.ref(bpu.btb))
+            return bpu
+
+        monkeypatch.setattr(module, "make_bpu", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        STUDIES[study](preset)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 1
+    assert alive == []
