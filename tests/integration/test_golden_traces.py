@@ -10,7 +10,8 @@ driver (Figures 1, 2, 8 and 10 at smoke scale) committed under
 the result exactly — every float, every rendered row.  ``attacks.json`` does
 the same for the caseless security studies that re-simulate on every run:
 the Table 1 rows and per-cell success rates, the Section 5.5 PoC rows, the
-PHT-granularity ablation rows and the Pareto presets' leakage joint counts.  A kernel or storage
+PHT-granularity ablation rows, and the Pareto presets' leakage joint counts
+and bootstrap leakage intervals.  A kernel or storage
 rewrite that silently shifts any paper result fails here even if it is
 self-consistent across its own engines.
 
@@ -31,7 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from dataclasses import replace
 
-from repro.analysis.pareto import DEFAULT_MECHANISMS
+from repro.analysis.pareto import DEFAULT_MECHANISMS, mechanism_profiles
 from repro.experiments import (ablations, fig1_flush_single, fig2_flush_smt,
                                fig8_xor_pht, fig10_smt_predictors, poc_attacks,
                                table1_security)
@@ -112,6 +113,10 @@ def _attacks():
              for (core, kind), cell in row.cells.items()]
     report = leakage_report([preset for preset, _ in DEFAULT_MECHANISMS],
                             trials=ATTACK_LEAKAGE_TRIALS, smt=True)
+    pareto = [[profile.mechanism, profile.leakage_bits,
+               list(profile.leakage_ci)]
+              for profile in mechanism_profiles(
+                  {}, trials=ATTACK_LEAKAGE_TRIALS)]
     return {
         "table1": _rows(table1_security.run(scale=ATTACK_SCALE)),
         "table1_cells": cells,
@@ -122,6 +127,7 @@ def _attacks():
             mechanism: {channel: estimate.joint_counts
                         for channel, estimate in channels.items()}
             for mechanism, channels in report.items()},
+        "pareto_leakage": pareto,
     }
 
 
