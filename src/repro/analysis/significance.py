@@ -28,6 +28,7 @@ p-value and CI bit-for-bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -375,29 +376,24 @@ def leakage_mi_ci(estimate, *, confidence: float = 0.95, n_boot: int = 1000,
     total = sum(counts)
     if total == 0:
         return (0.0, 0.0)
-    cells = [(s, o) for s in range(len(estimate.joint_counts))
-             for o in range(len(estimate.joint_counts[0]))]
+    width = len(estimate.joint_counts[0])
     cumulative = []
     running = 0
     for count in counts:
         running += count
         cumulative.append(running / total)
+    # A draw lands in the first cell whose cumulative bound exceeds it.
+    # The last bound is exactly 1.0 and draws are below 1.0, so bisect
+    # always finds a cell.
     rng = random.Random(seed)
+    draw = rng.random
     estimates = []
     for _ in range(n_boot):
-        resampled = [[0] * len(estimate.joint_counts[0])
-                     for _ in range(len(estimate.joint_counts))]
+        tally = [0] * len(counts)
         for _ in range(total):
-            draw = rng.random()
-            for cell_index, bound in enumerate(cumulative):
-                if draw < bound:
-                    s, o = cells[cell_index]
-                    resampled[s][o] += 1
-                    break
-            else:
-                s, o = cells[-1]
-                resampled[s][o] += 1
-        estimates.append(mutual_information(resampled))
+            tally[bisect.bisect_right(cumulative, draw())] += 1
+        estimates.append(mutual_information(
+            [tally[row:row + width] for row in range(0, len(tally), width)]))
     estimates.sort()
     return (_percentile(estimates, (1.0 - confidence) / 2.0),
             _percentile(estimates, 1.0 - (1.0 - confidence) / 2.0))
