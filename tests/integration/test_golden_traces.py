@@ -5,7 +5,8 @@ generated predictor kernels and the packed storage layouts all promise the
 same statistics as the scalar reference loop.  The parity suites check that
 promise pairwise within one revision; these fixtures pin it **across**
 revisions.  Each fixture is a small deterministic snapshot of one figure
-driver (Figures 1, 2, 8 and 10 at smoke scale) committed under
+driver (Figures 1, 2, 3, 8 and 10 and the SMT-4 sensitivity study at smoke
+scale) committed under
 ``tests/integration/golden/``; the test recomputes the figure and compares
 the result exactly — every float, every rendered row.  ``attacks.json`` does
 the same for the caseless security studies that re-simulate on every run:
@@ -34,7 +35,8 @@ from dataclasses import replace
 
 from repro.analysis.pareto import DEFAULT_MECHANISMS, mechanism_profiles
 from repro.experiments import (ablations, fig1_flush_single, fig2_flush_smt,
-                               fig8_xor_pht, fig10_smt_predictors, poc_attacks,
+                               fig3_precise_flush, fig8_xor_pht,
+                               fig10_smt_predictors, poc_attacks, sensitivity,
                                table1_security)
 from repro.experiments.scaling import ExperimentScale
 from repro.security.analysis import build_security_table
@@ -89,6 +91,11 @@ def _fig2():
                               smt4_quads=SMT4_QUADS[:1])
 
 
+def _fig3():
+    # Tournament under Complete and Precise Flush on SMT-2.
+    return fig3_precise_flush.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:3])
+
+
 def _fig8():
     return fig8_xor_pht.run(scale=GOLDEN_SCALE,
                             pairs=SINGLE_THREAD_PAIRS[:2],
@@ -98,6 +105,11 @@ def _fig8():
 def _fig10():
     # All four SMT predictors x {baseline, CF, PF, Noisy-XOR-BP}.
     return fig10_smt_predictors.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:2])
+
+
+def _smt4():
+    # Complete Flush, Precise Flush and Noisy-XOR-BP on one SMT-4 quad.
+    return sensitivity.smt4_noisy_xor(scale=GOLDEN_SCALE, max_quads=1)
 
 
 def _rows(result):
@@ -131,7 +143,8 @@ def _attacks():
     }
 
 
-RUNNERS = {"fig1": _fig1, "fig2": _fig2, "fig8": _fig8, "fig10": _fig10}
+RUNNERS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig8": _fig8,
+           "fig10": _fig10, "smt4": _smt4}
 
 #: Fixtures whose runner already returns the JSON snapshot.
 SNAPSHOT_RUNNERS = {"attacks": _attacks}
