@@ -117,53 +117,63 @@ def _disable_fast_paths(core: SingleThreadCore) -> None:
     core.bpu.force_generic_dispatch()
 
 
+#: Storage flag that must be set for each expected arm.
+_ARM_FLAGS = {"passthrough": "_fast", "fused-xor": "_xor_fast",
+              "owner": "_owner_fast"}
+
+
+def _expected_arm(mechanism: str) -> str:
+    if mechanism in ("xor", "noisy_xor"):
+        return "fused-xor"
+    if mechanism == "precise_flush":
+        return "owner"
+    return "passthrough"
+
+
 def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
     """Fail loudly unless the intended monomorphic fast paths are active.
 
     Expectations are derived per structure from the preset's protection
     config: an XOR-mechanism structure must ride the fused-XOR fast path,
-    anything else the passthrough one.  On top of the storage flags, the
-    packed-BTB probe kernel and the direction predictor's execute kernel
-    must report the matching specialisation arm.  Guards the benchmark and
-    the CI smoke step against silent fallbacks to the generic dispatch.
+    a Precise Flush one the owner arm, anything else the passthrough one.
+    On top of the storage flags, the packed-BTB probe kernel and the
+    direction predictor's execute kernel must report the matching
+    specialisation arm.  Guards the benchmark and the CI smoke step
+    against silent fallbacks to the generic dispatch.
     """
     bpu = core.bpu
     config = resolve_preset(preset)
-    want_pht_xor = config.pht_mechanism in ("xor", "noisy_xor")
-    want_btb_xor = config.btb_mechanism in ("xor", "noisy_xor")
+    want_pht = _expected_arm(config.pht_mechanism)
+    want_btb = _expected_arm(config.btb_mechanism)
     for table in bpu.direction.tables():
-        active = table._xor_fast if want_pht_xor else table._fast
-        if not active:
+        if not getattr(table, _ARM_FLAGS[want_pht]):
             raise AssertionError(
                 f"{preset}: table {table.name!r} is not on the "
-                f"{'fused-XOR' if want_pht_xor else 'passthrough'} fast path")
-    btb_active = bpu.btb._xor_fast if want_btb_xor else bpu.btb._fast
-    if not btb_active:
+                f"{want_pht} fast path")
+    if not getattr(bpu.btb, _ARM_FLAGS[want_btb]):
         raise AssertionError(f"{preset}: BTB is not on the fast path")
     btb_arm = bpu.btb.exec_conditional_kernel(0).arm
-    want_arm = "fused-xor" if want_btb_xor else "passthrough"
-    if btb_arm != want_arm:
+    if btb_arm != want_btb:
         raise AssertionError(
             f"{preset}: packed-BTB probe kernel runs the {btb_arm!r} arm, "
-            f"expected {want_arm!r}")
+            f"expected {want_btb!r}")
     exec_kernel = getattr(bpu.direction, "exec_kernel", None)
     if exec_kernel is not None:
         dir_arm = getattr(exec_kernel(0), "arm", None)
-        want_arm = "fused-xor" if want_pht_xor else "passthrough"
-        if dir_arm != want_arm:
+        if dir_arm != want_pht:
             raise AssertionError(
                 f"{preset}: {bpu.direction.name} kernel runs the "
-                f"{dir_arm!r} arm, expected {want_arm!r}")
+                f"{dir_arm!r} arm, expected {want_pht!r}")
     build_masks = getattr(bpu.direction, "_build_kernel_masks", None)
     if build_masks is not None:
         bundle = build_masks(0)
         if bundle is False:
             raise AssertionError(
                 f"{preset}: TAGE kernel fell back to generic dispatch")
-        if bool(bundle[0]) != want_pht_xor:
+        if bundle[0] != want_pht:
             raise AssertionError(
-                f"{preset}: TAGE kernel compiled the wrong arm "
-                f"(encoded={bool(bundle[0])}, expected {want_pht_xor})")
+                f"{preset}: TAGE kernel compiled the {bundle[0]!r} arm, "
+                f"expected {want_pht!r}")
 
 
 def assert_backend_kernels(core: SingleThreadCore, preset: str,

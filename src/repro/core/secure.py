@@ -228,8 +228,8 @@ class BranchPredictionUnit:
         """Route every storage access through the generic isolation dispatch.
 
         Diagnostic hook shared by the parity/fuzz suites and the throughput
-        benchmark: turns off the passthrough and fused-XOR storage fast
-        paths on every direction table and the BTB, and drops all cached
+        benchmark: turns off the passthrough, fused-XOR and owner storage
+        fast paths on every direction table and the BTB, and drops all cached
         specialised kernels so they rebuild on their generic arm.  Results
         must be bit-identical either way — only throughput changes — which
         is exactly what the differential tests assert.  Any new kernel
@@ -239,8 +239,10 @@ class BranchPredictionUnit:
         for table in self.direction.tables():
             table._fast = False
             table._xor_fast = False
+            table._owner_fast = False
         self.btb._fast = False
         self.btb._xor_fast = False
+        self.btb._owner_fast = False
         self.release_kernels()
 
     def release_kernels(self) -> None:

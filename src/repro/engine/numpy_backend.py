@@ -61,6 +61,10 @@ __all__ = ["NumpyBackend"]
 
 _COND = BranchType.CONDITIONAL
 
+#: Reference-kernel arms the window kernels reproduce.  Every other arm
+#: (owner tracking, generic dispatch) keeps the reference kernel.
+_VECTOR_ARMS = ("passthrough", "fused-xor")
+
 #: Maximum conditional branches vectorized per window refill.
 _WINDOW_MAX = 4096
 
@@ -324,7 +328,7 @@ class _TagePre:
         self.cap = p._ghr._bits
         self.gmask = p._ghr._mask
         self.tshift = np.arange(self.n, dtype=np.int64) & 3
-        encoded = bundle[0]
+        encoded = bundle[0] == "fused-xor"
         self.encoded = encoded
         # Per-table fused index keys (passthrough: the bare hash constant
         # ``t * 0x1F``); entry layout is shared by both bundle shapes.
@@ -636,15 +640,13 @@ class _TageFetch(_Fetch):
         super().__init__(predictor, predictor.exec_kernel)
 
     def _build(self, thread_id: int, base):
-        if getattr(base, "arm", "generic") == "generic":
+        if getattr(base, "arm", "generic") not in _VECTOR_ARMS:
             return base
         p = self._s
         bundle = p._kernel_masks.get(thread_id)
         if bundle is None:
             bundle = p._build_kernel_masks(thread_id)
-        if bundle is False:
-            return base
-        encoded = bundle[0]
+        encoded = bundle[0] == "fused-xor"
         diversified = encoded and bool(
             getattr(p._tables[0].isolation, "_row_diversified", False))
         key = ("tage-numpy", encoded, diversified)
@@ -758,7 +760,7 @@ class _GshareFetch(_Fetch):
         arm = getattr(base, "arm", "generic")
         p = self._s
         # History registers wider than an int64 lane stay scalar.
-        if arm == "generic" or p._history_bits > 63:
+        if arm not in _VECTOR_ARMS or p._history_bits > 63:
             return base
         encoded = arm == "fused-xor"
         code = self._code.get(encoded)
@@ -911,7 +913,7 @@ class _BtbFetch(_Fetch):
 
     def _build(self, thread_id: int, base):
         arm = getattr(base, "arm", "generic")
-        if arm == "generic":
+        if arm not in _VECTOR_ARMS:
             return base
         b = self._s
         encoded = arm == "fused-xor"

@@ -26,7 +26,8 @@ per-way entry objects: one contiguous list per field (``valid``, ``tag``,
 no entry-object indirection.  The fused per-(thread, table) XOR masks of the
 XOR-family presets are applied inline on the packed fields and re-randomised
 only at switch time via the mask-cache registration protocol on
-:class:`repro.core.isolation.XorContentIsolation`.
+:class:`repro.core.isolation.XorContentIsolation`; Precise Flush's owner
+check is applied inline on the ``owner`` field the same way.
 
 On top of the arrays, the conditional-branch probe is served by **per-thread
 closure kernels** (:meth:`BranchTargetBuffer.exec_conditional_kernel`): the
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .table import (ROW_DIVERSIFIER, IdentityIsolation, TableIsolation,
-                    is_passthrough_isolation, supports_fused_xor)
+                    is_owner_isolation, is_passthrough_isolation,
+                    supports_fused_xor)
 from ..types import BranchType
 
 __all__ = ["BTBEntry", "BTBResult", "BranchTargetBuffer"]
@@ -123,6 +125,8 @@ class BranchTargetBuffer:
         self._isolation = isolation if isolation is not None else IdentityIsolation()
         self._fast = is_passthrough_isolation(self._isolation)
         self._xor_fast = (not self._fast) and supports_fused_xor(self._isolation)
+        # Precise Flush: identity transforms, owner checked inline.
+        self._owner_fast = is_owner_isolation(self._isolation)
         # Flat packed parallel arrays: one list per field, ``n_ways`` stride
         # per set.  All access paths (kernels, scalar protocol, flushes,
         # introspection) share these lists; they are reset in place so bound
@@ -276,15 +280,17 @@ class BranchTargetBuffer:
     def _build_cond_kernel(self, thread_id: int):
         """Build, cache and return one thread's conditional probe kernel.
 
-        The passthrough and fused-XOR arms are *generated*: the way walk is
-        unrolled with the geometry constants inlined as literals, while the
-        field arrays and the thread's masks are bound in the function's
-        globals, so key rotation swaps namespace entries instead of
-        recompiling.  Non-fusable policies get the exact generic two-call
-        closure.
+        The passthrough, fused-XOR and owner arms are *generated*: the way
+        walk is unrolled with the geometry constants inlined as literals,
+        while the field arrays and the thread's masks are bound in the
+        function's globals, so key rotation swaps namespace entries instead
+        of recompiling.  Non-XOR encoders (and forced generic dispatch) get
+        the exact generic two-call closure.
         """
-        if self._fast or self._xor_fast:
+        if self._fast or self._xor_fast or self._owner_fast:
             encoded = self._xor_fast
+            arm = ("fused-xor" if encoded
+                   else "owner" if self._owner_fast else "passthrough")
             diversified = False
             if encoded:
                 masks = self._xor_masks.get(thread_id)
@@ -292,10 +298,10 @@ class BranchTargetBuffer:
                     masks = self._build_xor_masks(thread_id)
                 diversified = bool(getattr(self._isolation,
                                            "_row_diversified", False))
-            key = (encoded, diversified)
+            key = (arm, diversified)
             code = self._kernel_code.get(key)
             if code is None:
-                source = self._cond_kernel_source(encoded, diversified)
+                source = self._cond_kernel_source(arm, diversified)
                 code = compile(source, f"<btb-kernel {key}>", "exec")
                 self._kernel_code[key] = code
             namespace = {
@@ -314,10 +320,10 @@ class BranchTargetBuffer:
                     namespace["GRK"] = self._target_row_keys
             exec(code, namespace)
             kernel = namespace.pop("_kernel")
-            kernel.arm = "fused-xor" if encoded else "passthrough"
+            kernel.arm = arm
         else:
-            # Non-fusable isolation (owner tracking / non-XOR encoders):
-            # the exact generic two-call sequence.
+            # Non-XOR encoders (or forced generic dispatch): the exact
+            # generic two-call sequence.
             btb = self
             owner = thread_id
 
@@ -331,14 +337,22 @@ class BranchTargetBuffer:
         self._cond_kernels[thread_id] = kernel
         return kernel
 
-    def _cond_kernel_source(self, encoded: bool, diversified: bool) -> str:
+    def _cond_kernel_source(self, arm: str, diversified: bool) -> str:
         """Generate the source of one conditional probe kernel arm.
 
         Statement order mirrors :meth:`lookup_fast` + :meth:`update` (and
         the previous closure kernels) exactly — the differential-parity
         suite holds the generated kernels, the generic dispatch and the
         scalar protocol bit-identical.
+
+        On the owner arm a hit also needs the way to belong to the probing
+        thread, while a taken branch's update re-finds the first valid way
+        with a matching tag *whatever its owner* (:meth:`update`'s rule):
+        the thread's own hit in way 1 does not rule out the same tag,
+        installed by another thread, in way 0.
         """
+        encoded = arm == "fused-xor"
+        owned = arm == "owner"
         ways = self._n_ways
         idx = [f"i{w}" for w in range(ways)]
         lines = []
@@ -375,9 +389,10 @@ class BranchTargetBuffer:
         emit("    hit = False")
         emit("    btb_target = None")
         emit("    victim = -1")
+        mine = " and owners[{i}] == OWNER" if owned else ""
         for w, i in enumerate(idx):
             emit(f"    {'if' if w == 0 else 'elif'} valid[{i}]"
-                 f" and tags[{i}] == enc_tag:")
+                 f" and tags[{i}] == enc_tag{mine.format(i=i)}:")
             emit(f"        last[{i}] = clock")
             emit("        btb.hits += 1")
             emit("        hit = True")
@@ -385,6 +400,13 @@ class BranchTargetBuffer:
             emit(f"        victim = {i}")
         emit("    if taken:")
         emit("        clock += 1")
+        if owned:
+            for w, i in enumerate(idx):
+                emit(f"        {'if' if w == 0 else 'elif'} valid[{i}]"
+                     f" and tags[{i}] == enc_tag:")
+                emit(f"            victim = {i}")
+            emit("        else:")
+            emit("            victim = -1")
         emit("        if victim < 0:")
         for w, i in enumerate(idx):
             emit(f"            {'if' if w == 0 else 'elif'} not valid[{i}]:")
@@ -418,12 +440,16 @@ class BranchTargetBuffer:
         update) but returns a plain ``(hit, target)`` tuple instead of a
         :class:`BTBResult`, and skips the isolation virtual dispatch entirely
         when the attached policy is a passthrough (baseline / flush) or a
-        plain-XOR encoder (fused thread-private masks).
+        plain-XOR encoder (fused thread-private masks), and checks the
+        owner inline under Precise Flush.
         """
-        if self._fast:
+        owner = -1
+        if self._fast or self._owner_fast:
             set_index = (pc >> 2) & self._index_mask
             enc_tag = (pc >> self._tag_shift) & self._tag_mask
             dec_target = 0
+            if self._owner_fast:
+                owner = thread_id
         elif self._xor_fast:
             # Fused-XOR probe: encode the lookup tag once and compare raw
             # stored tags (XOR is a bijection, so this equals decoding every
@@ -444,9 +470,11 @@ class BranchTargetBuffer:
         self._clock = clock
         valid = self._valid
         tags = self._tags
+        owners = self._owners
         base = set_index * self._n_ways
         for i in range(base, base + self._n_ways):
-            if valid[i] and tags[i] == enc_tag:
+            if (valid[i] and tags[i] == enc_tag
+                    and (owner < 0 or owners[i] == owner)):
                 self._last[i] = clock
                 self.hits += 1
                 return True, (self._targets[i] ^ dec_target) & self._target_mask
@@ -477,9 +505,10 @@ class BranchTargetBuffer:
         :meth:`update` (unconditional branches always train the BTB), but
         computes the set index and tag once on the packed arrays.  Falls back
         to the two-call sequence when the isolation policy is neither a
-        passthrough nor a fused-XOR encoder.
+        passthrough, a fused-XOR encoder nor owner tracking.
         """
-        if self._fast:
+        owned = self._owner_fast
+        if self._fast or owned:
             set_index = (pc >> 2) & self._index_mask
             dec_tag = dec_target = 0
         elif self._xor_fast:
@@ -506,8 +535,10 @@ class BranchTargetBuffer:
         hit = False
         btb_target = None
         victim = -1
+        owners = self._owners
         for i in range(base, end):
-            if valid[i] and tags[i] == enc_tag:
+            if (valid[i] and tags[i] == enc_tag
+                    and (not owned or owners[i] == thread_id)):
                 last[i] = clock
                 self.hits += 1
                 hit = True
@@ -516,6 +547,14 @@ class BranchTargetBuffer:
                 break
         # Inlined update(): unconditional branches always install/refresh.
         clock += 1
+        if owned:
+            # update() re-uses the first way with a matching tag, whatever
+            # its owner (see ``_cond_kernel_source``).
+            victim = -1
+            for i in range(base, end):
+                if valid[i] and tags[i] == enc_tag:
+                    victim = i
+                    break
         if victim < 0:
             for i in range(base, end):
                 if not valid[i]:
@@ -532,7 +571,7 @@ class BranchTargetBuffer:
         tags[victim] = enc_tag
         targets[victim] = (target & self._target_mask) ^ dec_target
         self._types[victim] = int(branch_type)
-        self._owners[victim] = thread_id
+        owners[victim] = thread_id
         last[victim] = clock
         self._clock = clock
         return hit, btb_target

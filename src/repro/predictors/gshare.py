@@ -17,9 +17,10 @@ branch pays no bundle unpacking, no fast-path flag tests and no mask-cache
 lookups.  The batched engines fetch the kernel via
 :meth:`GsharePredictor.exec_kernel` and re-fetch it after every switch
 notification; key re-randomisation drops the kernels through the isolation
-mask-cache registration protocol.  Non-fusable policies (owner tracking,
-non-XOR encoders) get a kernel that routes every storage access through the
-generic ``PredictorTable`` dispatch, so semantics are identical on all arms.
+mask-cache registration protocol.  Precise Flush gets a kernel that checks
+and stamps the word's owner inline; non-XOR encoders get one that routes
+every storage access through the generic ``PredictorTable`` dispatch, so
+semantics are identical on all arms.
 """
 
 from __future__ import annotations
@@ -135,12 +136,14 @@ class GsharePredictor(DirectionPredictor):
     def _build_exec_fn(self, thread_id: int):
         """Build, cache and return one thread's specialised kernel.
 
-        Three arms exist, selected by the word table's storage flags exactly
+        Four arms exist, selected by the word table's storage flags exactly
         as in :class:`repro.predictors.table.PredictorTable`: *passthrough*
-        (baseline / flush presets), *fused-XOR* (plain-XOR encoders, masks
-        baked in) and *generic* (owner tracking / non-XOR encoders, every
-        access through the table dispatch).  Statement order mirrors the
-        ``lookup``/``stats().record``/``update`` sequence bit for bit.
+        (baseline / Complete Flush), *fused-XOR* (plain-XOR encoders, masks
+        baked in), *owner* (Precise Flush: another thread's word reads as
+        the reset value, every write stamps the owner) and *generic*
+        (non-XOR encoders, every access through the table dispatch).
+        Statement order mirrors the ``lookup``/``stats().record``/``update``
+        sequence bit for bit.
         """
         words = self._pht.word_table
         data = words._data
@@ -225,6 +228,40 @@ class GsharePredictor(DirectionPredictor):
                 return predicted
 
             fn.arm = "fused-xor"
+        elif words._owner_fast and pow2:
+            owners = words._owner
+            reset = words._reset_value
+
+            def fn(pc, taken, _thread_id=0):
+                history = ghr_values.get(tid, 0)
+                folded = history & index_mask
+                remaining = history >> index_bits
+                while remaining:
+                    folded ^= remaining & index_mask
+                    remaining >>= index_bits
+                index = ((pc >> 2) ^ folded) & index_mask
+                row = index >> word_shift
+                shift = (index & slot_mask) * 2
+                owner = owners[row]
+                word = data[offset + row] if owner == tid or owner == -1 \
+                    else reset
+                counter = (word >> shift) & 3
+                predicted = counter >= 2
+                pstats.lookups += 1
+                if predicted != taken:
+                    pstats.mispredictions += 1
+                if taken:
+                    new_counter = counter + 1 if counter < 3 else 3
+                    ghr_values[tid] = ((history << 1) | 1) & ghr_mask
+                else:
+                    new_counter = counter - 1 if counter > 0 else 0
+                    ghr_values[tid] = (history << 1) & ghr_mask
+                data[offset + row] = \
+                    ((word & ~(3 << shift)) | (new_counter << shift)) & vmask
+                owners[row] = tid
+                return predicted
+
+            fn.arm = "owner"
         else:
             def fn(pc, taken, _thread_id=0):
                 history = ghr_values.get(tid, 0)

@@ -7,17 +7,20 @@ generated Python source with the geometry inlined as literals and the
 thread's storage lists and isolation masks bound in the function globals.
 
 Each :class:`repro.predictors.table.PredictorTable` access is emitted on one
-of three *arms*, chosen from the tables' storage fast-path flags:
+of four *arms*, chosen from the tables' storage fast-path flags:
 
-* ``passthrough`` (baseline / flush policies): plain list indexing;
+* ``passthrough`` (baseline / Complete Flush): plain list indexing;
 * ``fused-xor`` (plain-XOR XOR-BP / Noisy-XOR-BP): the thread's precomputed
   index and content masks applied inline;
-* ``generic`` (owner tracking / non-XOR encoders): the table's own
+* ``owner`` (Precise Flush): plain list indexing plus an inline owner
+  check on reads (another thread's entry reads as the reset value) and an
+  owner stamp on writes;
+* ``generic`` (non-XOR encoders, forced generic dispatch): the table's own
   ``read``/``write`` dispatch.
 
 The helpers below emit one table read or write on a given arm and bind the
 names those emitted lines use, so composite predictors (LTAGE, TAGE-SC-L,
-Tournament) describe each access once and get all three arms.
+Tournament) describe each access once and get every arm.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ def storage_arm(tables: Iterable[PredictorTable]) -> str:
         return "passthrough"
     if all(t._xor_fast for t in tables):
         return "fused-xor"
+    if all(t._owner_fast for t in tables):
+        return "owner"
     return "generic"
 
 
@@ -49,7 +54,9 @@ def bind_table(namespace: dict, name: str, table: PredictorTable, arm: str,
         namespace[f"{name}_W"] = table.write
         return
     namespace[f"{name}_D"] = table._data
-    if arm == "fused-xor":
+    if arm == "owner":
+        namespace[f"{name}_O"] = table._owner
+    elif arm == "fused-xor":
         masks = table._xor_masks.get(thread_id)
         if masks is None:
             masks = table._build_xor_masks(thread_id)
@@ -74,6 +81,12 @@ def emit_read(arm: str, name: str, table: PredictorTable, index: str,
         return [f"{pad}{word} = {name}_R({index}, TID)"]
     if arm == "passthrough":
         return [f"{pad}{word} = {_cell(name, table, index)}"]
+    if arm == "owner":
+        owner = f"{name}_owner"
+        return [f"{pad}{owner} = {name}_O[{index}]",
+                f"{pad}{word} = {_cell(name, table, index)}"
+                f" if {owner} == TID or {owner} == -1"
+                f" else {table._reset_value}"]
     row = f"{name}_row"
     return [f"{pad}{row} = ({index}) ^ {name}_IK",
             f"{pad}{name}_key = {name}_CK ^ {name}_RK[{row}]",
@@ -91,6 +104,9 @@ def emit_write(arm: str, name: str, table: PredictorTable, index: str,
         return [f"{pad}{name}_W({index}, {value}, TID)"]
     if arm == "passthrough":
         return [f"{pad}{_cell(name, table, index)} = {value}"]
+    if arm == "owner":
+        return [f"{pad}{_cell(name, table, index)} = {value}",
+                f"{pad}{name}_O[{index}] = TID"]
     return [f"{pad}{_cell(name, table, f'{name}_row')} = ({value}) ^ {name}_key"]
 
 

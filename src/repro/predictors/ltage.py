@@ -7,8 +7,8 @@ whenever it has a confident entry for the branch.
 Both TAGE composites, LTAGE and TAGE-SC-L, share :class:`TageComposite`:
 their batched-engine kernels are the generated TAGE kernel
 (:meth:`TagePredictor._kernel_source`) with the side components' lookup
-and update inlined after it, on the same three storage arms (passthrough,
-fused-XOR, generic).
+and update inlined after it, on the same four storage arms (passthrough,
+fused-XOR, owner, generic).
 """
 
 from __future__ import annotations

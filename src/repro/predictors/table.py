@@ -19,8 +19,8 @@ Keeping the policy at the storage layer means the predictor algorithms
 isolation mechanism is active — mirroring the paper's claim that the scheme
 is "versatile to accommodate multiple branch predictors".
 
-Two monomorphic fast paths avoid the virtual dispatch on the simulation hot
-path:
+Three monomorphic storage flags let the simulation hot path skip the
+virtual dispatch:
 
 * the *passthrough* fast path (baseline and flush policies: identity
   transforms, no owner tracking) reads and writes storage directly;
@@ -29,7 +29,12 @@ path:
   encode/decode masks inline.  The masks are precomputed per (thread, table)
   and re-randomised only at context/privilege-switch time — hoisted out of
   the per-branch loop — via the mask-cache registration protocol on
-  :class:`repro.core.isolation.XorContentIsolation`.
+  :class:`repro.core.isolation.XorContentIsolation`;
+* the *owner* flag (identity transforms plus ``tracks_owner``: Precise
+  Flush) marks tables whose generated kernels check and stamp the owner
+  list inline (see :mod:`repro.predictors.kernelgen`); the table's own
+  ``read``/``write`` keep the generic dispatch, which is the oracle those
+  kernels are tested against.
 
 Tables can also share one flat storage list (``storage``/``storage_offset``),
 which lets multi-table predictors such as TAGE keep every tagged entry in a
@@ -43,7 +48,7 @@ from typing import Iterable, List, Optional
 
 __all__ = ["TableIsolation", "IdentityIsolation", "PredictorTable",
            "PackedCounterTable", "is_passthrough_isolation",
-           "supports_fused_xor", "ROW_DIVERSIFIER"]
+           "is_owner_isolation", "supports_fused_xor", "ROW_DIVERSIFIER"]
 
 _NO_OWNER = -1
 
@@ -112,6 +117,13 @@ class IdentityIsolation(TableIsolation):
 _IDENTITY = IdentityIsolation()
 
 
+def _identity_transforms(isolation: TableIsolation) -> bool:
+    cls = type(isolation)
+    return (cls.map_index is TableIsolation.map_index
+            and cls.encode is TableIsolation.encode
+            and cls.decode is TableIsolation.decode)
+
+
 def is_passthrough_isolation(isolation: TableIsolation) -> bool:
     """True when a policy leaves indices, contents and ownership untouched.
 
@@ -122,11 +134,18 @@ def is_passthrough_isolation(isolation: TableIsolation) -> bool:
     simulation engine).  Encoding policies override the hooks and Precise
     Flush tracks owners, which disables the fast path.
     """
-    cls = type(isolation)
-    return (cls.map_index is TableIsolation.map_index
-            and cls.encode is TableIsolation.encode
-            and cls.decode is TableIsolation.decode
-            and not isolation.tracks_owner)
+    return _identity_transforms(isolation) and not isolation.tracks_owner
+
+
+def is_owner_isolation(isolation: TableIsolation) -> bool:
+    """True when a policy only tracks owners (identity transforms).
+
+    Precise Flush leaves indices and contents untouched but tags every
+    entry with its writer; a read by another thread sees the reset value.
+    Kernels can apply that check and the owner stamp inline (the *owner*
+    arm) instead of going through the table's ``read``/``write``.
+    """
+    return _identity_transforms(isolation) and isolation.tracks_owner
 
 
 def supports_fused_xor(isolation: TableIsolation) -> bool:
@@ -198,6 +217,7 @@ class PredictorTable:
         self._isolation = isolation
         self._fast = is_passthrough_isolation(isolation)
         self._xor_fast = (not self._fast) and supports_fused_xor(isolation)
+        self._owner_fast = is_owner_isolation(isolation)
         # Per-thread (index_key, content_key, row_keys) decode masks of the
         # fused-XOR fast path.  A fresh dict per attachment so that a
         # previously attached policy invalidating its registered caches can

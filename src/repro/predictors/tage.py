@@ -38,10 +38,11 @@ packed state rather than per-table objects:
   state and masks bound in the function's globals, so a branch pays no
   attribute loads, constant-tuple unpacking or mask lookups.  The batched
   engines fetch the kernel via :meth:`TagePredictor.exec_kernel` and
-  re-fetch it after every switch notification.  Non-fusable policies
-  (Precise Flush owner tracking, non-XOR encoders) get a third, *generic*
-  arm of the same generated kernel whose storage accesses go through the
-  tables' own ``read``/``write`` dispatch.
+  re-fetch it after every switch notification.  Precise Flush gets a
+  third, *owner* arm that checks and stamps the tables' owner lists inline;
+  non-XOR encoders (and forced generic dispatch) get a fourth, *generic*
+  arm whose storage accesses go through the tables' own ``read``/``write``
+  dispatch.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .base import DirectionPrediction, DirectionPredictor, PredictorStats
 from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
-from .kernelgen import make_kernel
+from .kernelgen import make_kernel, storage_arm
 from .table import PredictorTable, TableIsolation, supports_fused_xor
 
 __all__ = ["TageConfig", "TagePredictor", "geometric_history_lengths"]
@@ -248,10 +249,10 @@ class TagePredictor(DirectionPredictor):
         self._use_alt_max = (1 << cfg.use_alt_bits) - 1
         self._lfsr = _DeterministicLfsr()
         self._update_count = 0
-        # Per-thread kernel bundles: the per-table constant tuples (with the
-        # thread's fused isolation masks baked in) plus the base-PHT masks.
-        # ``False`` marks a thread whose isolation policy cannot be fused
-        # (owner tracking, non-XOR encoders) — those take the generic path.
+        # Per-thread kernel bundles: the storage arm, the per-table constant
+        # tuples (with the thread's fused isolation masks baked in) plus the
+        # base-PHT masks.  ``False`` marks a thread on the generic arm
+        # (non-XOR encoders, forced generic dispatch).
         self._kernel_masks: Dict[int, object] = {}
         self._zero_base_row_keys = [0] * self._base_words.n_entries
         # Per-thread specialised kernels (generated functions, see
@@ -288,10 +289,11 @@ class TagePredictor(DirectionPredictor):
     def _build_kernel_masks(self, thread_id: int):
         """(Re)build the per-thread kernel constants for one hardware thread.
 
-        Passthrough policies (baseline / flush) get all-zero masks; plain-XOR
+        The bundle's first field is the storage arm (:func:`storage_arm`).
+        Passthrough and owner-tracking policies get all-zero masks; plain-XOR
         policies get the thread's fused index/content keys (pulled from the
         tables' own mask caches, so both dispatch layers agree bit for bit);
-        anything else is marked non-fusable and served by the generic path.
+        anything else is served by the generic path.
 
         The result is cached per thread; XOR policies invalidate it on every
         key re-randomisation and it rebuilds on the next access.  Tests that
@@ -305,14 +307,15 @@ class TagePredictor(DirectionPredictor):
         swar_t0 = self._swar_t0.lane_offsets
         swar_t1 = self._swar_t1.lane_offsets
         entries = self.config.table_entries
-        if all(t._fast for t in tables) and base_words._fast:
-            # Passthrough: the specialised loop needs no key fields at all.
+        arm = storage_arm(self.tables())
+        if arm in ("passthrough", "owner"):
+            # No key fields at all: the specialised loop indexes directly.
             consts = tuple(
                 (t, t * entries, t * 0x1F, swar_i[t], t & 3,
                  swar_t0[t], swar_t1[t])
                 for t in range(n))
-            bundle = (False, consts, 0, 0, self._zero_base_row_keys)
-        elif all(t._xor_fast for t in tables) and base_words._xor_fast:
+            bundle = (arm, consts, 0, 0, self._zero_base_row_keys)
+        elif arm == "fused-xor":
             per_table = []
             for t in range(n):
                 table = tables[t]
@@ -328,7 +331,7 @@ class TagePredictor(DirectionPredictor):
             base_masks = base_words._xor_masks.get(thread_id)
             if base_masks is None:
                 base_masks = base_words._build_xor_masks(thread_id)
-            bundle = (True, tuple(per_table), base_masks[0], base_masks[1],
+            bundle = (arm, tuple(per_table), base_masks[0], base_masks[1],
                       base_masks[2])
         else:
             bundle = False
@@ -534,7 +537,7 @@ class TagePredictor(DirectionPredictor):
         return fn
 
     def _kernel_bundle(self, thread_id: int):
-        """The thread's cached kernel-mask bundle (``False``: generic arm)."""
+        """The thread's cached kernel bundle (``False``: generic arm)."""
         bundle = self._kernel_masks.get(thread_id)
         if bundle is None:
             bundle = self._build_kernel_masks(thread_id)
@@ -547,11 +550,11 @@ class TagePredictor(DirectionPredictor):
 
     def _build_exec_fn(self, thread_id: int):
         """Build, cache and return one thread's specialised kernel."""
-        bundle = self._kernel_bundle(thread_id)
-        # Which specialisation this kernel runs (benchmarks and tests assert
-        # the intended arm is active instead of a silent generic fallback).
-        arm = ("generic" if bundle is False
-               else "fused-xor" if bundle[0] else "passthrough")
+        # The same arm test the composites use; the kernel records it in
+        # ``.arm`` so benchmarks and tests can assert the intended
+        # specialisation instead of a silent generic fallback.
+        arm = storage_arm(self.tables())
+        bundle = self._kernel_bundle(thread_id) if arm == "fused-xor" else False
         diversified = self._diversified(arm)
         fn = make_kernel(self._kernel_code, ("tage", arm, diversified),
                          lambda: self._kernel_source(arm, diversified),
@@ -589,6 +592,10 @@ class TagePredictor(DirectionPredictor):
                 namespace[f"W{t}"] = table.write
             namespace["BR"] = self._base_words.read
             namespace["BW"] = self._base_words.write
+        elif arm == "owner":
+            for t, table in enumerate(self._tables):
+                namespace[f"O{t}"] = table._owner
+            namespace["BO"] = self._base_words._owner
         elif arm == "fused-xor":
             _, consts, base_index_key, base_content_key, base_row_keys = bundle
             for entry in consts:
@@ -608,11 +615,13 @@ class TagePredictor(DirectionPredictor):
                        tail: Optional[List[str]] = None) -> str:
         """Generate the source of one specialised kernel arm.
 
-        Three arms exist: the *passthrough* arm (baseline / flush presets),
+        Four arms exist: the *passthrough* arm (baseline / Complete Flush),
         the *fused-XOR* arm (XOR-BP / Noisy-XOR-BP), which differs only in
-        the mask XORs folded into the index/content math, and the *generic*
-        arm (Precise Flush owner tracking, non-XOR encoders), which routes
-        every storage access through the tables' own ``read``/``write``.
+        the mask XORs folded into the index/content math, the *owner* arm
+        (Precise Flush), which reads another thread's entry as the reset
+        value and stamps the owner on every write, and the *generic* arm
+        (non-XOR encoders, forced generic dispatch), which routes every
+        storage access through the tables' own ``read``/``write``.
         Geometry (strides, lane offsets, masks, hash constants) is inlined
         as literals; per-thread mask values are globals so key rotation
         swaps namespace entries instead of recompiling.  Statement order
@@ -629,6 +638,7 @@ class TagePredictor(DirectionPredictor):
         """
         encoded = arm == "fused-xor"
         generic = arm == "generic"
+        owned = arm == "owner"
         cfg = self.config
         n = cfg.n_tables
         ibits = self._index_bits
@@ -700,6 +710,10 @@ class TagePredictor(DirectionPredictor):
                 emit(f"    word = {cell}{decode}")
             elif generic:
                 emit(f"    word = R{t}(row, TID)")
+            elif owned:
+                # Tagged tables reset to 0: another thread's entry misses.
+                emit(f"    owner = O{t}[row]")
+                emit(f"    word = {cell} if owner == TID or owner == -1 else 0")
             else:
                 emit(f"    word = {cell}")
             emit("    if word:")
@@ -716,6 +730,8 @@ class TagePredictor(DirectionPredictor):
                 emit(f"            provider_write = W{t}")
             else:
                 emit(f"            provider_base = {toff}")
+            if owned:
+                emit(f"            provider_owner = O{t}")
             if encoded:
                 emit(f"            provider_ck = CK{t}")
                 if diversified:
@@ -743,6 +759,10 @@ class TagePredictor(DirectionPredictor):
             base_decode = " ^ BCK" + (" ^ BRK[base_row]" if diversified else "")
         if generic:
             emit("    base_word = BR(base_row, TID)")
+        elif owned:
+            emit("    owner = BO[base_row]")
+            emit(f"    base_word = {base_cell} if owner == TID or owner == -1"
+                 f" else {self._base_words._reset_value}")
         else:
             emit(f"    base_word = {base_cell}{base_decode}")
         emit(f"    base_counter = (base_word >> base_shift) & {bcmask}")
@@ -819,6 +839,8 @@ class TagePredictor(DirectionPredictor):
             emit(f"        provider_write(provider_row, {packed}, TID)")
         else:
             emit(f"        flat[provider_base + provider_row] = {packed}")
+            if owned:
+                emit("        provider_owner[provider_row] = TID")
         # Inlined bimodal base update: trains the base when it predicted (no
         # provider) or provided the alternate.
         emit("    if provider < 0 or alt < 0:")
@@ -836,6 +858,8 @@ class TagePredictor(DirectionPredictor):
             emit(f"        BW(base_row, {new_word}, TID)")
         else:
             emit(f"        {base_cell} = {new_word}")
+            if owned:
+                emit("        BO[base_row] = TID")
         # Allocation on misprediction: the logical index/tag hashes are only
         # needed on this (rare) path; the folded registers have not been
         # pushed yet, so the values equal the ones used by the lookup above.
@@ -893,10 +917,13 @@ class TagePredictor(DirectionPredictor):
         if bundle is None:
             bundle = self._build_kernel_masks(thread_id)
         if bundle is not False:
-            self._allocate_packed(taken, start, indices, tags, bundle)
+            if bundle[0] == "owner":
+                self._allocate_owned(taken, start, indices, tags, thread_id)
+            else:
+                self._allocate_packed(taken, start, indices, tags, bundle)
             return
-        # Generic arm (owner tracking / non-XOR encoders): every candidate
-        # read and write goes through the per-table isolation dispatch.
+        # Generic arm (non-XOR encoders, forced generic dispatch): every
+        # candidate read and write goes through the per-table dispatch.
         candidates = []
         for table in range(start, cfg.n_tables):
             word = self._tables[table].read(indices[table], thread_id)
@@ -942,7 +969,7 @@ class TagePredictor(DirectionPredictor):
         # Per candidate table: flat position and decode/encode key.
         positions = [0] * n_tables
         keys = [0] * n_tables
-        if bundle[0]:
+        if bundle[0] == "fused-xor":
             for t in range(start, n_tables):
                 entry = consts[t]
                 # entry[2] fuses the t*0x1F hash constant with the thread's
@@ -971,6 +998,42 @@ class TagePredictor(DirectionPredictor):
         ctr = self._ctr_weak_taken if taken else self._ctr_weak_taken - 1
         flat[positions[choice]] = \
             self._pack(tags[choice], ctr, 0) ^ keys[choice]
+
+    def _allocate_owned(self, taken: bool, start: int,
+                        indices: Sequence[int], tags: Sequence[int],
+                        thread_id: int) -> None:
+        """Allocation on the owner arm: the generic arm's reads and writes
+        with the owner check and stamp inlined (tagged tables reset to 0)."""
+        n_tables = self.config.n_tables
+        entries = self.config.table_entries
+        flat = self._flat
+        index_mask = (1 << self._index_bits) - 1
+        u_mask = self._u_mask
+        tables = self._tables
+        words = [0] * n_tables
+        candidates = []
+        for t in range(start, n_tables):
+            row = indices[t] & index_mask
+            owner = tables[t]._owner[row]
+            if owner == thread_id or owner == -1:
+                words[t] = flat[t * entries + row]
+            if words[t] & u_mask == 0:
+                candidates.append(t)
+        if not candidates:
+            # No free entry: age the useful counters of all longer tables.
+            for t in range(start, n_tables):
+                if words[t] & u_mask:
+                    row = indices[t] & index_mask
+                    flat[t * entries + row] = words[t] - 1
+                    tables[t]._owner[row] = thread_id
+            return
+        choice = candidates[0]
+        if len(candidates) > 1 and self._lfsr.next_bits(2) == 0:
+            choice = candidates[1]
+        ctr = self._ctr_weak_taken if taken else self._ctr_weak_taken - 1
+        row = indices[choice] & index_mask
+        flat[choice * entries + row] = self._pack(tags[choice], ctr, 0)
+        tables[choice]._owner[row] = thread_id
 
     def _graceful_useful_reset(self, thread_id: int) -> None:
         """Periodically clear the low bit of every useful counter."""

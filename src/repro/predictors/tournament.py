@@ -13,8 +13,9 @@ history.  All second-level tables are built on
 encoding apply uniformly, as shown in the figure.
 
 The batched engines drive the predictor through a per-thread generated
-kernel (:meth:`TournamentPredictor.exec_kernel`) on the same three storage
-arms as the TAGE and gshare kernels: passthrough, fused-XOR and generic.
+kernel (:meth:`TournamentPredictor.exec_kernel`) on the same four storage
+arms as the TAGE and gshare kernels: passthrough, fused-XOR, owner and
+generic.
 """
 
 from __future__ import annotations

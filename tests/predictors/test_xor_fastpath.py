@@ -157,8 +157,17 @@ class TestPackedKernelArms:
         assert bpu.direction.exec_kernel(0).arm == "generic"
 
     @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
-    def test_precise_flush_takes_generic_arm(self, predictor):
+    def test_precise_flush_takes_owner_arm(self, predictor):
         bpu = make_bpu(predictor, "precise_flush", seed=11)
+        for _ in range(2):
+            for thread in (0, 1):
+                assert bpu.btb.exec_conditional_kernel(thread).arm == "owner"
+                assert bpu.direction.exec_kernel(thread).arm == "owner"
+            # A switch flushes the thread's entries and rebuilds its
+            # kernels on the same arm.
+            bpu.notify_context_switch(0)
+        # Forced generic dispatch still reaches the generic arm.
+        bpu.force_generic_dispatch()
         assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
         for thread in (0, 1):
             assert bpu.direction.exec_kernel(thread).arm == "generic"

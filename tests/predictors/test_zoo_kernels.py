@@ -1,8 +1,8 @@
 """Generated execute kernels of the SMT predictor zoo.
 
 Tournament, LTAGE and TAGE-SC-L run the batched engines through generated
-``exec_kernel`` functions on three storage arms (passthrough, fused-XOR,
-generic); ``test_xor_fastpath.py`` pins the arm each preset selects.  These
+``exec_kernel`` functions on four storage arms (passthrough, fused-XOR,
+owner, generic); ``test_xor_fastpath.py`` pins the arm each preset selects.  These
 tests pin the invalidation protocol (forced generic dispatch, flushes,
 stats resets) and bit-identity of every arm with the scalar
 ``lookup``/``update`` oracle, including the non-XOR encoders that only the
