@@ -31,12 +31,6 @@ reference kernel: flushes, key rotation and stats resets drop the
 reference kernel through the existing mask-cache protocol, and the fetch
 wrapper rebuilds against fresh masks on the next fetch.
 
-The trace generator's geometric gap sampling (~12% of engine runtime)
-is vectorized through the ``gap_block`` hook of
-:meth:`repro.workloads.generator.SyntheticWorkload.record_batches`,
-replaying the Mersenne-Twister double stream bit-exactly via
-``getrandbits``.
-
 Everything here is an execution strategy only: ``ENGINE_VERSION``,
 cache keys and store payloads are untouched, and the golden-trace and
 differential suites hold this backend bit-identical to ``python``.
@@ -45,7 +39,6 @@ differential suites hold this backend bit-identical to ``python``.
 from __future__ import annotations
 
 import weakref
-from math import log
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -54,7 +47,6 @@ from ..predictors.btb import BranchTargetBuffer
 from ..predictors.gshare import GsharePredictor
 from ..predictors.tage import TagePredictor
 from ..types import BranchType
-from ..workloads.generator import SyntheticWorkload
 from .backends import ExecutionBackend
 
 __all__ = ["NumpyBackend"]
@@ -67,66 +59,6 @@ _VECTOR_ARMS = ("passthrough", "fused-xor")
 
 #: Maximum conditional branches vectorized per window refill.
 _WINDOW_MAX = 4096
-
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
-
-
-# ---------------------------------------------------------------------------
-# Bulk RNG replay
-# ---------------------------------------------------------------------------
-
-def _bulk_uniforms(rng, count: int) -> np.ndarray:
-    """``[rng.random() for _ in range(count)]``, bit-exactly, in bulk.
-
-    CPython's ``random()`` consumes two 32-bit Mersenne-Twister words per
-    double: ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.  ``getrandbits``
-    consumes the *same* word stream (32 bits per word, first word in the
-    low bits), so one ``getrandbits(64 * count)`` call draws exactly the
-    words the scalar loop would and leaves the generator in the same
-    state.  The arithmetic is exact in float64 (``a < 2**27`` and the
-    final sum is at most ``2**53 - 1``, both exactly representable).
-    """
-    raw = rng.getrandbits(64 * count)
-    words = np.frombuffer(raw.to_bytes(8 * count, "little"), dtype="<u4")
-    a = (words[0::2] >> np.uint32(5)).astype(np.float64)
-    b = (words[1::2] >> np.uint32(6)).astype(np.float64)
-    return (a * 67108864.0 + b) * _INV_2_53
-
-
-#: Below this many draws the fixed cost of the bulk path (big-int
-#: ``getrandbits``, array round-trips) exceeds the scalar loop.
-_GAP_BULK_MIN = 64
-
-#: Half-width of the integer-boundary guard band for vectorized logs.
-#: ``np.log`` may differ from ``math.log`` by a few ULPs (absolute error
-#: well under 1e-12 at these magnitudes); only draws whose gap value
-#: lands within the band around an integer could truncate differently,
-#: and those are recomputed with ``math.log``.  The band is ~10**6 times
-#: the worst-case divergence, and is hit by ~2 in 10**6 draws.
-_GAP_GUARD = 1e-6
-
-
-def _gap_block(rng, count: int, neg_mean_gap: float) -> List[int]:
-    """Bulk geometric gap sampler for ``record_batches``.
-
-    Bit-identical to the scalar path
-    ``int(log(1.0 - rng.random()) * neg_mean_gap) + 1`` by construction:
-    small bursts run exactly that loop, large bursts vectorize the log
-    and re-derive every draw near an integer boundary with ``math.log``.
-    """
-    if count < _GAP_BULK_MIN:
-        random_ = rng.random
-        return [int(log(1.0 - random_()) * neg_mean_gap) + 1
-                for _ in range(count)]
-    us = _bulk_uniforms(rng, count)
-    g = np.log(1.0 - us) * neg_mean_gap
-    whole = np.floor(g)
-    out = (whole.astype(np.int64) + 1).tolist()
-    frac = g - whole
-    risky = np.nonzero((frac < _GAP_GUARD) | (frac > 1.0 - _GAP_GUARD))[0]
-    for k in risky.tolist():
-        out[k] = int(log(1.0 - us[k]) * neg_mean_gap) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -950,9 +882,7 @@ class NumpyBackend(ExecutionBackend):
     Accelerates exactly three hot paths — the TAGE table walk, the
     gshare fast paths and the BTB conditional probe — for the *exact*
     predictor classes it knows; subclasses and every other predictor
-    fall through to the reference kernels untouched.  The trace
-    generator's geometric gaps are drawn in bulk through the
-    ``gap_block`` hook.
+    fall through to the reference kernels untouched.
     """
 
     name = "numpy"
@@ -968,11 +898,3 @@ class NumpyBackend(ExecutionBackend):
         if type(btb) is BranchTargetBuffer:
             return _BtbFetch(btb)
         return super().conditional_kernel_fetch(btb)
-
-    def batch_stream(self, workload, n: int, seed_offset: int = 0):
-        if (type(workload) is SyntheticWorkload
-                or getattr(type(workload), "record_batches", None)
-                is SyntheticWorkload.record_batches):
-            return workload.record_batches(n, seed_offset=seed_offset,
-                                           gap_block=_gap_block)
-        return super().batch_stream(workload, n, seed_offset=seed_offset)

@@ -370,6 +370,16 @@ def _case_label(spec: CaseSpec) -> str:
     return f"{spec.label or spec.preset}/{spec.pair.case}"
 
 
+def _stream_order(spec: CaseSpec) -> Tuple[Tuple[str, ...], int]:
+    """Sort key grouping cases that replay the same workload streams.
+
+    A case's streams are a function of its benchmarks and workload seed
+    (:func:`repro.workloads.pairs.make_pair_workloads`); presets, configs
+    and overrides only change what replays them.
+    """
+    return tuple(spec.pair.benchmarks), spec.scale.seed + spec.seed_offset
+
+
 def _run_case(spec: CaseSpec, *, index: Optional[int] = None,
               attempt: int = 1, in_worker: bool = False) -> RunResult:
     """Execute one case attempt (top-level so it is picklable for workers).
@@ -580,6 +590,15 @@ class RunResultCache:
 class SweepExecutor:
     """Runs independent simulation cases with dedupe, caching and fan-out.
 
+    Cases are simulated in *stream order*: the pending cases of a batch are
+    sorted (stably) by their workload streams, ``(pair.benchmarks,
+    scale.seed + seed_offset)``, so every mechanism that replays one
+    benchmark pair runs back to back and finds its streams in the small
+    per-process memo of
+    :meth:`~repro.workloads.generator.SyntheticWorkload.record_batches`.
+    Results are still returned in submission order; only the simulation
+    (and ``on_result``) order follows the streams.
+
     Args:
         jobs: worker processes; values above 1 use a
             :class:`~concurrent.futures.ProcessPoolExecutor`.  Defaults to
@@ -682,6 +701,12 @@ class SweepExecutor:
                 "is missing cases its assembly needs, or the shard artifacts "
                 "are incomplete")
         if pending:
+            # Stream order: cases that replay the same workload streams run
+            # back to back, so the per-process stream memo stays small.
+            ordered = sorted(zip(pending, pending_keys),
+                             key=lambda item: _stream_order(item[0]))
+            pending = [spec for spec, _ in ordered]
+            pending_keys = [key for _, key in ordered]
             if self.jobs > 1 and len(pending) > 1:
                 self._execute_parallel(pending, pending_keys, resolved)
             else:

@@ -46,10 +46,11 @@ and the flush machinery see the exact same bits through the same arrays, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .table import (ROW_DIVERSIFIER, IdentityIsolation, TableIsolation,
-                    is_owner_isolation, is_passthrough_isolation,
+from .kernelgen import make_kernel
+from .table import (IdentityIsolation, TableIsolation, is_owner_isolation,
+                    is_passthrough_isolation, row_diversifier_vector,
                     supports_fused_xor)
 from ..types import BranchType
 
@@ -143,8 +144,8 @@ class BranchTargetBuffer:
         # mask-cache protocol; the per-set row-diversifier vectors are
         # thread-independent and built lazily.
         self._xor_masks: dict = {}
-        self._tag_row_keys: Optional[List[int]] = None
-        self._target_row_keys: Optional[List[int]] = None
+        self._tag_row_keys: Optional[Tuple[int, ...]] = None
+        self._target_row_keys: Optional[Tuple[int, ...]] = None
         # Per-thread conditional-probe kernels (generated, way walk
         # unrolled) and the compiled kernel code objects, keyed by isolation
         # arm.  Registered as a second mask cache under XOR policies so key
@@ -215,18 +216,15 @@ class BranchTargetBuffer:
 
     # -- fused-XOR mask maintenance -------------------------------------------
     def _row_diversifier_keys(self) -> None:
-        """Build the per-set row-diffusion vectors (thread-independent)."""
+        """Bind the per-set row-diffusion vectors (thread-independent,
+        shared by every BTB of the same geometry)."""
         if self._tag_row_keys is not None:
             return
-        if getattr(self._isolation, "_row_diversified", False):
-            self._tag_row_keys = [(s * ROW_DIVERSIFIER) & self._tag_mask
-                                  for s in range(self._n_sets)]
-            self._target_row_keys = [(s * ROW_DIVERSIFIER) & self._target_mask
-                                     for s in range(self._n_sets)]
-        else:
-            zeros = [0] * self._n_sets
-            self._tag_row_keys = zeros
-            self._target_row_keys = zeros
+        diversified = getattr(self._isolation, "_row_diversified", False)
+        self._tag_row_keys = row_diversifier_vector(
+            self._n_sets, self._tag_mask if diversified else 0)
+        self._target_row_keys = row_diversifier_vector(
+            self._n_sets, self._target_mask if diversified else 0)
 
     def _build_xor_masks(self, thread_id: int) -> tuple:
         """(Re)compute the fused-XOR masks for one hardware thread."""
@@ -298,12 +296,6 @@ class BranchTargetBuffer:
                     masks = self._build_xor_masks(thread_id)
                 diversified = bool(getattr(self._isolation,
                                            "_row_diversified", False))
-            key = (arm, diversified)
-            code = self._kernel_code.get(key)
-            if code is None:
-                source = self._cond_kernel_source(arm, diversified)
-                code = compile(source, f"<btb-kernel {key}>", "exec")
-                self._kernel_code[key] = code
             namespace = {
                 "valid": self._valid, "tags": self._tags,
                 "targets": self._targets, "types": self._types,
@@ -318,9 +310,10 @@ class BranchTargetBuffer:
                 if diversified:
                     namespace["TRK"] = self._tag_row_keys
                     namespace["GRK"] = self._target_row_keys
-            exec(code, namespace)
-            kernel = namespace.pop("_kernel")
-            kernel.arm = arm
+            kernel = make_kernel(
+                self._kernel_code, ("btb", arm, diversified),
+                lambda: self._cond_kernel_source(arm, diversified),
+                namespace, arm)
         else:
             # Non-XOR encoders (or forced generic dispatch): the exact
             # generic two-call sequence.

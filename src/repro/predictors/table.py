@@ -44,17 +44,27 @@ retains the full read/write/flush API.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from functools import lru_cache
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = ["TableIsolation", "IdentityIsolation", "PredictorTable",
            "PackedCounterTable", "is_passthrough_isolation",
-           "is_owner_isolation", "supports_fused_xor", "ROW_DIVERSIFIER"]
+           "is_owner_isolation", "supports_fused_xor", "ROW_DIVERSIFIER",
+           "row_diversifier_vector"]
 
 _NO_OWNER = -1
 
 #: Multiplier of the per-row key diffusion used by row-diversified content
 #: encoding (must match ``XorContentIsolation._content_key``).
 ROW_DIVERSIFIER = 0x45D9F3B
+
+
+@lru_cache(maxsize=64)
+def row_diversifier_vector(n_rows: int, mask: int) -> Tuple[int, ...]:
+    """``(row * ROW_DIVERSIFIER) & mask`` for every row, built once per
+    ``(n_rows, mask)`` and shared (hence immutable); ``mask=0`` gives the
+    zero vector of a non-diversified policy."""
+    return tuple((row * ROW_DIVERSIFIER) & mask for row in range(n_rows))
 
 
 class TableIsolation:
@@ -210,7 +220,7 @@ class PredictorTable:
             storage[storage_offset:storage_offset + n_entries] = \
                 [reset_value] * n_entries
         self._owner: List[int] = [_NO_OWNER] * n_entries
-        self._row_keys: Optional[List[int]] = None
+        self._row_keys: Optional[Tuple[int, ...]] = None
         self._attach_isolation(isolation if isolation is not None else _IDENTITY)
 
     def _attach_isolation(self, isolation: TableIsolation) -> None:
@@ -260,21 +270,19 @@ class PredictorTable:
         self.flush()
 
     # -- fused-XOR mask maintenance -------------------------------------------
-    def row_diversifier_keys(self) -> List[int]:
+    def row_diversifier_keys(self) -> Tuple[int, ...]:
         """Per-row content-key diffusion values (thread-independent).
 
         Row-diversified content encoding XORs ``(row * ROW_DIVERSIFIER)``
         (width-masked) into the content key; a non-diversified policy uses a
-        zero vector.  Cached, since the vector only depends on the table
-        geometry and the policy's ``row_diversified`` flag.
+        zero vector.  The vector only depends on the table geometry and the
+        policy's ``row_diversified`` flag, so it comes from the shared
+        :func:`row_diversifier_vector` cache.
         """
         if self._row_keys is None:
-            if getattr(self._isolation, "_row_diversified", False):
-                mask = self._value_mask
-                self._row_keys = [(row * ROW_DIVERSIFIER) & mask
-                                  for row in range(self._n_entries)]
-            else:
-                self._row_keys = [0] * self._n_entries
+            diversified = getattr(self._isolation, "_row_diversified", False)
+            self._row_keys = row_diversifier_vector(
+                self._n_entries, self._value_mask if diversified else 0)
         return self._row_keys
 
     def _build_xor_masks(self, thread_id: int) -> tuple:

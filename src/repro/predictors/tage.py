@@ -56,7 +56,8 @@ from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
 from .kernelgen import make_kernel, storage_arm
-from .table import PredictorTable, TableIsolation, supports_fused_xor
+from .table import (PredictorTable, TableIsolation, row_diversifier_vector,
+                    supports_fused_xor)
 
 __all__ = ["TageConfig", "TagePredictor", "geometric_history_lengths"]
 
@@ -254,7 +255,8 @@ class TagePredictor(DirectionPredictor):
         # base-PHT masks.  ``False`` marks a thread on the generic arm
         # (non-XOR encoders, forced generic dispatch).
         self._kernel_masks: Dict[int, object] = {}
-        self._zero_base_row_keys = [0] * self._base_words.n_entries
+        self._zero_base_row_keys = row_diversifier_vector(
+            self._base_words.n_entries, 0)
         # Per-thread specialised kernels (generated functions, see
         # ``_build_exec_fn``) and their code objects, keyed by arm.  The
         # kernels close over per-thread masks and state, so they register

@@ -17,6 +17,13 @@ The static population is a pure function of ``(profile, seed, text_base)``,
 so it is built once per process and shared: every mechanism of a paired
 comparison replays the same population.  It is held as immutable per-site
 columns (:class:`_Population`); each stream keeps its own mutable state.
+
+The record stream is a pure function of ``(profile, seed, text_base, n,
+seed_offset)`` too, so :meth:`SyntheticWorkload.record_batches` memoizes it
+the same way: the batches generated so far are kept, shared and never
+mutated, and every caller replays them through its own cursor.  The memo
+holds a few streams only (:data:`_STREAM_MEMO_SIZE`); the sweep executor
+runs the cases that share a stream back to back, so that suffices.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import os
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Tuple
@@ -169,6 +179,61 @@ def _population(profile: BenchmarkProfile, seed: int,
         call_sites=call_sites, indirect_sites=tuple(indirect_sites))
 
 
+#: Bound of the per-process stream memo, in streams.  The sweep executor
+#: orders cases by stream, so consecutive cases replay the streams of one
+#: benchmark pair and seed; a handful of entries then catches nearly every
+#: replay while a process never holds more than a few streams' batches.
+_STREAM_MEMO_SIZE = 8
+
+
+class _Stream:
+    """One memoized record stream: the batches generated so far and the
+    live generator that extends them on demand.
+
+    ``batches`` only ever grows, and a batch is never mutated once
+    appended, so any number of cursors may replay it.  ``lock`` serialises
+    extension (the service runs jobs on threads of one process, and a
+    generator cannot be resumed concurrently).
+    """
+
+    __slots__ = ("batches", "source", "lock")
+
+    def __init__(self, source: Iterator[List[tuple]]) -> None:
+        self.batches: List[List[tuple]] = []
+        self.source = source
+        self.lock = threading.Lock()
+
+    def replay(self) -> Iterator[List[tuple]]:
+        """A fresh cursor over the stream, extending it past its end."""
+        batches = self.batches
+        index = 0
+        while True:
+            if index == len(batches):
+                with self.lock:
+                    if index == len(batches):
+                        batches.append(next(self.source))
+            yield batches[index]
+            index += 1
+
+
+#: Stream key -> :class:`_Stream`, least recently opened first.
+_streams: "OrderedDict[tuple, _Stream]" = OrderedDict()
+_streams_lock = threading.Lock()
+
+
+def _reset_streams_after_fork() -> None:
+    """Start a forked child with an empty memo and a fresh lock: a thread
+    of the parent may have held a lock at the fork, and it never releases
+    it in the child."""
+    global _streams_lock
+    _streams.clear()
+    _streams_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; no fork, no hazard
+    os.register_at_fork(after_in_child=_reset_streams_after_fork)
+
+
 class SyntheticWorkload:
     """Reproducible branch-trace stream for one benchmark profile.
 
@@ -184,6 +249,7 @@ class SyntheticWorkload:
             profile = get_profile(profile)
         self.profile: BenchmarkProfile = profile
         self.seed = seed
+        self._text_base = text_base
         self._population = _population(profile, seed, text_base)
         self._mean_gap = max(1.0, 1.0 / max(profile.branch_ratio, 1e-3) - 1.0)
 
@@ -217,8 +283,7 @@ class SyntheticWorkload:
 
     # -- trace generation --------------------------------------------------------
     def record_batches(self, n: int = 1024,
-                       seed_offset: int = 0, *,
-                       gap_block=None) -> Iterator[List[tuple]]:
+                       seed_offset: int = 0) -> Iterator[List[tuple]]:
         """Endless stream of branch-record *batches* (the engine hot path).
 
         Each yielded batch is a list of at least ``n`` plain tuples
@@ -233,32 +298,48 @@ class SyntheticWorkload:
         ``n`` because loop bodies and call/return pairs are emitted
         atomically.
 
-        The tuple stream is the *primary* generator: :meth:`records` is a thin
-        wrapper around it, so both APIs produce identical traces for the same
-        ``(profile, seed, seed_offset)`` and experiments may freely mix them.
-        Pre-generating tuples in chunks removes the per-branch generator
-        resume and :class:`BranchRecord` allocation cost from the simulation
-        loop.
-
-        The stream walks an *active working set* of branch sites that drifts
-        slowly over the full static population: real programs execute within a
-        phase (a loop nest, a function neighbourhood) and revisit the same
-        branches many times before moving on.  This is what gives predictors
-        something to warm up — and what a flush or key change throws away.
+        The stream is memoized per process on its full identity
+        ``(profile, seed, text_base, n, seed_offset)`` (and the workload
+        class, so a subclass never replays its parent's stream), and
+        every call returns a new cursor over the shared batches, which the
+        live generator extends whenever a cursor runs past the cached end.
+        Callers must treat the yielded lists as read-only.  The memo keeps
+        the :data:`_STREAM_MEMO_SIZE` most recently opened streams; an
+        evicted stream is regenerated, identically, on its next call.
 
         Args:
             n: minimum number of records per yielded batch.
             seed_offset: perturbs the dynamic RNG so the same workload can be
                 replayed with a different interleaving (used by SMT runs to
                 decorrelate the two copies of a benchmark).
-            gap_block: optional bulk gap sampler
-                ``gap_block(rng, count, neg_mean_gap) -> [gap, ...]`` used
-                for whole loop bursts.  It must consume exactly ``count``
-                ``rng.random()`` draws and return the same
-                ``int(log(1 - u) * neg_mean_gap) + 1`` values the scalar
-                path would produce, so the record stream stays
-                bit-identical (the numpy backend supplies a vectorized
-                implementation).
+        """
+        key = (type(self), self.profile, self.seed, self._text_base, n,
+               seed_offset)
+        with _streams_lock:
+            stream = _streams.get(key)
+            if stream is None:
+                stream = _streams[key] = _Stream(self._generate(n, seed_offset))
+                if len(_streams) > _STREAM_MEMO_SIZE:
+                    _streams.popitem(last=False)
+            else:
+                _streams.move_to_end(key)
+        return stream.replay()
+
+    def _generate(self, n: int, seed_offset: int) -> Iterator[List[tuple]]:
+        """Generate the record stream of :meth:`record_batches` afresh.
+
+        The tuple stream is the *primary* generator: :meth:`records` is a
+        thin wrapper around it, so both APIs produce identical traces for the
+        same ``(profile, seed, seed_offset)`` and experiments may freely mix
+        them.  Pre-generating tuples in chunks removes the per-branch
+        generator resume and :class:`BranchRecord` allocation cost from the
+        simulation loop.
+
+        The stream walks an *active working set* of branch sites that drifts
+        slowly over the full static population: real programs execute within a
+        phase (a loop nest, a function neighbourhood) and revisit the same
+        branches many times before moving on.  This is what gives predictors
+        something to warm up — and what a flush or key change throws away.
         """
         profile = self.profile
         rng = random.Random((_stable_hash(profile.name)
@@ -377,24 +458,12 @@ class SyntheticWorkload:
                 pc = site_pc[site_index]
                 target = site_target[site_index]
                 # Emit the whole loop: (trip - 1) taken back-edges, then exit.
-                if gap_block is not None and trip >= 4:
-                    # Draw all `trip` gaps in one bulk call; the hook must
-                    # replay rng.random() bit-exactly (same draws, same
-                    # order), so both paths yield identical records.
-                    gaps = gap_block(rng, trip, neg_mean_gap)
-                    last = trip - 1
-                    batch.extend(
-                        (pc, True, target, conditional, gaps[k], False)
-                        for k in range(last))
-                    append((pc, False, target, conditional, gaps[last], False))
-                else:
-                    for _ in range(trip - 1):
-                        append((pc, True, target, conditional,
-                                int(log(1.0 - random_()) * neg_mean_gap) + 1,
-                                False))
-                    append((pc, False, target, conditional,
+                for _ in range(trip - 1):
+                    append((pc, True, target, conditional,
                             int(log(1.0 - random_()) * neg_mean_gap) + 1,
                             False))
+                append((pc, False, target, conditional,
+                        int(log(1.0 - random_()) * neg_mean_gap) + 1, False))
             else:
                 if kind == pattern_kind:
                     period = site_period[site_index]
@@ -441,15 +510,18 @@ class SyntheticWorkload:
     def records(self, seed_offset: int = 0) -> Iterator[BranchRecord]:
         """Endless stream of branch records (one :class:`BranchRecord` each).
 
-        Implemented on top of :meth:`record_batches`, so both APIs emit the
-        same deterministic trace for the same ``(profile, seed, seed_offset)``.
+        Implemented on top of the same generator as :meth:`record_batches`,
+        so both APIs emit the same deterministic trace for the same
+        ``(profile, seed, seed_offset)``.  It generates afresh instead of
+        replaying the stream memo, so the scalar engines (the oracle of the
+        batched ones) never read what they check.
 
         Args:
             seed_offset: perturbs the dynamic RNG so the same workload can be
                 replayed with a different interleaving (used by SMT runs to
                 decorrelate the two copies of a benchmark).
         """
-        for batch in self.record_batches(256, seed_offset):
+        for batch in self._generate(256, seed_offset):
             for pc, taken, target, branch_type, instructions, syscall in batch:
                 yield BranchRecord(pc, taken, target, branch_type,
                                    instructions - 1, syscall)

@@ -3,12 +3,9 @@
 Every helper here replaces a scalar loop somewhere in the hot path, and
 each one promises *bit-identity* with that loop — not approximation.
 These tests replay the scalar reference next to the vectorized form over
-randomized inputs and require equality draw-for-draw, including the
-Mersenne-Twister generator state (so the surrounding record stream stays
-aligned).
+randomized inputs and require exact equality.
 """
 
-import math
 import random
 
 import pytest
@@ -16,56 +13,12 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.engine.numpy_backend import (  # noqa: E402
-    _GAP_BULK_MIN,
     _bit_ext,
-    _bulk_uniforms,
     _chunk_fold,
     _fold_trajectory,
-    _gap_block,
     _lane_groups,
 )
 from repro.predictors.tage import TagePredictor  # noqa: E402
-from repro.workloads.generator import make_workload  # noqa: E402
-
-
-class TestBulkUniforms:
-    @pytest.mark.parametrize("count", [1, 2, 7, 64, 333, 1024])
-    def test_matches_scalar_random_and_generator_state(self, count):
-        seed = 0xC0FFEE ^ count
-        scalar_rng = random.Random(seed)
-        bulk_rng = random.Random(seed)
-        expected = [scalar_rng.random() for _ in range(count)]
-        got = _bulk_uniforms(bulk_rng, count)
-        assert got.tolist() == expected  # float64-exact, not approx
-        # Same words consumed: both generators continue identically.
-        assert bulk_rng.getrandbits(64) == scalar_rng.getrandbits(64)
-
-
-class TestGapBlock:
-    @staticmethod
-    def _scalar(rng, count, neg_mean_gap):
-        return [int(math.log(1.0 - rng.random()) * neg_mean_gap) + 1
-                for _ in range(count)]
-
-    @pytest.mark.parametrize("count", [4, _GAP_BULK_MIN - 1, _GAP_BULK_MIN,
-                                       500, 4096])
-    @pytest.mark.parametrize("mean_gap", [1.5, 9.0, 40.0])
-    def test_matches_scalar_gaps_and_generator_state(self, count, mean_gap):
-        seed = count * 31 + int(mean_gap)
-        scalar_rng = random.Random(seed)
-        bulk_rng = random.Random(seed)
-        expected = self._scalar(scalar_rng, count, -mean_gap)
-        got = _gap_block(bulk_rng, count, -mean_gap)
-        assert got == expected
-        assert bulk_rng.getrandbits(64) == scalar_rng.getrandbits(64)
-
-    def test_many_seeds_cover_boundary_draws(self):
-        """Sweep enough draws that integer-boundary cases appear."""
-        for seed in range(40):
-            scalar_rng = random.Random(seed)
-            bulk_rng = random.Random(seed)
-            expected = self._scalar(scalar_rng, 1000, -25.0)
-            assert _gap_block(bulk_rng, 1000, -25.0) == expected
 
 
 class TestFoldTrajectory:
@@ -142,15 +95,3 @@ class TestChunkFold:
                           width, mask)
         assert got.tolist() == expected
 
-
-class TestRecordBatchesGapBlock:
-    @pytest.mark.parametrize("name", ["gcc", "mcf", "povray", "milc"])
-    def test_stream_identical_with_bulk_gaps(self, name):
-        """``record_batches(gap_block=...)`` must not perturb the stream."""
-        seed = sum(map(ord, name))
-        scalar = make_workload(name, seed=seed)
-        bulk = make_workload(name, seed=seed)
-        it_scalar = scalar.record_batches(512)
-        it_bulk = bulk.record_batches(512, gap_block=_gap_block)
-        for _ in range(8):
-            assert next(it_bulk) == next(it_scalar)

@@ -1,6 +1,6 @@
 """Byte-for-byte pin of every ``repro run all`` output at scale 0.05.
 
-The figure goldens in :mod:`test_golden_traces` pin a few drivers at a
+The figure goldens in :mod:`test_golden_traces` pin a few figures at a
 hand-picked smoke scale.  This fixture pins the *whole* manifest as the
 CLI produces it: every experiment's JSON result and ``summary.json`` of
 ``repro run all --scale 0.05``, compared as bytes.  Any change to the

@@ -105,6 +105,19 @@ class TestBtbBasics:
 
 
 class TestBtbWithIsolation:
+    def test_same_geometry_shares_kernel_code_and_row_keys(self):
+        first, second = (
+            BranchTargetBuffer(64, 2, isolation=XorContentIsolation(
+                KeyManager(seed=seed)))
+            for seed in (4, 5))
+        for btb in (first, second):
+            assert btb.exec_conditional_kernel(0).arm == "fused-xor"
+        key = ("btb", "fused-xor", True)
+        # One compile per distinct kernel source and process.
+        assert first._kernel_code[key] is second._kernel_code[key]
+        assert first._tag_row_keys is second._tag_row_keys
+        assert isinstance(first._target_row_keys, tuple)
+
     def test_same_thread_roundtrip_under_xor(self):
         btb = BranchTargetBuffer(64, 2, isolation=XorContentIsolation(KeyManager(seed=4)))
         btb.update(0x4000, 0x12345678, thread_id=0)

@@ -11,6 +11,7 @@ from repro.core.isolation import (
 )
 from repro.core.keys import KeyManager
 from repro.predictors.table import (
+    ROW_DIVERSIFIER,
     IdentityIsolation,
     PackedCounterTable,
     PredictorTable,
@@ -91,6 +92,20 @@ class TestPredictorTableBasics:
 
 
 class TestPredictorTableWithIsolation:
+    def test_row_diversifier_vector_is_shared_and_immutable(self):
+        first = PredictorTable(
+            64, 12, isolation=XorContentIsolation(KeyManager(seed=1)))
+        second = PredictorTable(
+            64, 12, isolation=XorContentIsolation(KeyManager(seed=2)))
+        keys = first.row_diversifier_keys()
+        assert isinstance(keys, tuple)
+        assert second.row_diversifier_keys() is keys
+        assert keys == tuple((row * ROW_DIVERSIFIER) & 0xFFF
+                             for row in range(64))
+        plain = PredictorTable(64, 12, isolation=XorContentIsolation(
+            KeyManager(seed=1), row_diversified=False))
+        assert plain.row_diversifier_keys() == (0,) * 64
+
     def test_same_thread_roundtrip_under_content_encoding(self):
         iso = XorContentIsolation(KeyManager(seed=1))
         table = PredictorTable(32, 8, isolation=iso)
