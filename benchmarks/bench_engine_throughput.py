@@ -76,7 +76,8 @@ SWEEP_PREDICTORS = ("tage", "gshare")
 
 #: Direction predictors with a generated ``exec_kernel`` (``--predictor``);
 #: the numpy backend vectorizes only the first two.
-KERNEL_PREDICTORS = ("tage", "gshare", "tournament", "ltage", "tage_sc_l")
+KERNEL_PREDICTORS = ("tage", "gshare", "tournament", "ltage", "tage_sc_l",
+                     "bimodal")
 NUMPY_PREDICTORS = ("tage", "gshare")
 
 #: Backend sweep: the presets whose hot loop the numpy window kernels

@@ -383,15 +383,32 @@ def leakage_mi_ci(estimate, *, confidence: float = 0.95, n_boot: int = 1000,
         running += count
         cumulative.append(running / total)
     # A draw lands in the first cell whose cumulative bound exceeds it.
-    # The last bound is exactly 1.0 and draws are below 1.0, so bisect
-    # always finds a cell.
+    # The last bound is exactly 1.0 and draws are below 1.0, so a draw
+    # past every other bound lands in the last cell.  The leakage tables
+    # are 2×2, whose tally compares inline; other shapes bisect.
+    square = len(counts) == 4 and width == 2
+    bound0, bound1, bound2 = cumulative[:3] if square else (0.0, 0.0, 0.0)
     rng = random.Random(seed)
     draw = rng.random
     estimates = []
     for _ in range(n_boot):
-        tally = [0] * len(counts)
-        for _ in range(total):
-            tally[bisect.bisect_right(cumulative, draw())] += 1
+        if square:
+            t0 = t1 = t2 = t3 = 0
+            for _ in range(total):
+                u = draw()
+                if u < bound0:
+                    t0 += 1
+                elif u < bound1:
+                    t1 += 1
+                elif u < bound2:
+                    t2 += 1
+                else:
+                    t3 += 1
+            tally = [t0, t1, t2, t3]
+        else:
+            tally = [0] * len(counts)
+            for _ in range(total):
+                tally[bisect.bisect_right(cumulative, draw())] += 1
         estimates.append(mutual_information(
             [tally[row:row + width] for row in range(0, len(tally), width)]))
     estimates.sort()

@@ -20,6 +20,7 @@ branches).  This module provides:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +97,10 @@ class AttackEnvironment:
         self.attacker_thread = 1 if smt else 0
         self._running = "attacker"
         self.context_switches = 0
+        # Per-thread (direction kernel, BTB probe kernel) pairs, fetched on
+        # a thread's first conditional commit and dropped after every
+        # switch notification this environment issues (the engines' rule).
+        self._kernels: dict = {}
 
     # -- scheduling -------------------------------------------------------------
     def _switch(self, to: str) -> None:
@@ -104,6 +109,7 @@ class AttackEnvironment:
         # On a single-threaded core the OS switches contexts; the isolation
         # mechanism regenerates keys / flushes at this point.
         self.bpu.notify_context_switch(self.victim_thread)
+        self._kernels.clear()
         self.context_switches += 1
         self._running = to
 
@@ -115,28 +121,62 @@ class AttackEnvironment:
         """Schedule the attacker context."""
         self._switch("attacker")
 
+    def victim_privilege_switch(self, privilege: Privilege) -> None:
+        """The victim's context changes privilege level (no context switch)."""
+        self.bpu.notify_privilege_switch(self.victim_thread, privilege)
+        self._kernels.clear()
+
     def victim_syscall(self) -> None:
         """The victim performs a system call (privilege round trip)."""
-        self.bpu.notify_privilege_switch(self.victim_thread, Privilege.KERNEL)
-        self.bpu.notify_privilege_switch(self.victim_thread, Privilege.USER)
+        self.victim_privilege_switch(Privilege.KERNEL)
+        self.victim_privilege_switch(Privilege.USER)
 
     # -- execution helpers --------------------------------------------------------
-    # Both commit through the unit's fused ``execute_branch_fast``, the
-    # path the batched engines use; the scalar ``execute_branch`` stays the
-    # parity oracle (tests/attacks/test_attack_fastpath.py).
+    def commit(self, pc: int, taken: bool, target: int,
+               branch_type: BranchType, thread_id: int) -> None:
+        """Commit one branch on a hardware thread, with no scheduling.
+
+        The single commit point of every attacker and victim branch.  A
+        conditional branch runs the thread's direction and BTB probe
+        kernels, as the batched engines do; other branch types go through
+        the unit's fused ``execute_branch_fast``.  The scalar
+        ``execute_branch`` is the parity oracle swapped in here
+        (tests/attacks/test_attack_fastpath.py).
+        """
+        if branch_type is not BranchType.CONDITIONAL:
+            self.bpu.execute_branch_fast(pc, taken, target, branch_type,
+                                         thread_id)
+            return
+        kernels = self._kernels.get(thread_id)
+        if kernels is None:
+            kernels = self._kernels[thread_id] = self._fetch_kernels(thread_id)
+        kernels[0](pc, taken)
+        kernels[1](pc, target, taken)
+
+    def _fetch_kernels(self, thread_id: int) -> tuple:
+        direction = self.bpu.direction
+        btb = self.bpu.btb
+        exec_kernel = getattr(direction, "exec_kernel", None)
+        if exec_kernel is not None:
+            dir_execute = exec_kernel(thread_id)
+        else:
+            dir_execute = functools.partial(direction.execute,
+                                            thread_id=thread_id)
+        return dir_execute, btb.exec_conditional_kernel(thread_id)
+
     def victim_branch(self, pc: int, taken: bool, target: int,
                       branch_type: BranchType = BranchType.CONDITIONAL) -> None:
         """The victim commits one branch."""
-        self.run_as_victim()
-        self.bpu.execute_branch_fast(pc, taken, target, branch_type,
-                                     self.victim_thread)
+        if self._running != "victim":  # run_as_victim(), minus two calls
+            self._switch("victim")
+        self.commit(pc, taken, target, branch_type, self.victim_thread)
 
     def attacker_branch(self, pc: int, taken: bool, target: int,
                         branch_type: BranchType = BranchType.CONDITIONAL) -> None:
         """The attacker commits one branch."""
-        self.run_as_attacker()
-        self.bpu.execute_branch_fast(pc, taken, target, branch_type,
-                                     self.attacker_thread)
+        if self._running != "attacker":
+            self._switch("attacker")
+        self.commit(pc, taken, target, branch_type, self.attacker_thread)
 
     # -- attacker observations -----------------------------------------------------
     def attacker_predicted_direction(self, pc: int) -> bool:

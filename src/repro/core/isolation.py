@@ -249,8 +249,9 @@ class XorContentIsolation(IsolationMechanism):
         #: sbox / shift_xor keep the generic dispatch path).
         self.supports_fused_xor = self._plain_xor
         # Derived keys are deterministic for a (thread, table, width) triple
-        # until the thread's key is regenerated, so they are cached and the
-        # cache is invalidated per thread on every switch notification.
+        # until the thread's key is regenerated, so they are cached — one
+        # dict per thread, keyed by (table id, width, purpose) — and a
+        # thread's dict is dropped whole on every switch notification.
         self._key_cache: dict = {}
         # Fused-XOR mask caches of registered storage structures, keyed by
         # owner id: owner -> (cache dict, weak per-thread rebuild callable).
@@ -303,9 +304,7 @@ class XorContentIsolation(IsolationMechanism):
         return 0
 
     def _invalidate_keys(self, thread_id: int) -> None:
-        stale = [k for k in self._key_cache if k[0] == thread_id]
-        for k in stale:
-            del self._key_cache[k]
+        self._key_cache.pop(thread_id, None)
         for cache, _ in self._mask_caches.values():
             cache.pop(thread_id, None)
 
@@ -320,8 +319,11 @@ class XorContentIsolation(IsolationMechanism):
     def _base_key(self, thread_id: int, width_bits: int, table: object,
                   purpose: int = 0) -> int:
         """Per-(thread, table, width, purpose) key, cached until a switch."""
-        cache_key = (thread_id, id(table), width_bits, purpose)
-        key = self._key_cache.get(cache_key)
+        keys = self._key_cache.get(thread_id)
+        if keys is None:
+            keys = self._key_cache[thread_id] = {}
+        cache_key = (id(table), width_bits, purpose)
+        key = keys.get(cache_key)
         if key is None:
             salt = (_table_salt(table) if self._per_table_keys else 0) ^ purpose
             if self._per_table_keys:
@@ -330,7 +332,7 @@ class XorContentIsolation(IsolationMechanism):
                 key = self.key_manager.index_key(thread_id, width_bits)
             else:
                 key = self.key_manager.content_key(thread_id, width_bits)
-            self._key_cache[cache_key] = key
+            keys[cache_key] = key
         return key
 
     def _content_key(self, thread_id: int, width_bits: int, table: object,

@@ -235,23 +235,19 @@ class _IsolationGroup:
     key_manager: KeyManager
     config: ProtectionConfig = field(default_factory=ProtectionConfig)
 
+    def __post_init__(self) -> None:
+        # Each distinct mechanism is notified once, in first-seen order.
+        self._unique = list({id(m): m for m in self.mechanisms}.values())
+
     @property
     def name(self) -> str:
         """Preset name of the grouped configuration."""
         return self.config.name
 
     def on_context_switch(self, thread_id: int) -> None:
-        seen = set()
-        for mechanism in self.mechanisms:
-            if id(mechanism) in seen:
-                continue
-            seen.add(id(mechanism))
+        for mechanism in self._unique:
             mechanism.on_context_switch(thread_id)
 
     def on_privilege_switch(self, thread_id: int, privilege: int) -> None:
-        seen = set()
-        for mechanism in self.mechanisms:
-            if id(mechanism) in seen:
-                continue
-            seen.add(id(mechanism))
+        for mechanism in self._unique:
             mechanism.on_privilege_switch(thread_id, privilege)

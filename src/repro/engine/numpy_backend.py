@@ -542,12 +542,13 @@ class _Fetch:
     """Backend fetch wrapper for one structure.
 
     Caches one window kernel per thread, keyed to the identity of the
-    reference kernel it shadows — every event that invalidates the
-    reference kernel (flush, rekey, stats reset, forced generic
-    dispatch) therefore invalidates the window kernel too.  A wrapper
-    lives as long as the run that fetched it; nothing outside the run
-    keeps the structure alive.  Subclasses supply
-    ``_build(thread_id, base)``.
+    reference kernel it shadows and to ``_stamp(thread_id)`` — every
+    event that invalidates the reference kernel (flush, rekey, stats
+    reset, forced generic dispatch) therefore invalidates the window
+    kernel too, including a rekey that rebinds the reference kernel's
+    masks in place.  A wrapper lives as long as the run that fetched it;
+    nothing outside the run keeps the structure alive.  Subclasses
+    supply ``_build(thread_id, base)``.
     """
 
     def __init__(self, structure, reference) -> None:
@@ -557,12 +558,18 @@ class _Fetch:
 
     def __call__(self, thread_id: int = 0):
         base = self._reference(thread_id)
+        stamp = self._stamp(thread_id)
         cached = self._kernels.get(thread_id)
-        if cached is not None and cached[0] is base:
-            return cached[1]
+        if cached is not None and cached[0] is base and cached[1] is stamp:
+            return cached[2]
         fn = self._build(thread_id, base)
-        self._kernels[thread_id] = (base, fn)
+        self._kernels[thread_id] = (base, stamp, fn)
         return fn
+
+    def _stamp(self, thread_id: int):
+        """What, besides the reference kernel's identity, the window
+        kernel was built from (nothing, unless overridden)."""
+        return None
 
 
 class _TageFetch(_Fetch):
@@ -842,6 +849,11 @@ class _BtbFetch(_Fetch):
 
     def __init__(self, btb: BranchTargetBuffer) -> None:
         super().__init__(btb, btb.exec_conditional_kernel)
+
+    def _stamp(self, thread_id: int):
+        # The reference kernel survives a rekey with new masks bound, and
+        # the window precompute captures the masks: key on them too.
+        return self._s._xor_masks.get(thread_id)
 
     def _build(self, thread_id: int, base):
         arm = getattr(base, "arm", "generic")

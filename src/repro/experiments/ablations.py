@@ -96,13 +96,13 @@ def _cross_privilege_training_rate(rotate_on_privilege: bool,
         # The same software context enters the kernel, which executes an
         # indirect branch at the aliased address: no context switch occurs,
         # only a privilege switch.
-        env.bpu.notify_privilege_switch(env.victim_thread, Privilege.KERNEL)
+        env.victim_privilege_switch(Privilege.KERNEL)
         result = env.bpu.btb.lookup(SHARED_CALL_PC, env.victim_thread)
         if result.hit and result.target == MALICIOUS_TARGET:
             successes += 1
-        env.bpu.execute_branch_fast(SHARED_CALL_PC, True, LEGITIMATE_TARGET,
-                                    BranchType.INDIRECT, env.victim_thread)
-        env.bpu.notify_privilege_switch(env.victim_thread, Privilege.USER)
+        env.commit(SHARED_CALL_PC, True, LEGITIMATE_TARGET,
+                   BranchType.INDIRECT, env.victim_thread)
+        env.victim_privilege_switch(Privilege.USER)
     bpu.release_kernels()
     return successes / iterations
 

@@ -30,13 +30,15 @@ only at switch time via the mask-cache registration protocol on
 check is applied inline on the ``owner`` field the same way.
 
 On top of the arrays, the conditional-branch probe is served by **per-thread
-closure kernels** (:meth:`BranchTargetBuffer.exec_conditional_kernel`): the
-geometry constants, the field arrays and the thread's decode masks are bound
-once per (thread, rekey) into a closure, so a branch pays no mask-cache
-lookup and no isolation-arm branching.  Kernels follow the same protocol as
-the generated TAGE/gshare kernels — the batched engines fetch them via the
-``exec_*_kernel`` entry point and re-fetch after every switch notification;
-key re-randomisation drops them through the registered mask cache.
+generated kernels** (:meth:`BranchTargetBuffer.exec_conditional_kernel`):
+the geometry constants are inlined, and the field arrays and the thread's
+decode masks are bound in the kernel's globals, so a branch pays no
+mask-cache lookup and no isolation-arm branching.  Kernels follow the same
+protocol as the generated TAGE/gshare kernels — the batched engines fetch
+them via the ``exec_*_kernel`` entry point and re-fetch after every switch
+notification.  Key re-randomisation marks a thread's kernel stale through
+the registered mask cache, and the next fetch writes the new masks into the
+existing kernel's globals (no re-exec).
 
 The scalar protocol (:meth:`lookup` / :meth:`update`), the attack framework
 and the flush machinery see the exact same bits through the same arrays, and
@@ -50,8 +52,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .kernelgen import make_kernel
 from .table import (IdentityIsolation, TableIsolation, is_owner_isolation,
-                    is_passthrough_isolation, row_diversifier_vector,
-                    supports_fused_xor)
+                    is_passthrough_isolation, reset_template,
+                    row_diversifier_vector, supports_fused_xor)
 from ..types import BranchType
 
 __all__ = ["BTBEntry", "BTBResult", "BranchTargetBuffer"]
@@ -148,10 +150,12 @@ class BranchTargetBuffer:
         self._target_row_keys: Optional[Tuple[int, ...]] = None
         # Per-thread conditional-probe kernels (generated, way walk
         # unrolled) and the compiled kernel code objects, keyed by isolation
-        # arm.  Registered as a second mask cache under XOR policies so key
-        # re-randomisation drops the kernels; the batched engines re-fetch
-        # after switch notifications.
+        # arm.  ``_cond_kernels`` holds the kernels whose masks are current;
+        # it is registered as a second mask cache under XOR policies, so key
+        # re-randomisation evicts a thread's kernel from it while
+        # ``_kernel_pool`` keeps it for the next fetch to rebind in place.
         self._cond_kernels: Dict[int, object] = {}
+        self._kernel_pool: Dict[int, object] = {}
         self._kernel_code: Dict[tuple, object] = {}
         self._clock = 0
         self.name = "btb"
@@ -251,20 +255,20 @@ class BranchTargetBuffer:
         """Partial tag derived from the upper PC bits."""
         return (pc >> self._tag_shift) & self._tag_mask
 
-    # -- conditional-probe closure kernels ------------------------------------
+    # -- conditional-probe kernels --------------------------------------------
     def exec_conditional_kernel(self, thread_id: int = 0):
         """Return the thread's fused conditional probe ``fn(pc, target, taken)``.
 
-        The kernel is a closure over the packed field arrays, the geometry
-        constants and — under a plain-XOR policy — the thread's precomputed
-        decode masks; it performs :meth:`execute_conditional_fast` for one
+        The kernel binds the packed field arrays, the geometry constants
+        and — under a plain-XOR policy — the thread's precomputed decode
+        masks; it performs :meth:`execute_conditional_fast` for one
         hardware thread with no per-call mask lookups or isolation-arm
-        branching.  Kernels are dropped whenever the bound masks change (key
-        re-randomisation, via the isolation mask-cache protocol) or
-        :meth:`invalidate_kernels` is called; the batched engines re-fetch
-        after every switch notification.  The callable accepts (and ignores)
-        a trailing ``thread_id`` argument so engines can drive the kernel and
-        the bound method through one call shape.
+        branching.  After a key re-randomisation the next fetch returns the
+        *same* kernel with the thread's new masks written into its globals;
+        :meth:`invalidate_kernels` drops every kernel.  The batched engines
+        re-fetch after every switch notification.  The callable accepts
+        (and ignores) a trailing ``thread_id`` argument so engines can drive
+        the kernel and the bound method through one call shape.
         """
         fn = self._cond_kernels.get(thread_id)
         if fn is None:
@@ -274,9 +278,32 @@ class BranchTargetBuffer:
     def invalidate_kernels(self) -> None:
         """Drop every cached probe kernel (tests / manual flag flips)."""
         self._cond_kernels.clear()
+        self._kernel_pool.clear()
 
     def _build_cond_kernel(self, thread_id: int):
-        """Build, cache and return one thread's conditional probe kernel.
+        """Return one thread's current conditional probe kernel.
+
+        A kernel evicted by a key re-randomisation is reused: only its mask
+        globals are rewritten.  Otherwise a new kernel is built.
+        """
+        kernel = self._kernel_pool.get(thread_id)
+        if kernel is None:
+            kernel = self._kernel_pool[thread_id] = \
+                self._new_cond_kernel(thread_id)
+        elif kernel.arm == "fused-xor":
+            self._bind_kernel_masks(kernel.__globals__, thread_id)
+        self._cond_kernels[thread_id] = kernel
+        return kernel
+
+    def _bind_kernel_masks(self, namespace: dict, thread_id: int) -> None:
+        """Bind one thread's fused-XOR masks as kernel globals."""
+        masks = self._xor_masks.get(thread_id)
+        if masks is None:
+            masks = self._build_xor_masks(thread_id)
+        namespace["IK"], namespace["TK"], namespace["GK"] = masks
+
+    def _new_cond_kernel(self, thread_id: int):
+        """Build one thread's conditional probe kernel.
 
         The passthrough, fused-XOR and owner arms are *generated*: the way
         walk is unrolled with the geometry constants inlined as literals,
@@ -291,9 +318,6 @@ class BranchTargetBuffer:
                    else "owner" if self._owner_fast else "passthrough")
             diversified = False
             if encoded:
-                masks = self._xor_masks.get(thread_id)
-                if masks is None:
-                    masks = self._build_xor_masks(thread_id)
                 diversified = bool(getattr(self._isolation,
                                            "_row_diversified", False))
             namespace = {
@@ -303,10 +327,7 @@ class BranchTargetBuffer:
                 "btb": self, "OWNER": thread_id,
             }
             if encoded:
-                index_key, tag_key, target_key = masks
-                namespace["IK"] = index_key
-                namespace["TK"] = tag_key
-                namespace["GK"] = target_key
+                self._bind_kernel_masks(namespace, thread_id)
                 if diversified:
                     namespace["TRK"] = self._tag_row_keys
                     namespace["GRK"] = self._target_row_keys
@@ -327,7 +348,6 @@ class BranchTargetBuffer:
                 return result.hit, result.target
 
             kernel.arm = "generic"
-        self._cond_kernels[thread_id] = kernel
         return kernel
 
     def _cond_kernel_source(self, arm: str, diversified: bool) -> str:
@@ -478,8 +498,8 @@ class BranchTargetBuffer:
         """Fused conditional-branch probe: lookup plus update-if-taken.
 
         Behaviourally identical to :meth:`lookup_fast` followed by
-        :meth:`update` (for taken branches), but runs the thread's packed
-        closure kernel (see :meth:`exec_conditional_kernel`), which computes
+        :meth:`update` (for taken branches), but runs the thread's probe
+        kernel (see :meth:`exec_conditional_kernel`), which computes
         the set index and tag once and falls back to the two-call sequence
         when the isolation policy is neither a passthrough nor a fused-XOR
         encoder.
@@ -669,21 +689,30 @@ class BranchTargetBuffer:
     def flush(self) -> None:
         """Invalidate every entry (Complete Flush).
 
-        Fields are reset in place so references bound by the closure kernels
+        Fields are reset in place so references bound by the probe kernels
         stay valid.
         """
         total = self._n_sets * self._n_ways
-        self._valid[:] = [False] * total
-        self._owners[:] = [_NO_OWNER] * total
+        self._valid[:] = reset_template(False, total)
+        self._owners[:] = reset_template(_NO_OWNER, total)
 
     def flush_thread(self, thread_id: int) -> None:
-        """Invalidate entries installed by one hardware thread (Precise Flush)."""
+        """Invalidate entries installed by one hardware thread (Precise Flush).
+
+        The thread's ways are found by ``list.index`` (one C scan in all),
+        so the Python work is proportional to the ways it owns.
+        """
         valid = self._valid
         owners = self._owners
-        for i, owner in enumerate(owners):
-            if owner == thread_id and valid[i]:
-                valid[i] = False
-                owners[i] = _NO_OWNER
+        i = -1
+        try:
+            while True:
+                i = owners.index(thread_id, i + 1)
+                if valid[i]:
+                    valid[i] = False
+                    owners[i] = _NO_OWNER
+        except ValueError:  # no way past the last one found
+            pass
 
     # -- introspection (tests, attacks, cost model) ---------------------------
     def _entry_at(self, i: int) -> BTBEntry:

@@ -20,7 +20,13 @@ of four *arms*, chosen from the tables' storage fast-path flags:
 
 The helpers below emit one table read or write on a given arm and bind the
 names those emitted lines use, so composite predictors (LTAGE, TAGE-SC-L,
-Tournament) describe each access once and get every arm.
+Tournament) describe each access once and get every arm; the counter
+helpers build the read and the saturating train of one packed counter
+(Tournament, bimodal) on top of them.
+
+A kernel's fused-XOR masks are plain globals, so a predictor that keeps its
+kernel across a key re-randomisation rebinds them with :func:`bind_table`
+on the kernel's ``__globals__`` instead of building a new kernel.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, List
 
-from .table import PredictorTable
+from .table import PackedCounterTable, PredictorTable
 
 __all__ = ["storage_arm", "bind_table", "emit_read", "emit_write",
-           "fold_expr", "make_kernel"]
+           "emit_counter_read", "emit_counter_train", "fold_expr",
+           "make_kernel"]
 
 
 def storage_arm(tables: Iterable[PredictorTable]) -> str:
@@ -108,6 +115,45 @@ def emit_write(arm: str, name: str, table: PredictorTable, index: str,
         return [f"{pad}{_cell(name, table, index)} = {value}",
                 f"{pad}{name}_O[{index}] = TID"]
     return [f"{pad}{_cell(name, table, f'{name}_row')} = ({value}) ^ {name}_key"]
+
+
+def emit_counter_read(arm: str, name: str, pht: PackedCounterTable,
+                      index: str) -> List[str]:
+    """Lines reading the packed counter at counter index ``index`` into
+    ``{name}_ctr``, leaving its word in ``{name}_word`` and its coordinates
+    in ``{name}_index``/``{name}_shift`` for :func:`emit_counter_train`."""
+    bits = pht.counter_bits
+    cpw = pht.counters_per_word
+    if cpw & (cpw - 1) == 0:
+        word_index = f"{index} >> {cpw.bit_length() - 1}"
+        slot = f"{index} & {cpw - 1}"
+    else:
+        word_index = f"{index} // {cpw}"
+        slot = f"{index} % {cpw}"
+    return ([f"    {name}_index = {word_index}",
+             f"    {name}_shift = ({slot}) * {bits}"]
+            + emit_read(arm, name, pht.word_table, f"{name}_index",
+                        f"{name}_word")
+            + [f"    {name}_ctr = ({name}_word >> {name}_shift)"
+               f" & {(1 << bits) - 1}"])
+
+
+def emit_counter_train(arm: str, name: str, pht: PackedCounterTable,
+                       direction: str, pad: str) -> List[str]:
+    """Lines saturating ``{name}_ctr`` up when ``direction`` holds (down
+    otherwise) and writing its word back; follows
+    :func:`emit_counter_read` of the same ``name``."""
+    top = (1 << pht.counter_bits) - 1
+    vmask = pht.word_table._value_mask
+    new = (f"(({name}_word & ~({top} << {name}_shift))"
+           f" | ({name}_new << {name}_shift)) & {vmask}")
+    return [f"{pad}if {direction}:",
+            f"{pad}    {name}_new = {name}_ctr + 1 if {name}_ctr < {top}"
+            f" else {top}",
+            f"{pad}else:",
+            f"{pad}    {name}_new = {name}_ctr - 1 if {name}_ctr > 0"
+            " else 0"] + emit_write(arm, name, pht.word_table,
+                                    f"{name}_index", new, pad)
 
 
 def fold_expr(value: str, history_bits: int, folded_bits: int,

@@ -50,13 +50,21 @@ from typing import Iterable, List, Optional, Tuple
 __all__ = ["TableIsolation", "IdentityIsolation", "PredictorTable",
            "PackedCounterTable", "is_passthrough_isolation",
            "is_owner_isolation", "supports_fused_xor", "ROW_DIVERSIFIER",
-           "row_diversifier_vector"]
+           "reset_template", "row_diversifier_vector"]
 
 _NO_OWNER = -1
 
 #: Multiplier of the per-row key diffusion used by row-diversified content
 #: encoding (must match ``XorContentIsolation._content_key``).
 ROW_DIVERSIFIER = 0x45D9F3B
+
+
+@lru_cache(maxsize=64, typed=True)
+def reset_template(value, n: int) -> Tuple:
+    """``n`` copies of ``value``, built once per ``(value, n)`` and shared
+    (hence immutable): flushes reset storage by slice assignment from it.
+    Typed, so ``False`` and ``0`` templates stay distinct."""
+    return (value,) * n
 
 
 @lru_cache(maxsize=64)
@@ -265,9 +273,11 @@ class PredictorTable:
         return self._isolation
 
     def set_isolation(self, isolation: TableIsolation) -> None:
-        """Attach a different isolation policy (contents are reset)."""
+        """Attach a different isolation policy (contents and owners are
+        reset)."""
         self._attach_isolation(isolation)
         self.flush()
+        self._owner[:] = reset_template(_NO_OWNER, self._n_entries)
 
     # -- fused-XOR mask maintenance -------------------------------------------
     def row_diversifier_keys(self) -> Tuple[int, ...]:
@@ -374,27 +384,39 @@ class PredictorTable:
         """Reset every row (Complete Flush).
 
         Rows are reset in place so that shared flat storage (and any direct
-        references the fused kernels hold to it) stays valid.
+        references the fused kernels hold to it) stays valid.  Owners are
+        only ever stamped under an owner-tracking policy, so only such a
+        policy pays for resetting them.
         """
-        self._data[self._offset:self._offset + self._n_entries] = \
-            [self._reset_value] * self._n_entries
-        self._owner[:] = [_NO_OWNER] * self._n_entries
+        n = self._n_entries
+        self._data[self._offset:self._offset + n] = \
+            reset_template(self._reset_value, n)
+        if self._isolation.tracks_owner:
+            self._owner[:] = reset_template(_NO_OWNER, n)
 
     def flush_thread(self, thread_id: int) -> None:
         """Reset only rows owned by ``thread_id`` (Precise Flush).
 
         When owners are not tracked this degenerates to a complete flush,
-        which is the conservative behaviour.
+        which is the conservative behaviour.  The owner's rows are found by
+        ``list.index`` (one C scan in all), so the Python work is
+        proportional to the rows the thread owns, not to the table size.
         """
         if not self._isolation.tracks_owner:
             self.flush()
             return
+        owners = self._owner
         data = self._data
         offset = self._offset
-        for row, owner in enumerate(self._owner):
-            if owner == thread_id:
-                data[offset + row] = self._reset_value
-                self._owner[row] = _NO_OWNER
+        reset = self._reset_value
+        row = -1
+        try:
+            while True:
+                row = owners.index(thread_id, row + 1)
+                data[offset + row] = reset
+                owners[row] = _NO_OWNER
+        except ValueError:  # no row past the last one found
+            pass
 
     def rows(self) -> Iterable[int]:
         """Iterate over raw stored words (for tests and entropy analysis)."""

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional
 from .base import DirectionPrediction, DirectionPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, LocalHistoryTable, PathHistory
-from .kernelgen import (bind_table, emit_read, emit_write, fold_expr,
-                        make_kernel, storage_arm)
+from .kernelgen import (bind_table, emit_counter_read, emit_counter_train,
+                        fold_expr, make_kernel, storage_arm)
 from .table import (PackedCounterTable, PredictorTable, TableIsolation,
                     supports_fused_xor)
 
@@ -231,35 +231,7 @@ class TournamentPredictor(DirectionPredictor):
             f" ^ {fold_expr('path', path_bits, cbits)}) & {self._choice_mask}",
         ]
         for name, pht, index in self._kernel_phts():
-            bits = pht.counter_bits
-            cpw = pht.counters_per_word
-            if cpw & (cpw - 1) == 0:
-                word_index = f"{index} >> {cpw.bit_length() - 1}"
-                slot = f"{index} & {cpw - 1}"
-            else:
-                word_index = f"{index} // {cpw}"
-                slot = f"{index} % {cpw}"
-            lines.append(f"    {name}_index = {word_index}")
-            lines.append(f"    {name}_shift = ({slot}) * {bits}")
-            lines += emit_read(arm, name, pht.word_table, f"{name}_index",
-                               f"{name}_word")
-            lines.append(f"    {name}_ctr = ({name}_word >> {name}_shift)"
-                         f" & {(1 << bits) - 1}")
-
-        def train(name: str, pht: PackedCounterTable, direction: str,
-                  pad: str) -> List[str]:
-            top = (1 << pht.counter_bits) - 1
-            vmask = pht.word_table._value_mask
-            new = (f"(({name}_word & ~({top} << {name}_shift))"
-                   f" | ({name}_new << {name}_shift)) & {vmask}")
-            return [f"{pad}if {direction}:",
-                    f"{pad}    {name}_new = {name}_ctr + 1 if {name}_ctr < {top}"
-                    f" else {top}",
-                    f"{pad}else:",
-                    f"{pad}    {name}_new = {name}_ctr - 1 if {name}_ctr > 0"
-                    " else 0"] + emit_write(arm, name, pht.word_table,
-                                            f"{name}_index", new, pad)
-
+            lines += emit_counter_read(arm, name, pht, index)
         lines += [
             f"    local_taken = TL_ctr >= {1 << (self._local_pht.counter_bits - 1)}",
             f"    global_taken = TG_ctr >= {1 << (self._global_pht.counter_bits - 1)}",
@@ -273,10 +245,10 @@ class TournamentPredictor(DirectionPredictor):
             # The chooser trains only when the components disagree.
             "    if local_taken != global_taken:",
         ]
-        lines += train("TC", self._choice_pht, "global_taken == taken",
-                       "        ")
-        lines += train("TL", self._local_pht, "taken", "    ")
-        lines += train("TG", self._global_pht, "taken", "    ")
+        lines += emit_counter_train(arm, "TC", self._choice_pht,
+                                    "global_taken == taken", "        ")
+        lines += emit_counter_train(arm, "TL", self._local_pht, "taken", "    ")
+        lines += emit_counter_train(arm, "TG", self._global_pht, "taken", "    ")
         lh_mask = (1 << self._local_history.history_bits) - 1
         pc_bits = self._path._pc_bits
         lines += [

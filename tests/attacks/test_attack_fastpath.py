@@ -1,13 +1,15 @@
-"""Attack drivers on the fused fast path vs the scalar ``execute_branch`` oracle.
+"""Attack drivers on the kernel path vs the scalar ``execute_branch`` oracle.
 
-``AttackEnvironment`` commits every attacker and victim branch through
-``BranchPredictionUnit.execute_branch_fast`` (the fused path of the batched
-engines).  Each test here runs one attack study twice: once as shipped, and
-once with ``execute_branch_fast`` monkeypatched onto the scalar
-``execute_branch`` (unfused ``lookup``/``update`` pairs on every structure).
-The attack results and the final state of every unit the study built must be
-equal: raw direction-table rows and owners, every BTB way (stored fields,
-owner, LRU stamp), BTB hit counters and per-thread predictor statistics.
+``AttackEnvironment.commit`` is the single commit point of every attacker
+and victim branch: conditional branches run the thread's direction and BTB
+probe kernels (the batched engines' path), other types the unit's fused
+``execute_branch_fast``.  Each test here runs one attack study twice: once
+as shipped, and once with ``AttackEnvironment.commit`` monkeypatched onto
+the scalar ``execute_branch`` (unfused ``lookup``/``update`` pairs on every
+structure).  The attack results and the final state of every unit the study
+built must be equal: raw direction-table rows and owners, every BTB way
+(stored fields, owner, LRU stamp), BTB hit counters and per-thread predictor
+statistics.
 """
 
 import gc
@@ -19,9 +21,8 @@ import repro.attacks.covert_channel as covert_channel
 import repro.attacks.harness as harness
 import repro.experiments.ablations as ablations
 import repro.security.leakage as leakage
-from repro.attacks import ALL_ATTACKS, run_attack
+from repro.attacks import ALL_ATTACKS, AttackEnvironment, run_attack
 from repro.core.secure import BranchPredictionUnit
-from repro.types import BranchType
 
 #: (preset, config overrides): the Table 1 mechanisms, the 2-bit XOR-PHT and
 #: one non-XOR encoder, which keeps every storage access on the generic
@@ -41,9 +42,8 @@ PRESET_IDS = [preset if overrides is None else f"{preset}-sbox"
 ITERATIONS = 12
 
 
-def _scalar_execute(self, pc, taken, target,
-                    branch_type=BranchType.CONDITIONAL, thread_id=0):
-    return self.execute_branch(pc, taken, target, branch_type, thread_id)
+def _scalar_commit(self, pc, taken, target, branch_type, thread_id):
+    self.bpu.execute_branch(pc, taken, target, branch_type, thread_id)
 
 
 def _bpu_state(bpu):
@@ -75,8 +75,7 @@ def _run(study, monkeypatch, overrides, *, scalar):
 
             patch.setattr(module, "make_bpu", capture)
         if scalar:
-            patch.setattr(BranchPredictionUnit, "execute_branch_fast",
-                          _scalar_execute)
+            patch.setattr(AttackEnvironment, "commit", _scalar_commit)
         result = study()
     assert built, "the study built no branch prediction unit"
     return result, [_bpu_state(bpu) for bpu in built]
@@ -120,6 +119,8 @@ def test_leakage_matches_scalar_oracle(measure, preset, overrides, smt,
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["fast", "oracle"])
 def test_only_the_oracle_run_takes_the_scalar_path(scalar, monkeypatch):
+    """The oracle run commits every branch through ``execute_branch`` and
+    the fast run commits none that way."""
     calls = []
     real = BranchPredictionUnit.execute_branch
 
@@ -128,9 +129,19 @@ def test_only_the_oracle_run_takes_the_scalar_path(scalar, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(BranchPredictionUnit, "execute_branch", counting)
-    _run(lambda: run_attack("pht_training", "baseline", iterations=1),
-         monkeypatch, None, scalar=scalar)
-    assert bool(calls) == scalar
+    branches = []
+    for method in ("victim_branch", "attacker_branch"):
+        def counted(self, *args, _real=getattr(AttackEnvironment, method)):
+            branches.append(args)
+            return _real(self, *args)
+
+        monkeypatch.setattr(AttackEnvironment, method, counted)
+    # A PHT attack (conditional branches) and a BTB one (indirect).
+    for attack in ("pht_training", "spectre_v2_btb_training"):
+        _run(lambda: run_attack(attack, "baseline", iterations=1),
+             monkeypatch, None, scalar=scalar)
+    assert branches
+    assert len(calls) == (len(branches) if scalar else 0)
 
 
 #: Every driver that builds an attack unit, one call each.

@@ -153,6 +153,16 @@ class TestXorContentIsolation:
         iso.on_context_switch(0)
         assert iso.encode(0x1234, 16, 1, table, 3) == before
 
+    def test_switch_drops_only_the_switching_threads_keys(self):
+        iso = XorContentIsolation(KeyManager(seed=2))
+        table = PredictorTable(16, 16, isolation=iso)
+        for thread in (0, 1):
+            iso.encode(0x1234, 16, thread, table, 3)
+        kept = iso._key_cache[1]
+        iso.on_context_switch(0)
+        assert 0 not in iso._key_cache
+        assert iso._key_cache[1] is kept
+
     def test_alternative_encoder_roundtrip(self):
         iso = XorContentIsolation(KeyManager(seed=2), encoder=SboxEncoder())
         table = PredictorTable(16, 16, isolation=iso)

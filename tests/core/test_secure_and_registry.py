@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.keys import KeyManager
 from repro.core.registry import (
     PROTECTION_PRESETS,
+    _IsolationGroup,
     make_bpu,
     make_isolation,
     preset_names,
@@ -132,6 +134,28 @@ class TestRegistry:
         bpu = make_bpu("gshare", "noisy_xor_bp")
         mechanisms = bpu.isolation.mechanisms
         assert mechanisms[0].key_manager is mechanisms[1].key_manager
+
+    @pytest.mark.parametrize("switch", ["context", "privilege"])
+    def test_group_notifies_each_mechanism_once_in_order(self, switch):
+        calls = []
+
+        class Spy:
+            def __init__(self, name):
+                self.name = name
+
+            def on_context_switch(self, thread_id):
+                calls.append((self.name, thread_id))
+
+            def on_privilege_switch(self, thread_id, privilege):
+                calls.append((self.name, thread_id))
+
+        first, second = Spy("first"), Spy("second")
+        group = _IsolationGroup([first, second, first, second], KeyManager())
+        if switch == "context":
+            group.on_context_switch(1)
+        else:
+            group.on_privilege_switch(1, Privilege.KERNEL)
+        assert calls == [("first", 1), ("second", 1)]
 
     def test_group_exposes_preset_name(self):
         bpu = make_bpu("gshare", "noisy_xor_bp")

@@ -151,6 +151,23 @@ class TestKernelEngagement:
         after = fetch(0)
         assert after is not before
 
+    def test_btb_rekey_rebuilds_the_window_over_the_rebound_kernel(self):
+        """A rekey rebinds the reference BTB kernel's masks in place (same
+        object); the window kernel, whose precompute captured the old
+        masks, must be rebuilt all the same."""
+        backend = get_backend("numpy")
+        bpu = build_bpu(fpga_prototype(), "xor_bp", seed=7)
+        fetch = backend.conditional_kernel_fetch(bpu.btb)
+        base = bpu.btb.exec_conditional_kernel(0)
+        before = fetch(0)
+        assert fetch(0) is before
+        bpu.notify_context_switch(0)
+        after = fetch(0)
+        assert bpu.btb.exec_conditional_kernel(0) is base
+        assert after is not before
+        assert after.feed.__self__.precompute.tag_key \
+            == bpu.btb._xor_masks[0][1]
+
     def test_generic_direction_predictor_falls_through(self):
         """Tournament has no vectorized kernel: numpy serves the reference."""
         backend = get_backend("numpy")
