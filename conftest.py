@@ -20,11 +20,6 @@ except ImportError:  # pragma: no cover
         sys.path.insert(0, _SRC)
 
 
-#: Captured at session start: the backend CI asked the whole suite to run
-#: under (see the fixture below).  ``None`` means the default (python).
-_SESSION_BACKEND = os.environ.get("REPRO_BACKEND")
-
-
 @pytest.fixture(autouse=True)
 def _isolate_repro_env():
     """Scrub the REPRO_* knobs before every test.
@@ -45,16 +40,10 @@ def _isolate_repro_env():
                  "REPRO_CACHE_DIR", "REPRO_STORE_DIR",
                  "REPRO_CASE_TIMEOUT", "REPRO_RETRIES",
                  "REPRO_RETRY_BACKOFF", "REPRO_FAULT_SPEC",
-                 "REPRO_BACKEND", "REPRO_TRACE_DIR",
+                 "REPRO_TRACE_DIR",
                  "REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
                  "REPRO_SERVE_DATA_DIR", "REPRO_SERVE_WORKERS",
                  "REPRO_SERVE_URL"):
         patcher.delenv(name, raising=False)
-    # REPRO_BACKEND is special: backends are bit-identical by contract, so
-    # CI runs the whole suite under REPRO_BACKEND=numpy as a matrix leg.
-    # Restore the *session-start* value (pinning it against in-test
-    # mutations) instead of scrubbing it outright.
-    if _SESSION_BACKEND is not None:
-        patcher.setenv("REPRO_BACKEND", _SESSION_BACKEND)
     yield
     patcher.undo()

@@ -4,13 +4,8 @@ Install in editable mode with ``pip install -e .`` (or, in environments
 without the ``wheel`` package that PEP 660 editable installs require,
 ``pip install -e . --no-build-isolation``).
 
-The core package is dependency-free by design: the default ``python``
-execution backend and every figure pipeline run on the standard library
-alone.  The optional ``numpy`` extra enables the vectorized execution
-backend (``REPRO_BACKEND=numpy``), which is bit-identical to the default
-backend and only changes wall-clock time::
-
-    pip install -e ".[numpy]"
+The package is dependency-free by design: the simulation engines, the
+service and every figure pipeline run on the standard library alone.
 """
 
 from setuptools import find_packages, setup
@@ -22,7 +17,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=[],
-    extras_require={
-        "numpy": ["numpy"],
-    },
 )

@@ -72,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "REPRO_SHARD) and write a shard artifact")
     run.add_argument("--jobs", default=None, metavar="N",
                      help="worker processes (default from REPRO_JOBS)")
-    run.add_argument("--backend", default=None, metavar="NAME",
-                     help="execution backend (python|numpy; default from "
-                          "REPRO_BACKEND, falling back to the bit-exact "
-                          "python reference)")
     run.add_argument("--repetitions", default=None, metavar="N",
                      help="with 'all': run every planned case N times under "
                           "shifted seeds and fold figures into mean ± 95%% CI "
@@ -188,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", default=None, metavar="N",
                        help="worker processes per job (default from "
                             "REPRO_JOBS)")
-    serve.add_argument("--backend", default=None, metavar="NAME",
-                       help="execution backend for the whole service")
 
     url_help = ("service URL (default from REPRO_SERVE_URL, else "
                 "http://127.0.0.1:<default port>)")
@@ -210,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the server's base scale")
     submit.add_argument("--repetitions", default=None, metavar="N",
                         help="seed repetitions per case")
-    submit.add_argument("--backend", default=None, metavar="NAME",
-                        help="assert the service executes this backend "
-                             "(results are backend-invariant; mismatches "
-                             "are rejected)")
 
     watch = subparsers.add_parser(
         "watch", help="stream a job's events to completion; prints the "
@@ -333,8 +323,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .analysis.export import save_figure_csv, save_result_json
     from .experiments import EXPERIMENTS
 
-    if _apply_backend_flag(args.backend):
-        return 2
     if _apply_trace_dir_flag(args.trace_dir):
         return 2
     if args.experiment == "all":
@@ -387,10 +375,8 @@ def _env_exec_error() -> bool:
     Any command that ends up in :func:`default_executor` would otherwise die
     with an uncaught traceback from deep inside the executor (or worker)
     setup.  Covers ``REPRO_JOBS``, ``REPRO_SCALE``, ``REPRO_CASE_TIMEOUT``,
-    ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``, ``REPRO_FAULT_SPEC`` and
-    ``REPRO_BACKEND``.
+    ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF`` and ``REPRO_FAULT_SPEC``.
     """
-    from .engine import env_backend
     from .experiments.executor import (
         env_case_timeout,
         env_jobs,
@@ -401,7 +387,7 @@ def _env_exec_error() -> bool:
     from .testing.faults import active_clauses
 
     for check in (env_jobs, env_scale_factor, env_case_timeout, env_retries,
-                  env_retry_backoff, active_clauses, env_backend):
+                  env_retry_backoff, active_clauses):
         try:
             check()
         except ValueError as exc:
@@ -410,34 +396,13 @@ def _env_exec_error() -> bool:
     return False
 
 
-def _apply_backend_flag(raw) -> bool:
-    """Validate ``--backend`` and export it as ``REPRO_BACKEND``.
-
-    The flag is exported to the environment (rather than threaded through
-    the planning layer) so executor worker processes inherit the same
-    backend selection; backends never affect results, caching or store
-    keys, so this is purely an execution-strategy knob.  Returns True
-    (after printing the named error) when the value is rejected.
-    """
-    if raw is None:
-        return False
-    from .engine import BACKEND_VAR, parse_backend
-
-    try:
-        os.environ[BACKEND_VAR] = parse_backend(raw, source="--backend")
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return True
-    return False
-
-
 def _apply_trace_dir_flag(raw) -> bool:
     """Validate ``--trace-dir`` and export it as ``REPRO_TRACE_DIR``.
 
-    Exported to the environment (like ``--backend``) so executor worker
-    processes resolve ``trace:*`` workloads against the same corpus.
-    Returns True (after printing the named error) when the directory does
-    not exist.
+    Exported to the environment (rather than threaded through the planning
+    layer) so executor worker processes resolve ``trace:*`` workloads
+    against the same corpus.  Returns True (after printing the named error)
+    when the directory does not exist.
     """
     if raw is None:
         return False
@@ -998,8 +963,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if _env_exec_error():
         return 2
-    if _apply_backend_flag(args.backend):
-        return 2
     try:
         store = ResultStore(args.dir)
     except ValueError as exc:
@@ -1058,8 +1021,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    if args.backend:
-        payload["backend"] = args.backend
     client = ServiceClient(_service_url(args))
     try:
         document = client.submit(payload)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.secure import BranchPredictionUnit
-from ..engine import ExecutionBackend, active_backend, get_backend
 from ..types import BranchType, Privilege
 from ..workloads.generator import SyntheticWorkload
 from .config import CoreConfig
@@ -84,11 +83,6 @@ class SingleThreadCore:
             context-switch and syscall intervals are divided by it so that
             the ratio of execution-window length to predictor warm-up time is
             preserved at tractable trace lengths.
-        backend: execution backend (a registry name, an
-            :class:`~repro.engine.ExecutionBackend` instance, or ``None``
-            for the ``REPRO_BACKEND`` selection).  Backends only change
-            *how* the batched engine evaluates kernels — every backend is
-            bit-identical to the ``python`` reference.
     """
 
     HW_THREAD = 0
@@ -96,19 +90,13 @@ class SingleThreadCore:
     def __init__(self, config: CoreConfig, bpu: BranchPredictionUnit,
                  workloads: Sequence[SyntheticWorkload], *,
                  time_scale: float = 100.0,
-                 syscall_time_scale: Optional[float] = None,
-                 backend=None) -> None:
+                 syscall_time_scale: Optional[float] = None) -> None:
         if not workloads:
             raise ValueError("at least one workload is required")
         self.config = config
         self.bpu = bpu
         self.workloads: List[SyntheticWorkload] = list(workloads)
         self.time_scale = time_scale
-        if backend is None:
-            backend = active_backend()
-        elif not isinstance(backend, ExecutionBackend):
-            backend = get_backend(backend)
-        self.backend = backend
         #: Scale applied to the system-call period.  Defaults to the context-
         #: switch scale; experiments may scale system calls less aggressively
         #: so that the per-event warm-up cost amortises more realistically.
@@ -267,8 +255,7 @@ class SingleThreadCore:
         n_workloads = len(self.workloads)
         scheduler = RoundRobinScheduler(n_workloads, switch_interval)
         timer = scheduler.timer
-        backend = self.backend
-        batch_iters = [backend.batch_stream(wl, TRACE_BATCH, seed_offset=i)
+        batch_iters = [record_batch_stream(wl, TRACE_BATCH, seed_offset=i)
                        for i, wl in enumerate(self.workloads)]
         buffers: List[list] = [[] for _ in range(n_workloads)]
         positions = [0] * n_workloads
@@ -290,23 +277,16 @@ class SingleThreadCore:
         # specialised kernel; it is re-fetched after every switch
         # notification (switches may rotate keys or drop bound state).
         # Kernels accept and ignore a trailing thread id, so both call
-        # shapes below are the same.  The active execution backend owns
-        # the resolution, so vectorized kernels slot in transparently.
-        exec_kernel = backend.direction_kernel_fetch(direction)
+        # shapes below are the same.
+        exec_kernel = getattr(direction, "exec_kernel", None)
         dir_execute = (exec_kernel(hw) if exec_kernel is not None
                        else direction.execute)
         # The packed BTB exposes the same kernel protocol for its fused
         # conditional probe; duck-typed replacement BTBs fall back to the
         # bound method (identical call shape).
-        btb_kernel = backend.conditional_kernel_fetch(bpu.btb)
+        btb_kernel = getattr(bpu.btb, "exec_conditional_kernel", None)
         btb_conditional = (btb_kernel(hw) if btb_kernel is not None
                            else bpu.btb.execute_conditional_fast)
-        # Backend kernels may expose an advisory ``feed(buf, pos)`` hook
-        # giving them lookahead over the upcoming record stream; it is
-        # re-resolved whenever a kernel is re-fetched and invoked whenever
-        # the stream changes (new buffer, or switch to another context).
-        dir_feed = getattr(dir_execute, "feed", None)
-        btb_feed = getattr(btb_conditional, "feed", None)
         miss_forces_not_taken = bpu._btb_miss_forces_not_taken
         notify_privilege = bpu.notify_privilege_switch
         notify_context = bpu.notify_context_switch
@@ -355,10 +335,6 @@ class SingleThreadCore:
                 buf = next(batch_iters[current])
                 buf_len = len(buf)
                 pos = 0
-                if dir_feed is not None:
-                    dir_feed(buf, 0)
-                if btb_feed is not None:
-                    btb_feed(buf, 0)
             pc, taken, target, branch_type, instructions, syscall_after = buf[pos]
             pos += 1
 
@@ -426,14 +402,8 @@ class SingleThreadCore:
                 own += kernel_cycles
                 if exec_kernel is not None:
                     dir_execute = exec_kernel(hw)
-                    dir_feed = getattr(dir_execute, "feed", None)
-                    if dir_feed is not None:
-                        dir_feed(buf, pos)
                 if btb_kernel is not None:
                     btb_conditional = btb_kernel(hw)
-                    btb_feed = getattr(btb_conditional, "feed", None)
-                    if btb_feed is not None:
-                        btb_feed(buf, pos)
 
             # System calls of the running workload (driven by its own cycles);
             # the schedule is only consulted when a call is actually due.
@@ -451,14 +421,8 @@ class SingleThreadCore:
                 if n_events:
                     if exec_kernel is not None:
                         dir_execute = exec_kernel(hw)
-                        dir_feed = getattr(dir_execute, "feed", None)
-                        if dir_feed is not None:
-                            dir_feed(buf, pos)
                     if btb_kernel is not None:
                         btb_conditional = btb_kernel(hw)
-                        btb_feed = getattr(btb_conditional, "feed", None)
-                        if btb_feed is not None:
-                            btb_feed(buf, pos)
 
             # Timer tick: round-robin to the next software context.  The
             # local context state is reloaded only after the commit check
@@ -474,10 +438,8 @@ class SingleThreadCore:
                     notify_context(hw)
                     if exec_kernel is not None:
                         dir_execute = exec_kernel(hw)
-                        dir_feed = getattr(dir_execute, "feed", None)
                     if btb_kernel is not None:
                         btb_conditional = btb_kernel(hw)
-                        btb_feed = getattr(btb_conditional, "feed", None)
                     buffers[current] = buf
                     positions[current] = pos
                     own_cycles[current] = own
@@ -537,10 +499,6 @@ class SingleThreadCore:
                 event = syscall_events[current]
                 event_next = event._next
                 own = own_cycles[current]
-                if dir_feed is not None:
-                    dir_feed(buf, pos)
-                if btb_feed is not None:
-                    btb_feed(buf, pos)
         own_cycles[current] = own
 
         measured_cycles = cycles if warmup_branches == 0 else cycles - cycles_offset

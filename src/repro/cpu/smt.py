@@ -20,7 +20,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..core.secure import BranchPredictionUnit
-from ..engine import ExecutionBackend, active_backend, get_backend
 from ..types import BranchType, Privilege
 from ..workloads.generator import SyntheticWorkload
 from .config import CoreConfig
@@ -41,15 +40,11 @@ class SmtCore:
         workloads: one workload per hardware thread.
         time_scale: real cycles represented by one simulated cycle (the
             context-switch and syscall intervals are divided by it).
-        backend: execution backend (registry name, instance, or ``None``
-            for the ``REPRO_BACKEND`` selection); bit-identical to the
-            ``python`` reference by contract.
     """
 
     def __init__(self, config: CoreConfig, bpu: BranchPredictionUnit,
                  workloads: Sequence[SyntheticWorkload], *,
-                 time_scale: float = 100.0, se_mode: bool = True,
-                 backend=None) -> None:
+                 time_scale: float = 100.0, se_mode: bool = True) -> None:
         if len(workloads) != config.smt_threads:
             raise ValueError(
                 f"expected {config.smt_threads} workloads, got {len(workloads)}")
@@ -57,11 +52,6 @@ class SmtCore:
         self.bpu = bpu
         self.workloads: List[SyntheticWorkload] = list(workloads)
         self.time_scale = time_scale
-        if backend is None:
-            backend = active_backend()
-        elif not isinstance(backend, ExecutionBackend):
-            backend = get_backend(backend)
-        self.backend = backend
         #: System-call-emulation mode (the paper's gem5 SMT methodology): no
         #: privilege switches occur; only OS timer ticks drive the isolation
         #: mechanisms.  Set False to model a full-system SMT run.
@@ -226,8 +216,7 @@ class SmtCore:
         switch_interval = config.context_switch_interval / self.time_scale
         kernel_cycles = float(config.syscall_kernel_cycles)
 
-        backend = self.backend
-        batch_iters = [backend.batch_stream(wl, TRACE_BATCH, seed_offset=i)
+        batch_iters = [record_batch_stream(wl, TRACE_BATCH, seed_offset=i)
                        for i, wl in enumerate(self.workloads)]
         buffers: List[list] = [[] for _ in range(n)]
         positions = [0] * n
@@ -250,22 +239,18 @@ class SmtCore:
         # Per-hardware-thread specialised kernels (see
         # ``SingleThreadCore._run_batched``); re-fetched per thread after its
         # switch notifications.
-        exec_kernel = backend.direction_kernel_fetch(direction)
+        exec_kernel = getattr(direction, "exec_kernel", None)
         if exec_kernel is not None:
             dir_kernels = [exec_kernel(t) for t in range(n)]
         else:
             dir_kernels = [direction.execute] * n
         # Per-hardware-thread packed-BTB probe kernels (same protocol as the
         # direction kernels); duck-typed BTBs fall back to the bound method.
-        btb_kernel = backend.conditional_kernel_fetch(bpu.btb)
+        btb_kernel = getattr(bpu.btb, "exec_conditional_kernel", None)
         if btb_kernel is not None:
             btb_kernels = [btb_kernel(t) for t in range(n)]
         else:
             btb_kernels = [bpu.btb.execute_conditional_fast] * n
-        # Advisory lookahead hooks of backend kernels (see
-        # ``SingleThreadCore._run_batched``), tracked per hardware thread.
-        dir_feeds = [getattr(k, "feed", None) for k in dir_kernels]
-        btb_feeds = [getattr(k, "feed", None) for k in btb_kernels]
         miss_forces_not_taken = bpu._btb_miss_forces_not_taken
         notify_privilege = bpu.notify_privilege_switch
         notify_context = bpu.notify_context_switch
@@ -309,12 +294,6 @@ class SmtCore:
             if pos >= len(buf):
                 buf = buffers[thread] = next(batch_iters[thread])
                 pos = 0
-                feed = dir_feeds[thread]
-                if feed is not None:
-                    feed(buf, 0)
-                feed = btb_feeds[thread]
-                if feed is not None:
-                    feed(buf, 0)
             pc, taken, target, branch_type, record_instructions, syscall_after = buf[pos]
             positions[thread] = pos + 1
 
@@ -385,15 +364,9 @@ class SmtCore:
                 stat.cycles += kernel_cycles
                 local_cycles[thread] = local
                 if exec_kernel is not None:
-                    fn = dir_kernels[thread] = exec_kernel(thread)
-                    feed = dir_feeds[thread] = getattr(fn, "feed", None)
-                    if feed is not None:
-                        feed(buf, positions[thread])
+                    dir_kernels[thread] = exec_kernel(thread)
                 if btb_kernel is not None:
-                    fn = btb_kernels[thread] = btb_kernel(thread)
-                    feed = btb_feeds[thread] = getattr(fn, "feed", None)
-                    if feed is not None:
-                        feed(buf, positions[thread])
+                    btb_kernels[thread] = btb_kernel(thread)
 
             # Per-thread system calls (absent in SE mode).
             if not se_mode:
@@ -410,15 +383,9 @@ class SmtCore:
                     local_cycles[thread] = local
                     if n_events:
                         if exec_kernel is not None:
-                            fn = dir_kernels[thread] = exec_kernel(thread)
-                            feed = dir_feeds[thread] = getattr(fn, "feed", None)
-                            if feed is not None:
-                                feed(buf, positions[thread])
+                            dir_kernels[thread] = exec_kernel(thread)
                         if btb_kernel is not None:
-                            fn = btb_kernels[thread] = btb_kernel(thread)
-                            feed = btb_feeds[thread] = getattr(fn, "feed", None)
-                            if feed is not None:
-                                feed(buf, positions[thread])
+                            btb_kernels[thread] = btb_kernel(thread)
 
             # Per-thread OS timer ticks.
             timer = timers[thread]
@@ -430,15 +397,9 @@ class SmtCore:
                     for _ in range(ticks):
                         notify_context(thread)
                     if exec_kernel is not None:
-                        fn = dir_kernels[thread] = exec_kernel(thread)
-                        feed = dir_feeds[thread] = getattr(fn, "feed", None)
-                        if feed is not None:
-                            feed(buf, positions[thread])
+                        dir_kernels[thread] = exec_kernel(thread)
                     if btb_kernel is not None:
-                        fn = btb_kernels[thread] = btb_kernel(thread)
-                        feed = btb_feeds[thread] = getattr(fn, "feed", None)
-                        if feed is not None:
-                            feed(buf, positions[thread])
+                        btb_kernels[thread] = btb_kernel(thread)
 
         elapsed = max(local_cycles)
         if warmup_instructions > 0:

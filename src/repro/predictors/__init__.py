@@ -24,7 +24,6 @@ from .counters import (
 )
 from .gshare import GsharePredictor
 from .history import GlobalHistory, LocalHistoryTable, PathHistory, fold_history
-from .ittage import IttagePrediction, IttagePredictor
 from .loop import LoopPredictor
 from .ltage import LTagePredictor
 from .perceptron import PerceptronPredictor
@@ -58,8 +57,6 @@ __all__ = [
     "PathHistory",
     "LocalHistoryTable",
     "fold_history",
-    "IttagePrediction",
-    "IttagePredictor",
     "LoopPredictor",
     "LTagePredictor",
     "PerceptronPredictor",

@@ -79,12 +79,10 @@ class JobScheduler:
         Raises:
             ValueError: anything :func:`~repro.service.wire.parse_job_request`
                 or :func:`~repro.experiments.manifest.build_manifest`
-                rejects, plus a backend assertion naming the server's active
-                backend — all surfaced to the client as HTTP 400.
+                rejects — surfaced to the client as HTTP 400.
         """
         request = payload if isinstance(payload, JobRequest) \
             else parse_job_request(payload)
-        self._check_backend(request)
         scale = default_scale()
         if request.scale is not None:
             scale = scale.scaled_by(request.scale)
@@ -95,16 +93,6 @@ class JobScheduler:
                   manifest, self.data_dir)
         self.queue.submit(job)
         return job
-
-    def _check_backend(self, request: JobRequest) -> None:
-        from ..engine import env_backend
-
-        active = env_backend()
-        if request.backend is not None and request.backend != active:
-            raise ValueError(
-                f"job request field 'backend': this service executes "
-                f"backend {active!r} (results are backend-invariant by "
-                f"contract); omit the field or request {active!r}")
 
     # -- worker pool ------------------------------------------------------------
     def start(self) -> None:

@@ -15,7 +15,7 @@ GET    ``/v1/jobs/<id>/files``         list finished output files
 GET    ``/v1/jobs/<id>/files/<name>``  one output file (figure JSON/text)
 GET    ``/v1/jobs/<id>/report``        self-contained HTML report of the job
 GET    ``/v1/store/export``            store export (``?manifest=H`` scopes)
-GET    ``/v1/health``                  liveness + engine/backend + job counts
+GET    ``/v1/health``                  liveness + engine version + job counts
 ====== =============================== =====================================
 
 Every error body is ``{"error": "<named message>"}`` — validation failures
@@ -200,12 +200,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints --------------------------------------------------------------
     def _get_health(self) -> None:
-        from ..engine import env_backend
-
         self._send_json(200, {
             "status": "ok",
             "engine": ENGINE_VERSION,
-            "backend": env_backend(),
             "jobs": self.service.scheduler.queue.counts(),
         })
 

@@ -2,13 +2,13 @@
 
 One strict parsing layer between HTTP bodies and the planning machinery.
 Every field of a job submission is validated by the *same* named-source
-parsers the CLI flags use (``parse_scale_factor``, ``parse_repetitions``,
-``parse_backend``), so a malformed submission fails with the exact error a
-malformed flag would — attributed to the offending field, at submission
-time, never deep inside a worker.  Unknown fields are rejected outright:
-the wire format is a contract, and a typo'd ``"repetitons"`` silently
-running one repetition would be the service-shaped version of the silent
-``REPRO_SCALE`` fallback the parsers exist to prevent.
+parsers the CLI flags use (``parse_scale_factor``, ``parse_repetitions``),
+so a malformed submission fails with the exact error a malformed flag
+would — attributed to the offending field, at submission time, never deep
+inside a worker.  Unknown fields are rejected outright: the wire format is
+a contract, and a typo'd ``"repetitons"`` silently running one repetition
+would be the service-shaped version of the silent ``REPRO_SCALE`` fallback
+the parsers exist to prevent.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ __all__ = ["JOB_SCHEMA", "JobRequest", "parse_job_request", "parse_port"]
 JOB_SCHEMA = 1
 
 #: Fields a ``POST /v1/jobs`` body may carry.
-_REQUEST_FIELDS = ("experiments", "bench_sets", "scale", "repetitions",
-                   "backend")
+_REQUEST_FIELDS = ("experiments", "bench_sets", "scale", "repetitions")
 
 
 @dataclass(frozen=True)
@@ -40,17 +39,12 @@ class JobRequest:
             served job and a serial ``repro run all --scale F`` plan the
             same manifest hash.
         repetitions: seed repetitions per planned case.
-        backend: requested execution backend.  Backends are bit-identical by
-            contract (results, cache keys and store digests never depend on
-            them), so the scheduler only accepts its own active backend —
-            the field exists to let a client *assert* what it expects.
     """
 
     experiments: Optional[List[str]] = None
     bench_sets: Optional[List[str]] = None
     scale: Optional[float] = None
     repetitions: int = 1
-    backend: Optional[str] = None
 
     def manifest_keys(self) -> Optional[List[str]]:
         """Combine experiments and bench sets into manifest keys.
@@ -68,8 +62,7 @@ class JobRequest:
         """The submission as a JSON-ready body (``None`` fields omitted)."""
         body = {"experiments": self.experiments,
                 "bench_sets": self.bench_sets,
-                "scale": self.scale,
-                "backend": self.backend}
+                "scale": self.scale}
         body = {name: value for name, value in body.items()
                 if value is not None}
         if self.repetitions != 1:
@@ -94,7 +87,6 @@ def parse_job_request(payload, *, source: str = "job request") -> JobRequest:
         ValueError: non-object body, unknown fields, or any field value the
             corresponding CLI parser would reject — always naming the field.
     """
-    from ..engine import parse_backend
     from ..experiments.manifest import parse_repetitions
     from ..experiments.scaling import parse_scale_factor
 
@@ -120,13 +112,6 @@ def parse_job_request(payload, *, source: str = "job request") -> JobRequest:
     if payload.get("repetitions") is not None:
         fields["repetitions"] = parse_repetitions(
             payload["repetitions"], source=f"{source} field 'repetitions'")
-    if payload.get("backend") is not None:
-        raw = payload["backend"]
-        if not isinstance(raw, str):
-            raise ValueError(
-                f"{source} field 'backend' must be a string, got {raw!r}")
-        fields["backend"] = parse_backend(
-            raw, source=f"{source} field 'backend'")
     return JobRequest(**fields)
 
 

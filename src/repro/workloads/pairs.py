@@ -33,7 +33,7 @@ class UnknownPairSetError(KeyError):
 
     Subclasses :class:`KeyError` so existing ``except KeyError`` callers
     keep working, but renders a proper message (the repo's strict
-    named-source convention, like ``REPRO_SCALE``/``REPRO_BACKEND``).
+    named-source convention, like ``REPRO_SCALE``/``REPRO_JOBS``).
     """
 
     def __init__(self, which: str, valid: Tuple[str, ...]) -> None:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -296,28 +298,40 @@ class TestRepetitionsOption:
                 "caseless: 0 re-run, 1 static\n") in capsys.readouterr().out
 
 
-class TestBackendOption:
-    def test_unknown_backend_flag_rejected(self, capsys):
-        assert main(["run", "table2", "--backend", "cuda"]) == 2
-        err = capsys.readouterr().err
-        assert "--backend" in err and "'cuda'" in err
+class TestSingleExecutionPath:
+    """There is one execution path: no backend flag, knob or dependency."""
 
-    def test_backend_flag_exported_for_workers(self, capsys):
-        # The flag reaches the environment so executor worker processes
-        # inherit the same backend selection.
-        assert main(["run", "table2", "--backend", "python"]) == 0
-        assert os.environ.get("REPRO_BACKEND") == "python"
+    @pytest.mark.parametrize("command", ["run", "serve", "submit"])
+    def test_backend_flag_is_unknown(self, command, capsys):
+        argv = {"run": ["run", "table2"], "serve": ["serve"],
+                "submit": ["submit"]}[command] + ["--backend", "python"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_numpy_backend_flag_accepted(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["run", "table2", "--backend", "numpy"]) == 0
-        assert os.environ.get("REPRO_BACKEND") == "numpy"
-
-    def test_malformed_env_backend_rejected_before_planning(self, capsys,
-                                                            monkeypatch):
+    def test_stale_backend_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "gpu")
-        assert main(["run", "all", "--experiments", "table5"]) == 2
-        assert "REPRO_BACKEND" in capsys.readouterr().err
+        assert main(["run", "all", "--experiments", "table5"]) == 0
+        assert "REPRO_BACKEND" not in capsys.readouterr().err
+
+    def test_run_imports_no_numpy(self):
+        # setup.py promises a stdlib-only package: a run must not pull in
+        # numpy even where numpy is installed.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.abspath(src)
+        probe = ("import sys\n"
+                 "from repro.cli import main\n"
+                 "assert main(['run', 'table2']) == 0\n"
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'numpy'))\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestStoreCommand:

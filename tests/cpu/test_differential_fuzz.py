@@ -14,12 +14,6 @@ configurations and drives them through three independent implementations:
 * the batched/fast machinery with every storage fast path **forced onto the
   generic virtual dispatch** (the semantic reference for the fused arms).
 
-When numpy is importable the same sampled cases additionally run under the
-**numpy execution backend** (vectorized window kernels), which promises the
-identical bit-for-bit contract versus the default python backend — both on
-its fast paths and when forced onto the generic dispatch (where it must
-fall through to the reference kernels untouched).
-
 Engine-level cases compare complete :class:`RunResult` snapshots.  BPU-level
 cases additionally stop at every context-switch / rekey boundary and compare
 the *raw (still encoded) storage bits* of all direction tables and the BTB,
@@ -30,7 +24,6 @@ The harness is deliberately reusable: future kernel rewrites extend
 ``PRESETS`` / ``PREDICTORS`` or raise ``N_*`` and inherit the whole layer.
 """
 
-import importlib.util
 import random
 
 import pytest
@@ -59,8 +52,6 @@ WORKLOADS = ["gcc", "mcf", "milc", "gobmk", "povray", "calculix"]
 
 N_ENGINE_CASES = 24
 N_BOUNDARY_CASES = 10
-
-_HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 # The samplers guarantee every preset a deterministic slot before random
 # fill; keep the case counts in step with the preset list as it grows.
@@ -139,7 +130,7 @@ def _result_snapshot(result):
 
 
 def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
-              engine, force_generic=False, backend=None):
+              engine, force_generic=False):
     scale = ExperimentScale(
         time_scale=time_scale, smt_time_scale=2 * time_scale,
         syscall_time_scale=syscall_scale,
@@ -155,8 +146,7 @@ def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
             _force_generic_dispatch(bpu)
         core = SingleThreadCore(config, bpu, workloads,
                                 time_scale=scale.time_scale,
-                                syscall_time_scale=scale.syscall_time_scale,
-                                backend=backend)
+                                syscall_time_scale=scale.syscall_time_scale)
         return core.run(target_branches=scale.st_target_branches,
                         warmup_branches=scale.st_warmup_branches,
                         mechanism_name=preset, engine=engine)
@@ -167,7 +157,7 @@ def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
     if force_generic:
         _force_generic_dispatch(bpu)
     core = SmtCore(config, bpu, workloads, time_scale=scale.smt_time_scale,
-                   se_mode=bool(seed % 2), backend=backend)
+                   se_mode=bool(seed % 2))
     return core.run(instructions=scale.smt_instructions,
                     warmup_instructions=scale.smt_warmup_instructions,
                     mechanism_name=preset, engine=engine)
@@ -186,35 +176,6 @@ class TestEngineDifferential:
                                              force_generic=True))
         assert batched == scalar
         assert generic == scalar
-
-
-@pytest.mark.skipif(not _HAS_NUMPY, reason="numpy backend unavailable")
-class TestBackendDifferential:
-    """python vs numpy execution backend over the same sampled configs.
-
-    The numpy backend swaps the kernel-resolution strategy underneath the
-    batched engine; every sampled case must produce the identical result
-    snapshot, both on the vectorized fast paths and with the storage forced
-    onto the generic dispatch (where the backend must fall through to the
-    untouched reference kernels).
-    """
-
-    @pytest.mark.parametrize(
-        "case", ENGINE_CASES,
-        ids=[f"{c[0]}-{c[1]}-{c[2]}-s{c[5]}" for c in ENGINE_CASES])
-    def test_numpy_backend_parity(self, case):
-        python = _result_snapshot(
-            _run_case(*case, engine="batched", backend="python"))
-        vectorized = _result_snapshot(
-            _run_case(*case, engine="batched", backend="numpy"))
-        fallthrough = _result_snapshot(
-            _run_case(*case, engine="batched", backend="numpy",
-                      force_generic=True))
-        assert vectorized == python
-        # Forced-generic dispatch equals the fast paths equals the python
-        # backend (the generic-vs-scalar leg is pinned above), so a single
-        # three-way equality closes the square.
-        assert fallthrough == python
 
 
 def _raw_state(bpu):

@@ -9,7 +9,6 @@ the moment the case returns.
 """
 
 import gc
-import importlib.util
 import weakref
 
 import pytest
@@ -30,11 +29,6 @@ PRESETS = ("baseline", "complete_flush", "precise_flush", "xor_bp",
 CASES = ([(predictor, preset, None)
           for predictor in PREDICTORS for preset in PRESETS]
          + [("tage", "xor_bp", {"encoder": "sbox"})])
-
-#: The reference (scalar generated kernels) backend, plus numpy when it is
-#: importable so its vectorized window kernels are held to the same rule.
-BACKENDS = ["python"] + (["numpy"] if importlib.util.find_spec("numpy")
-                         else [])
 
 
 @pytest.fixture
@@ -70,11 +64,9 @@ def _assert_freed_without_gc(run, built_units):
     assert alive == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("predictor,preset,overrides", CASES)
-def test_case_frees_its_bpu_by_refcount(backend, predictor, preset, overrides,
-                                        built_units, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def test_case_frees_its_bpu_by_refcount(predictor, preset, overrides,
+                                        built_units):
     _assert_freed_without_gc(lambda: runner.run_single_thread_case(
         SINGLE_THREAD_PAIRS[0], fpga_prototype(predictor), preset, SCALE,
         bpu_overrides=overrides), built_units)

@@ -145,15 +145,6 @@ def test_kernel_matches_unfused_protocol(preset, overrides, arm, threads):
         assert _state(predictor) == _state(plain), step
 
 
-def test_numpy_backend_serves_the_reference_kernel():
-    get_backend = pytest.importorskip("repro.engine.numpy_backend") \
-        .NumpyBackend
-    predictor = _unit("noisy_xor_bp", None, False).direction
-    fetch = get_backend().direction_kernel_fetch(predictor)
-    assert fetch(0) is predictor.exec_kernel(0)
-    assert getattr(fetch(0), "backend", None) is None
-
-
 def _globals(kernel):
     """A kernel's bound globals, storage lists compared by value (the BTB
     kernel's back-reference to its own unit is left out)."""

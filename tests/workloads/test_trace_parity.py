@@ -2,15 +2,14 @@
 
 A recorded trace line may carry ``syscall_after=1``: replay must inject the
 kernel round-trip (privilege-switch pair + kernel cycles) *at that record*,
-identically in the scalar reference loop, the batched fast engine, and the
-numpy execution backend, on both core models.  These tests pin that contract
+identically in the scalar reference loop and the batched fast engine, on
+both core models.  These tests pin that contract
 end-to-end and at the raw-storage level: a marker forces a rekey boundary in
 the keyed isolation presets, so drifting by even one record would desync the
 encoded predictor state.
 """
 
 import dataclasses
-import importlib.util
 
 import pytest
 
@@ -21,8 +20,6 @@ from repro.cpu.smt import SmtCore
 from repro.experiments.runner import build_bpu
 from repro.types import Privilege
 from repro.workloads import TraceWorkload, make_workload, write_trace
-
-_HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Marker period chosen co-prime-ish with the batched engines' chunk size so
 #: markers land in chunk interiors, at chunk edges, and mid-warm-up.
@@ -64,12 +61,11 @@ def _raw_state(bpu):
 
 
 class TestSingleThreadMarkerParity:
-    def _run(self, trace, preset, *, engine, backend=None):
+    def _run(self, trace, preset, *, engine):
         config = fpga_prototype("gshare")
         bpu = make_bpu("gshare", preset, seed=11, btb_sets=config.btb_sets,
                        btb_ways=config.btb_ways)
-        core = SingleThreadCore(config, bpu, [trace], time_scale=200.0,
-                                backend=backend)
+        core = SingleThreadCore(config, bpu, [trace], time_scale=200.0)
         return core.run(target_branches=900, warmup_branches=200,
                         mechanism_name=preset, engine=engine)
 
@@ -85,16 +81,6 @@ class TestSingleThreadMarkerParity:
         assert scalar.privilege_switches >= 2 * (900 // MARK_EVERY)
         assert _result_snapshot(batched) == _result_snapshot(scalar)
 
-    @pytest.mark.skipif(not _HAS_NUMPY, reason="numpy backend unavailable")
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_numpy_backend_bit_identical_with_markers(self, tmp_path, preset):
-        trace = _marker_trace(tmp_path, "marked.trace.gz")
-        python = self._run(trace, preset, engine="batched", backend="python")
-        vectorized = self._run(trace, preset, engine="batched",
-                               backend="numpy")
-        assert python.thread(trace.name).syscalls > 0
-        assert _result_snapshot(vectorized) == _result_snapshot(python)
-
     def test_marker_free_trace_stays_marker_free(self, tmp_path):
         # A trace without markers (and the 0.0 syscall rate every trace
         # profile carries) must never synthesise privilege switches.
@@ -108,11 +94,11 @@ class TestSingleThreadMarkerParity:
 
 
 class TestSmtMarkerParity:
-    def _run(self, traces, preset, *, engine, se_mode, backend=None):
+    def _run(self, traces, preset, *, engine, se_mode):
         config = sunny_cove_smt("gshare")
         bpu = build_bpu(config, preset, seed=7)
         core = SmtCore(config, bpu, traces, time_scale=400.0,
-                       se_mode=se_mode, backend=backend)
+                       se_mode=se_mode)
         return core.run(instructions=12_000, warmup_instructions=3_000,
                         mechanism_name=preset, engine=engine)
 
@@ -131,16 +117,6 @@ class TestSmtMarkerParity:
         assert scalar.privilege_switches > 0
         assert sum(t.syscalls for t in scalar.threads.values()) > 0
         assert _result_snapshot(batched) == _result_snapshot(scalar)
-
-    @pytest.mark.skipif(not _HAS_NUMPY, reason="numpy backend unavailable")
-    def test_numpy_backend_bit_identical_with_markers(self, tmp_path):
-        traces = [_marker_trace(tmp_path, f"t{i}.trace.gz", seed=3 + i)
-                  for i in range(2)]
-        python = self._run(traces, "noisy_xor_bp", engine="batched",
-                           se_mode=False, backend="python")
-        vectorized = self._run(traces, "noisy_xor_bp", engine="batched",
-                               se_mode=False, backend="numpy")
-        assert _result_snapshot(vectorized) == _result_snapshot(python)
 
 
 class TestMarkerBoundaryStorage:
