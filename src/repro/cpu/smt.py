@@ -87,11 +87,19 @@ class SmtCore:
             A :class:`repro.cpu.stats.RunResult` whose ``cycles`` is the
             elapsed time of the measured phase.
         """
+        if engine not in ("batched", "scalar"):
+            raise ValueError(f"unknown engine {engine!r}")
+        # Every hardware thread holds a key from the first cycle, drawn in
+        # thread order.  Drawn lazily, the first structure to touch a key
+        # would decide which thread gets which draw, and the engines and
+        # dispatch arms would leave differently encoded stale entries.
+        key_manager = getattr(self.bpu.isolation, "key_manager", None)
+        if key_manager is not None:
+            for thread in range(self.config.smt_threads):
+                key_manager.state(thread)
         if engine == "batched":
             return self._run_batched(instructions, warmup_instructions,
                                      mechanism_name)
-        if engine != "scalar":
-            raise ValueError(f"unknown engine {engine!r}")
         return self._run_scalar(instructions, warmup_instructions,
                                 mechanism_name)
 

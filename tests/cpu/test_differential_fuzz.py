@@ -129,38 +129,48 @@ def _result_snapshot(result):
     }
 
 
-def _run_case(preset, predictor, kind, time_scale, syscall_scale, seed, *,
-              engine, force_generic=False):
+def _simulate(preset, predictor, kind, time_scale, syscall_scale, seed, *,
+              engine, force_generic=False, kernels=True):
+    """Run one sampled case; return its result and the BPU it trained.
+
+    ``kernels=False`` shadows the kernel fetch methods, so the batched
+    cores take their ``direction.execute`` /
+    ``btb.execute_conditional_fast`` fallbacks.
+    """
     scale = ExperimentScale(
         time_scale=time_scale, smt_time_scale=2 * time_scale,
         syscall_time_scale=syscall_scale,
         st_target_branches=1_500, st_warmup_branches=400,
         smt_instructions=15_000, smt_warmup_instructions=4_000, seed=seed)
+    config = (fpga_prototype(predictor) if kind == "single"
+              else sunny_cove_smt(predictor))
+    bpu = build_bpu(config, preset, seed=scale.seed + 1)
+    if force_generic:
+        _force_generic_dispatch(bpu)
+    if not kernels:
+        bpu.direction.exec_kernel = None
+        bpu.btb.exec_conditional_kernel = None
     if kind == "single":
-        config = fpga_prototype(predictor)
         workloads = make_pair_workloads(
             SINGLE_THREAD_PAIRS[seed % len(SINGLE_THREAD_PAIRS)],
             seed=scale.seed)
-        bpu = build_bpu(config, preset, seed=scale.seed + 1)
-        if force_generic:
-            _force_generic_dispatch(bpu)
         core = SingleThreadCore(config, bpu, workloads,
                                 time_scale=scale.time_scale,
                                 syscall_time_scale=scale.syscall_time_scale)
         return core.run(target_branches=scale.st_target_branches,
                         warmup_branches=scale.st_warmup_branches,
-                        mechanism_name=preset, engine=engine)
-    config = sunny_cove_smt(predictor)
+                        mechanism_name=preset, engine=engine), bpu
     workloads = make_pair_workloads(SMT2_PAIRS[seed % len(SMT2_PAIRS)],
                                     seed=scale.seed)
-    bpu = build_bpu(config, preset, seed=scale.seed + 1)
-    if force_generic:
-        _force_generic_dispatch(bpu)
     core = SmtCore(config, bpu, workloads, time_scale=scale.smt_time_scale,
                    se_mode=bool(seed % 2))
     return core.run(instructions=scale.smt_instructions,
                     warmup_instructions=scale.smt_warmup_instructions,
-                    mechanism_name=preset, engine=engine)
+                    mechanism_name=preset, engine=engine), bpu
+
+
+def _run_case(*case, **kwargs):
+    return _simulate(*case, **kwargs)[0]
 
 
 class TestEngineDifferential:
@@ -176,6 +186,28 @@ class TestEngineDifferential:
                                              force_generic=True))
         assert batched == scalar
         assert generic == scalar
+
+
+class TestEngineStorageDifferential:
+    """scalar vs batched vs batched-without-kernels, down to raw storage.
+
+    The third leg runs the batched engine on the ``execute`` fallbacks
+    that predictors without generated kernels take.  All three must leave
+    the same result and the same raw (still encoded) storage behind.
+    """
+
+    @pytest.mark.parametrize(
+        "case", ENGINE_CASES,
+        ids=[f"{c[0]}-{c[1]}-{c[2]}-s{c[5]}" for c in ENGINE_CASES])
+    def test_final_raw_storage_identical(self, case):
+        scalar, scalar_bpu = _simulate(*case, engine="scalar")
+        batched, batched_bpu = _simulate(*case, engine="batched")
+        fallback, fallback_bpu = _simulate(*case, engine="batched",
+                                           kernels=False)
+        assert _result_snapshot(batched) == _result_snapshot(scalar)
+        assert _result_snapshot(fallback) == _result_snapshot(scalar)
+        assert _raw_state(batched_bpu) == _raw_state(scalar_bpu)
+        assert _raw_state(fallback_bpu) == _raw_state(scalar_bpu)
 
 
 def _raw_state(bpu):

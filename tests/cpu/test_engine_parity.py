@@ -82,8 +82,8 @@ class TestSingleThreadParity:
         batched = _single_thread(preset, "batched")
         assert _snapshot(batched) == _snapshot(scalar)
 
-    # gshare, tournament, ltage and tage_sc_l have their own kernels;
-    # bimodal takes the generic DirectionPredictor.execute fallback path.
+    # Each has its own generated kernel; the ``execute`` fallback the cores
+    # take without one is pinned in test_storage_parity.py.
     @pytest.mark.parametrize("predictor", ["gshare", "tournament", "bimodal",
                                            "ltage", "tage_sc_l"])
     def test_other_predictor_parity(self, predictor):

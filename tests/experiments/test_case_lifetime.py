@@ -64,12 +64,26 @@ def _assert_freed_without_gc(run, built_units):
     assert alive == []
 
 
-@pytest.mark.parametrize("predictor,preset,overrides", CASES)
-def test_case_frees_its_bpu_by_refcount(predictor, preset, overrides,
-                                        built_units):
-    _assert_freed_without_gc(lambda: runner.run_single_thread_case(
-        SINGLE_THREAD_PAIRS[0], fpga_prototype(predictor), preset, SCALE,
-        bpu_overrides=overrides), built_units)
-    _assert_freed_without_gc(lambda: runner.run_smt_case(
+#: The runner entry point of each core model; full-system SMT also rekeys
+#: on the per-thread syscalls that SE mode leaves out.
+RUNNERS = {
+    "single_thread": lambda predictor, preset, overrides:
+        runner.run_single_thread_case(
+            SINGLE_THREAD_PAIRS[0], fpga_prototype(predictor), preset, SCALE,
+            bpu_overrides=overrides),
+    "smt": lambda predictor, preset, overrides: runner.run_smt_case(
         SMT2_PAIRS[0], sunny_cove_smt(predictor), preset, SCALE,
-        bpu_overrides=overrides), built_units)
+        bpu_overrides=overrides),
+    "smt_full_system": lambda predictor, preset, overrides:
+        runner.run_smt_case(
+            SMT2_PAIRS[0], sunny_cove_smt(predictor), preset, SCALE,
+            se_mode=False, bpu_overrides=overrides),
+}
+
+
+@pytest.mark.parametrize("core", list(RUNNERS))
+@pytest.mark.parametrize("predictor,preset,overrides", CASES)
+def test_case_frees_its_bpu_by_refcount(core, predictor, preset, overrides,
+                                        built_units):
+    _assert_freed_without_gc(
+        lambda: RUNNERS[core](predictor, preset, overrides), built_units)

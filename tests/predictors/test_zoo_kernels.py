@@ -4,7 +4,7 @@ Tournament, LTAGE and TAGE-SC-L run the batched engines through generated
 ``exec_kernel`` functions on four storage arms (passthrough, fused-XOR,
 owner, generic); ``test_xor_fastpath.py`` pins the arm each preset selects.  These
 tests pin the invalidation protocol (forced generic dispatch, flushes,
-stats resets) and bit-identity of every arm with the scalar
+stats resets), which the TAGE and gshare kernels share, and bit-identity of every arm with the scalar
 ``lookup``/``update`` oracle, including the non-XOR encoders that only the
 generic arm serves.
 """
@@ -31,7 +31,7 @@ def test_force_generic_dispatch_reaches_every_kernel(predictor, preset):
         assert bpu.direction.exec_kernel(thread).arm == "generic"
 
 
-@pytest.mark.parametrize("predictor", ZOO)
+@pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
 @pytest.mark.parametrize("drop", ["flush", "flush_thread", "reset_stats",
                                   "invalidate_kernel_masks", "rekey"])
 def test_state_changes_drop_kernels(predictor, drop):

@@ -61,13 +61,16 @@ def _raw_state(bpu):
 
 
 class TestSingleThreadMarkerParity:
-    def _run(self, trace, preset, *, engine):
+    def _simulate(self, trace, preset, *, engine):
         config = fpga_prototype("gshare")
         bpu = make_bpu("gshare", preset, seed=11, btb_sets=config.btb_sets,
                        btb_ways=config.btb_ways)
         core = SingleThreadCore(config, bpu, [trace], time_scale=200.0)
         return core.run(target_branches=900, warmup_branches=200,
-                        mechanism_name=preset, engine=engine)
+                        mechanism_name=preset, engine=engine), bpu
+
+    def _run(self, trace, preset, *, engine):
+        return self._simulate(trace, preset, engine=engine)[0]
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_scalar_batched_bit_identical_with_markers(self, tmp_path,
@@ -80,6 +83,14 @@ class TestSingleThreadMarkerParity:
         assert scalar.thread(trace.name).syscalls >= 900 // MARK_EVERY
         assert scalar.privilege_switches >= 2 * (900 // MARK_EVERY)
         assert _result_snapshot(batched) == _result_snapshot(scalar)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_scalar_batched_raw_storage_identical_with_markers(self, tmp_path,
+                                                               preset):
+        trace = _marker_trace(tmp_path, "marked.trace.gz")
+        _, scalar_bpu = self._simulate(trace, preset, engine="scalar")
+        _, batched_bpu = self._simulate(trace, preset, engine="batched")
+        assert _raw_state(batched_bpu) == _raw_state(scalar_bpu)
 
     def test_marker_free_trace_stays_marker_free(self, tmp_path):
         # A trace without markers (and the 0.0 syscall rate every trace
@@ -94,13 +105,17 @@ class TestSingleThreadMarkerParity:
 
 
 class TestSmtMarkerParity:
-    def _run(self, traces, preset, *, engine, se_mode):
+    def _simulate(self, traces, preset, *, engine, se_mode):
         config = sunny_cove_smt("gshare")
         bpu = build_bpu(config, preset, seed=7)
         core = SmtCore(config, bpu, traces, time_scale=400.0,
                        se_mode=se_mode)
         return core.run(instructions=12_000, warmup_instructions=3_000,
-                        mechanism_name=preset, engine=engine)
+                        mechanism_name=preset, engine=engine), bpu
+
+    def _run(self, traces, preset, *, engine, se_mode):
+        return self._simulate(traces, preset, engine=engine,
+                              se_mode=se_mode)[0]
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("se_mode", [True, False])
@@ -117,6 +132,17 @@ class TestSmtMarkerParity:
         assert scalar.privilege_switches > 0
         assert sum(t.syscalls for t in scalar.threads.values()) > 0
         assert _result_snapshot(batched) == _result_snapshot(scalar)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_scalar_batched_raw_storage_identical_with_markers(self, tmp_path,
+                                                               preset):
+        traces = [_marker_trace(tmp_path, f"t{i}.trace.gz", seed=3 + i)
+                  for i in range(2)]
+        _, scalar_bpu = self._simulate(traces, preset, engine="scalar",
+                                       se_mode=False)
+        _, batched_bpu = self._simulate(traces, preset, engine="batched",
+                                        se_mode=False)
+        assert _raw_state(batched_bpu) == _raw_state(scalar_bpu)
 
 
 class TestMarkerBoundaryStorage:
