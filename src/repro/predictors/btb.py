@@ -29,16 +29,19 @@ only at switch time via the mask-cache registration protocol on
 :class:`repro.core.isolation.XorContentIsolation`; Precise Flush's owner
 check is applied inline on the ``owner`` field the same way.
 
-On top of the arrays, the conditional-branch probe is served by **per-thread
-generated kernels** (:meth:`BranchTargetBuffer.exec_conditional_kernel`):
-the geometry constants are inlined, and the field arrays and the thread's
-decode masks are bound in the kernel's globals, so a branch pays no
-mask-cache lookup and no isolation-arm branching.  Kernels follow the same
-protocol as the generated TAGE/gshare kernels — the batched engines fetch
-them via the ``exec_*_kernel`` entry point and re-fetch after every switch
-notification.  Key re-randomisation marks a thread's kernel stale through
-the registered mask cache, and the next fetch writes the new masks into the
-existing kernel's globals (no re-exec).
+On top of the arrays, the conditional and the indirect probes are served by
+a **per-thread pair of generated kernels**
+(:meth:`BranchTargetBuffer.exec_conditional_kernel` and the one behind
+:meth:`BranchTargetBuffer.execute_indirect_fast`), emitted by one source
+generator on the storage arm :func:`repro.predictors.kernelgen.storage_arm`
+picks: the geometry constants are inlined, and the field arrays and the
+thread's decode masks are bound in the pair's shared globals, so a branch
+pays no mask-cache lookup and no isolation-arm branching.  Kernels follow
+the same protocol as the generated direction-predictor kernels — the
+batched engines fetch them via the ``exec_*_kernel`` entry point and
+re-fetch after every switch notification.  Key re-randomisation marks a
+thread's pair stale through the registered mask cache, and the next fetch
+writes the new masks into the pair's globals (no re-exec).
 
 The scalar protocol (:meth:`lookup` / :meth:`update`), the attack framework
 and the flush machinery see the exact same bits through the same arrays, and
@@ -50,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .kernelgen import make_kernel
+from .kernelgen import make_kernel, storage_arm
 from .table import (IdentityIsolation, TableIsolation, is_owner_isolation,
                     is_passthrough_isolation, reset_template,
                     row_diversifier_vector, supports_fused_xor)
@@ -148,14 +151,15 @@ class BranchTargetBuffer:
         self._xor_masks: dict = {}
         self._tag_row_keys: Optional[Tuple[int, ...]] = None
         self._target_row_keys: Optional[Tuple[int, ...]] = None
-        # Per-thread conditional-probe kernels (generated, way walk
-        # unrolled) and the compiled kernel code objects, keyed by isolation
-        # arm.  ``_cond_kernels`` holds the kernels whose masks are current;
-        # it is registered as a second mask cache under XOR policies, so key
-        # re-randomisation evicts a thread's kernel from it while
-        # ``_kernel_pool`` keeps it for the next fetch to rebind in place.
-        self._cond_kernels: Dict[int, object] = {}
-        self._kernel_pool: Dict[int, object] = {}
+        # Per-thread (conditional, indirect) probe kernel pairs (generated,
+        # way walk unrolled) and the compiled kernel code objects, keyed by
+        # isolation arm.  ``_kernels`` holds the pairs whose masks are
+        # current; it is registered as a second mask cache under XOR
+        # policies, so key re-randomisation evicts a thread's pair from it
+        # while ``_kernel_pool`` keeps it for the next fetch to rebind in
+        # place.
+        self._kernels: Dict[int, tuple] = {}
+        self._kernel_pool: Dict[int, tuple] = {}
         self._kernel_code: Dict[tuple, object] = {}
         self._clock = 0
         self.name = "btb"
@@ -166,8 +170,8 @@ class BranchTargetBuffer:
                                                      self._build_xor_masks)
             self._kernel_token = object()
             self._isolation.register_fast_mask_cache(self._kernel_token,
-                                                     self._cond_kernels,
-                                                     self._build_cond_kernel)
+                                                     self._kernels,
+                                                     self._build_kernels)
         self._isolation.register_flushable(self)
 
     # -- geometry -------------------------------------------------------------
@@ -255,7 +259,7 @@ class BranchTargetBuffer:
         """Partial tag derived from the upper PC bits."""
         return (pc >> self._tag_shift) & self._tag_mask
 
-    # -- conditional-probe kernels --------------------------------------------
+    # -- probe kernels --------------------------------------------------------
     def exec_conditional_kernel(self, thread_id: int = 0):
         """Return the thread's fused conditional probe ``fn(pc, target, taken)``.
 
@@ -270,91 +274,98 @@ class BranchTargetBuffer:
         (and ignores) a trailing ``thread_id`` argument so engines can drive
         the kernel and the bound method through one call shape.
         """
-        fn = self._cond_kernels.get(thread_id)
-        if fn is None:
-            fn = self._build_cond_kernel(thread_id)
-        return fn
+        pair = self._kernels.get(thread_id)
+        if pair is None:
+            pair = self._build_kernels(thread_id)
+        return pair[0]
 
     def invalidate_kernels(self) -> None:
         """Drop every cached probe kernel (tests / manual flag flips)."""
-        self._cond_kernels.clear()
+        self._kernels.clear()
         self._kernel_pool.clear()
 
-    def _build_cond_kernel(self, thread_id: int):
-        """Return one thread's current conditional probe kernel.
+    def _build_kernels(self, thread_id: int) -> tuple:
+        """Return one thread's current (conditional, indirect) kernel pair.
 
-        A kernel evicted by a key re-randomisation is reused: only its mask
-        globals are rewritten.  Otherwise a new kernel is built.
+        A pair evicted by a key re-randomisation is reused: only the mask
+        globals the two kernels share are rewritten.  Otherwise a new pair
+        is built.
         """
-        kernel = self._kernel_pool.get(thread_id)
-        if kernel is None:
-            kernel = self._kernel_pool[thread_id] = \
-                self._new_cond_kernel(thread_id)
-        elif kernel.arm == "fused-xor":
-            self._bind_kernel_masks(kernel.__globals__, thread_id)
-        self._cond_kernels[thread_id] = kernel
-        return kernel
+        pair = self._kernel_pool.get(thread_id)
+        if pair is None:
+            pair = self._kernel_pool[thread_id] = self._new_kernels(thread_id)
+        elif pair[0].arm == "fused-xor":
+            self._bind_masks(pair[0].__globals__, thread_id)
+        self._kernels[thread_id] = pair
+        return pair
 
-    def _bind_kernel_masks(self, namespace: dict, thread_id: int) -> None:
+    def _bind_masks(self, namespace: dict, thread_id: int) -> None:
         """Bind one thread's fused-XOR masks as kernel globals."""
         masks = self._xor_masks.get(thread_id)
         if masks is None:
             masks = self._build_xor_masks(thread_id)
         namespace["IK"], namespace["TK"], namespace["GK"] = masks
 
-    def _new_cond_kernel(self, thread_id: int):
-        """Build one thread's conditional probe kernel.
+    def _new_kernels(self, thread_id: int) -> tuple:
+        """Build one thread's (conditional, indirect) probe kernel pair.
 
-        The passthrough, fused-XOR and owner arms are *generated*: the way
-        walk is unrolled with the geometry constants inlined as literals,
-        while the field arrays and the thread's masks are bound in the
-        function's globals, so key rotation swaps namespace entries instead
-        of recompiling.  Non-XOR encoders (and forced generic dispatch) get
-        the exact generic two-call closure.
+        The passthrough, fused-XOR and owner arms are *generated* into one
+        namespace: the way walk is unrolled with the geometry constants
+        inlined as literals, while the field arrays and the thread's masks
+        are bound in the shared globals, so key rotation swaps namespace
+        entries instead of recompiling.  Non-XOR encoders (and forced
+        generic dispatch) get the exact generic lookup + update sequences.
         """
-        if self._fast or self._xor_fast or self._owner_fast:
-            encoded = self._xor_fast
-            arm = ("fused-xor" if encoded
-                   else "owner" if self._owner_fast else "passthrough")
-            diversified = False
-            if encoded:
-                diversified = bool(getattr(self._isolation,
-                                           "_row_diversified", False))
-            namespace = {
-                "valid": self._valid, "tags": self._tags,
-                "targets": self._targets, "types": self._types,
-                "owners": self._owners, "last": self._last,
-                "btb": self, "OWNER": thread_id,
-            }
-            if encoded:
-                self._bind_kernel_masks(namespace, thread_id)
-                if diversified:
-                    namespace["TRK"] = self._tag_row_keys
-                    namespace["GRK"] = self._target_row_keys
-            kernel = make_kernel(
-                self._kernel_code, ("btb", arm, diversified),
-                lambda: self._cond_kernel_source(arm, diversified),
-                namespace, arm)
-        else:
-            # Non-XOR encoders (or forced generic dispatch): the exact
-            # generic two-call sequence.
+        arm = storage_arm([self])
+        if arm == "generic":
             btb = self
             owner = thread_id
 
-            def kernel(pc, target, taken, _thread_id=0):
+            def conditional(pc, target, taken, _thread_id=0):
                 result = btb.lookup(pc, owner)
                 if taken:
                     btb.update(pc, target, owner, BranchType.CONDITIONAL)
                 return result.hit, result.target
 
-            kernel.arm = "generic"
-        return kernel
+            def indirect(pc, target, branch_type, _thread_id=0):
+                result = btb.lookup(pc, owner)
+                btb.update(pc, target, owner, branch_type)
+                return result.hit, result.target
 
-    def _cond_kernel_source(self, arm: str, diversified: bool) -> str:
-        """Generate the source of one conditional probe kernel arm.
+            conditional.arm = indirect.arm = arm
+            return conditional, indirect
+        diversified = arm == "fused-xor" and bool(
+            getattr(self._isolation, "_row_diversified", False))
+        namespace = {
+            "valid": self._valid, "tags": self._tags,
+            "targets": self._targets, "types": self._types,
+            "owners": self._owners, "last": self._last,
+            "btb": self, "OWNER": thread_id,
+        }
+        if arm == "fused-xor":
+            self._bind_masks(namespace, thread_id)
+            if diversified:
+                namespace["TRK"] = self._tag_row_keys
+                namespace["GRK"] = self._target_row_keys
 
-        Statement order mirrors :meth:`lookup_fast` + :meth:`update` (and
-        the previous closure kernels) exactly — the differential-parity
+        def kernel(conditional: bool):
+            key = ("btb" if conditional else "btb-indirect", arm, diversified)
+            return make_kernel(
+                self._kernel_code, key,
+                lambda: self._cond_kernel_source(arm, diversified, conditional),
+                namespace, arm)
+
+        return kernel(True), kernel(False)
+
+    def _cond_kernel_source(self, arm: str, diversified: bool,
+                            conditional: bool = True) -> str:
+        """Generate the source of one probe kernel arm.
+
+        The conditional kernel ``fn(pc, target, taken)`` updates only taken
+        branches and installs them as conditional; the indirect kernel
+        (``conditional=False``) ``fn(pc, target, branch_type)`` always
+        updates and installs ``branch_type``.  Statement order mirrors
+        :meth:`lookup` + :meth:`update` exactly — the differential-parity
         suite holds the generated kernels, the generic dispatch and the
         scalar protocol bit-identical.
 
@@ -370,7 +381,8 @@ class BranchTargetBuffer:
         idx = [f"i{w}" for w in range(ways)]
         lines = []
         emit = lines.append
-        emit("def _kernel(pc, target, taken, _thread_id=0):")
+        emit("def _kernel(pc, target, taken, _thread_id=0):" if conditional
+             else "def _kernel(pc, target, branch_type, _thread_id=0):")
         emit("    btb.lookups += 1")
         emit("    clock = btb._clock + 1")
         if encoded:
@@ -411,183 +423,68 @@ class BranchTargetBuffer:
             emit("        hit = True")
             emit(f"        btb_target = {read.format(i=i)}")
             emit(f"        victim = {i}")
-        emit("    if taken:")
-        emit("        clock += 1")
+        if conditional:
+            emit("    if taken:")
+        pad = "        " if conditional else "    "
+        emit(f"{pad}clock += 1")
         if owned:
             for w, i in enumerate(idx):
-                emit(f"        {'if' if w == 0 else 'elif'} valid[{i}]"
+                emit(f"{pad}{'if' if w == 0 else 'elif'} valid[{i}]"
                      f" and tags[{i}] == enc_tag:")
-                emit(f"            victim = {i}")
-            emit("        else:")
-            emit("            victim = -1")
-        emit("        if victim < 0:")
+                emit(f"{pad}    victim = {i}")
+            emit(f"{pad}else:")
+            emit(f"{pad}    victim = -1")
+        emit(f"{pad}if victim < 0:")
         for w, i in enumerate(idx):
-            emit(f"            {'if' if w == 0 else 'elif'} not valid[{i}]:")
-            emit(f"                victim = {i}")
+            emit(f"{pad}    {'if' if w == 0 else 'elif'} not valid[{i}]:")
+            emit(f"{pad}        victim = {i}")
+        emit(f"{pad}    else:")
+        emit(f"{pad}        victim = {idx[0]}")
         if ways > 1:
-            emit("            else:")
-            emit(f"                victim = {idx[0]}")
-            emit(f"                low = last[{idx[0]}]")
+            emit(f"{pad}        low = last[{idx[0]}]")
             for i in idx[1:]:
-                emit(f"                if last[{i}] < low:")
-                emit(f"                    low = last[{i}]")
-                emit(f"                    victim = {i}")
-        else:
-            emit("            else:")
-            emit(f"                victim = {idx[0]}")
-        emit("        valid[victim] = True")
-        emit("        tags[victim] = enc_tag")
-        emit(f"        targets[victim] = {write}")
-        emit(f"        types[victim] = {_CONDITIONAL_INT}")
-        emit("        owners[victim] = OWNER")
-        emit("        last[victim] = clock")
+                emit(f"{pad}        if last[{i}] < low:")
+                emit(f"{pad}            low = last[{i}]")
+                emit(f"{pad}            victim = {i}")
+        emit(f"{pad}valid[victim] = True")
+        emit(f"{pad}tags[victim] = enc_tag")
+        emit(f"{pad}targets[victim] = {write}")
+        emit(f"{pad}types[victim] = "
+             + (str(_CONDITIONAL_INT) if conditional else "int(branch_type)"))
+        emit(f"{pad}owners[victim] = OWNER")
+        emit(f"{pad}last[victim] = clock")
         emit("    btb._clock = clock")
         emit("    return hit, btb_target")
         return "\n".join(lines) + "\n"
 
     # -- prediction protocol --------------------------------------------------
-    def lookup_fast(self, pc: int, thread_id: int = 0) -> tuple:
-        """Allocation-free lookup used by the batched engine hot path.
-
-        Behaviourally identical to :meth:`lookup` (same counters, same LRU
-        update) but returns a plain ``(hit, target)`` tuple instead of a
-        :class:`BTBResult`, and skips the isolation virtual dispatch entirely
-        when the attached policy is a passthrough (baseline / flush) or a
-        plain-XOR encoder (fused thread-private masks), and checks the
-        owner inline under Precise Flush.
-        """
-        owner = -1
-        if self._fast or self._owner_fast:
-            set_index = (pc >> 2) & self._index_mask
-            enc_tag = (pc >> self._tag_shift) & self._tag_mask
-            dec_target = 0
-            if self._owner_fast:
-                owner = thread_id
-        elif self._xor_fast:
-            # Fused-XOR probe: encode the lookup tag once and compare raw
-            # stored tags (XOR is a bijection, so this equals decoding every
-            # stored tag); decode the target only on a hit.
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, tag_key, target_key = masks
-            set_index = ((pc >> 2) ^ index_key) & self._index_mask
-            enc_tag = (((pc >> self._tag_shift) & self._tag_mask)
-                       ^ tag_key ^ self._tag_row_keys[set_index])
-            dec_target = target_key ^ self._target_row_keys[set_index]
-        else:
-            result = self.lookup(pc, thread_id)
-            return result.hit, result.target
-        self.lookups += 1
-        clock = self._clock + 1
-        self._clock = clock
-        valid = self._valid
-        tags = self._tags
-        owners = self._owners
-        base = set_index * self._n_ways
-        for i in range(base, base + self._n_ways):
-            if (valid[i] and tags[i] == enc_tag
-                    and (owner < 0 or owners[i] == owner)):
-                self._last[i] = clock
-                self.hits += 1
-                return True, (self._targets[i] ^ dec_target) & self._target_mask
-        return False, None
-
     def execute_conditional_fast(self, pc: int, target: int, taken: bool,
                                  thread_id: int = 0) -> tuple:
         """Fused conditional-branch probe: lookup plus update-if-taken.
 
-        Behaviourally identical to :meth:`lookup_fast` followed by
-        :meth:`update` (for taken branches), but runs the thread's probe
-        kernel (see :meth:`exec_conditional_kernel`), which computes
-        the set index and tag once and falls back to the two-call sequence
-        when the isolation policy is neither a passthrough nor a fused-XOR
-        encoder.
+        Behaviourally identical to :meth:`lookup` followed by :meth:`update`
+        (for taken branches), returning ``(hit, target)``; runs the thread's
+        conditional kernel (see :meth:`exec_conditional_kernel`).
         """
-        fn = self._cond_kernels.get(thread_id)
-        if fn is None:
-            fn = self._build_cond_kernel(thread_id)
-        return fn(pc, target, taken)
+        pair = self._kernels.get(thread_id)
+        if pair is None:
+            pair = self._build_kernels(thread_id)
+        return pair[0](pc, target, taken)
 
     def execute_indirect_fast(self, pc: int, target: int,
                               branch_type: BranchType,
                               thread_id: int = 0) -> tuple:
         """Fused unconditional/indirect probe: lookup plus unconditional update.
 
-        Behaviourally identical to :meth:`lookup_fast` followed by
-        :meth:`update` (unconditional branches always train the BTB), but
-        computes the set index and tag once on the packed arrays.  Falls back
-        to the two-call sequence when the isolation policy is neither a
-        passthrough, a fused-XOR encoder nor owner tracking.
+        Behaviourally identical to :meth:`lookup` followed by :meth:`update`
+        (unconditional branches always train the BTB), returning
+        ``(hit, target)``; runs the indirect kernel of the thread's pair
+        (see :meth:`exec_conditional_kernel`).
         """
-        owned = self._owner_fast
-        if self._fast or owned:
-            set_index = (pc >> 2) & self._index_mask
-            dec_tag = dec_target = 0
-        elif self._xor_fast:
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, tag_key, target_key = masks
-            set_index = ((pc >> 2) ^ index_key) & self._index_mask
-            dec_tag = tag_key ^ self._tag_row_keys[set_index]
-            dec_target = target_key ^ self._target_row_keys[set_index]
-        else:
-            result = self.lookup(pc, thread_id)
-            self.update(pc, target, thread_id, branch_type)
-            return result.hit, result.target
-        enc_tag = ((pc >> self._tag_shift) & self._tag_mask) ^ dec_tag
-        self.lookups += 1
-        clock = self._clock + 1
-        valid = self._valid
-        tags = self._tags
-        targets = self._targets
-        last = self._last
-        base = set_index * self._n_ways
-        end = base + self._n_ways
-        hit = False
-        btb_target = None
-        victim = -1
-        owners = self._owners
-        for i in range(base, end):
-            if (valid[i] and tags[i] == enc_tag
-                    and (not owned or owners[i] == thread_id)):
-                last[i] = clock
-                self.hits += 1
-                hit = True
-                btb_target = (targets[i] ^ dec_target) & self._target_mask
-                victim = i
-                break
-        # Inlined update(): unconditional branches always install/refresh.
-        clock += 1
-        if owned:
-            # update() re-uses the first way with a matching tag, whatever
-            # its owner (see ``_cond_kernel_source``).
-            victim = -1
-            for i in range(base, end):
-                if valid[i] and tags[i] == enc_tag:
-                    victim = i
-                    break
-        if victim < 0:
-            for i in range(base, end):
-                if not valid[i]:
-                    victim = i
-                    break
-        if victim < 0:
-            victim = base
-            low = last[base]
-            for i in range(base + 1, end):
-                if last[i] < low:
-                    low = last[i]
-                    victim = i
-        valid[victim] = True
-        tags[victim] = enc_tag
-        targets[victim] = (target & self._target_mask) ^ dec_target
-        self._types[victim] = int(branch_type)
-        owners[victim] = thread_id
-        last[victim] = clock
-        self._clock = clock
-        return hit, btb_target
+        pair = self._kernels.get(thread_id)
+        if pair is None:
+            pair = self._build_kernels(thread_id)
+        return pair[1](pc, target, branch_type)
 
     def lookup(self, pc: int, thread_id: int = 0) -> BTBResult:
         """Predict the target of the branch at ``pc`` for a hardware thread."""

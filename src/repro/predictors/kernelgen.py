@@ -22,7 +22,7 @@ The helpers below emit one table read or write on a given arm and bind the
 names those emitted lines use, so composite predictors (LTAGE, TAGE-SC-L,
 Tournament) describe each access once and get every arm; the counter
 helpers build the read and the saturating train of one packed counter
-(Tournament, bimodal) on top of them.
+(Tournament, bimodal, gshare) on top of them.
 
 A kernel's fused-XOR masks are plain globals, so a predictor that keeps its
 kernel across a key re-randomisation rebinds them with :func:`bind_table`
@@ -64,11 +64,8 @@ def bind_table(namespace: dict, name: str, table: PredictorTable, arm: str,
     if arm == "owner":
         namespace[f"{name}_O"] = table._owner
     elif arm == "fused-xor":
-        masks = table._xor_masks.get(thread_id)
-        if masks is None:
-            masks = table._build_xor_masks(thread_id)
         (namespace[f"{name}_IK"], namespace[f"{name}_CK"],
-         namespace[f"{name}_RK"]) = masks
+         namespace[f"{name}_RK"]) = table.xor_masks(thread_id)
 
 
 def _cell(name: str, table: PredictorTable, row: str) -> str:
@@ -123,15 +120,9 @@ def emit_counter_read(arm: str, name: str, pht: PackedCounterTable,
     ``{name}_ctr``, leaving its word in ``{name}_word`` and its coordinates
     in ``{name}_index``/``{name}_shift`` for :func:`emit_counter_train`."""
     bits = pht.counter_bits
-    cpw = pht.counters_per_word
-    if cpw & (cpw - 1) == 0:
-        word_index = f"{index} >> {cpw.bit_length() - 1}"
-        slot = f"{index} & {cpw - 1}"
-    else:
-        word_index = f"{index} // {cpw}"
-        slot = f"{index} % {cpw}"
-    return ([f"    {name}_index = {word_index}",
-             f"    {name}_shift = ({slot}) * {bits}"]
+    cpw = pht.counters_per_word  # a power of two (see PackedCounterTable)
+    return ([f"    {name}_index = {index} >> {cpw.bit_length() - 1}",
+             f"    {name}_shift = ({index} & {cpw - 1}) * {bits}"]
             + emit_read(arm, name, pht.word_table, f"{name}_index",
                         f"{name}_word")
             + [f"    {name}_ctr = ({name}_word >> {name}_shift)"

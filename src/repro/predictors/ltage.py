@@ -91,9 +91,8 @@ class TageComposite(DirectionPredictor):
     def _build_exec_fn(self, thread_id: int):
         tage = self._tage
         arm = storage_arm(self.tables())
-        bundle = tage._kernel_bundle(thread_id) if arm == "fused-xor" else False
         diversified = tage._diversified(arm)
-        namespace = tage._kernel_namespace(thread_id, arm, bundle,
+        namespace = tage._kernel_namespace(thread_id, arm,
                                            pstats=self.stats(thread_id))
         self._bind_kernel(namespace, arm, thread_id)
         fn = make_kernel(

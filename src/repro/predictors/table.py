@@ -30,11 +30,13 @@ virtual dispatch:
   and re-randomised only at context/privilege-switch time — hoisted out of
   the per-branch loop — via the mask-cache registration protocol on
   :class:`repro.core.isolation.XorContentIsolation`;
-* the *owner* flag (identity transforms plus ``tracks_owner``: Precise
-  Flush) marks tables whose generated kernels check and stamp the owner
-  list inline (see :mod:`repro.predictors.kernelgen`); the table's own
-  ``read``/``write`` keep the generic dispatch, which is the oracle those
-  kernels are tested against.
+* the *owner* fast path (identity transforms plus ``tracks_owner``:
+  Precise Flush) checks the owner list inline on reads (another thread's
+  entry reads as the reset value) and stamps it on writes.
+
+The generated predictor kernels (:mod:`repro.predictors.kernelgen`) emit
+the same three arms inline; forced generic dispatch (all three flags off)
+is the oracle both are tested against.
 
 Tables can also share one flat storage list (``storage``/``storage_offset``),
 which lets multi-table predictors such as TAGE keep every tagged entry in a
@@ -304,6 +306,14 @@ class PredictorTable:
         self._xor_masks[thread_id] = masks
         return masks
 
+    def xor_masks(self, thread_id: int) -> tuple:
+        """One thread's ``(index_key, content_key, row_keys)`` fused-XOR
+        masks, built on first use after each key re-randomisation."""
+        masks = self._xor_masks.get(thread_id)
+        if masks is None:
+            masks = self._build_xor_masks(thread_id)
+        return masks
+
     # -- access ---------------------------------------------------------------
     def physical_index(self, index: int, thread_id: int = 0) -> int:
         """Return the physical row selected for a logical index."""
@@ -331,6 +341,13 @@ class PredictorTable:
             index_key, content_key, row_keys = masks
             row = (index ^ index_key) & self._index_mask
             return self._data[self._offset + row] ^ content_key ^ row_keys[row]
+        if self._owner_fast:
+            # Precise Flush: identity transforms, owner checked inline.
+            row = index & self._index_mask
+            owner = self._owner[row]
+            if owner != _NO_OWNER and owner != thread_id:
+                return self._reset_value
+            return self._data[self._offset + row]
         row = self.physical_index(index, thread_id)
         if self._isolation.tracks_owner:
             owner = self._owner[row]
@@ -354,6 +371,11 @@ class PredictorTable:
             row = (index ^ index_key) & self._index_mask
             self._data[self._offset + row] = \
                 (value & self._value_mask) ^ content_key ^ row_keys[row]
+            return
+        if self._owner_fast:
+            row = index & self._index_mask
+            self._data[self._offset + row] = value & self._value_mask
+            self._owner[row] = thread_id
             return
         row = self.physical_index(index, thread_id)
         encoded = self._isolation.encode(value & self._value_mask, self._entry_bits,
@@ -437,7 +459,7 @@ class PackedCounterTable:
     packing only changes the granularity at which the isolation policy's
     encode/decode runs — and therefore the obfuscation strength.
 
-    All storage access (including both monomorphic fast paths) is delegated
+    All storage access (including the three fast paths) is delegated
     to the underlying :class:`PredictorTable`, so there is a single packed
     implementation of the isolation dispatch for every direction table; this
     class only translates counter indices to (word, slot) coordinates.  The
@@ -447,7 +469,8 @@ class PackedCounterTable:
     Args:
         n_counters: number of logical counters; power of two.
         counter_bits: width of each logical counter.
-        word_bits: width of each physical word; multiple of ``counter_bits``.
+        word_bits: width of each physical word; a power-of-two multiple of
+            ``counter_bits``.
         reset_value: initial value of every counter.
         name: table name.
         isolation: isolation policy (applied at word granularity).
@@ -460,6 +483,12 @@ class PackedCounterTable:
         if word_bits % counter_bits:
             raise ValueError("word_bits must be a multiple of counter_bits")
         self._counters_per_word = word_bits // counter_bits
+        cpw = self._counters_per_word
+        if cpw & (cpw - 1):
+            # The word count n_counters / cpw could never be a power of two.
+            raise ValueError(
+                f"word_bits ({word_bits}) must hold a power-of-two number of "
+                f"counter_bits ({counter_bits})-bit counters, got {cpw}")
         if self._counters_per_word > n_counters:
             # Degenerate tiny tables: fall back to one counter per word.
             self._counters_per_word = 1

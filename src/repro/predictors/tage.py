@@ -42,7 +42,12 @@ packed state rather than per-table objects:
   third, *owner* arm that checks and stamps the tables' owner lists inline;
   non-XOR encoders (and forced generic dispatch) get a fourth, *generic*
   arm whose storage accesses go through the tables' own ``read``/``write``
-  dispatch.
+  dispatch;
+* allocation after a misprediction (:meth:`TagePredictor._allocate`) is
+  off the per-branch path and has one implementation for every arm: it
+  reads and writes through the tables' ``read``/``write``, which apply the
+  passthrough, fused-XOR and owner arms inline and the generic dispatch
+  otherwise.
 """
 
 from __future__ import annotations
@@ -56,8 +61,7 @@ from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
 from .kernelgen import make_kernel, storage_arm
-from .table import (PredictorTable, TableIsolation, row_diversifier_vector,
-                    supports_fused_xor)
+from .table import PredictorTable, TableIsolation, supports_fused_xor
 
 __all__ = ["TageConfig", "TagePredictor", "geometric_history_lengths"]
 
@@ -245,29 +249,19 @@ class TagePredictor(DirectionPredictor):
         self._base_counter_bits = 2
         self._base_threshold = 1 << (self._base_counter_bits - 1)
         self._base_words = self._base_pht.word_table
-        self._base_cpw = self._base_pht.counters_per_word
         self._use_alt = (1 << (cfg.use_alt_bits - 1))  # neutral
         self._use_alt_max = (1 << cfg.use_alt_bits) - 1
         self._lfsr = _DeterministicLfsr()
         self._update_count = 0
-        # Per-thread kernel bundles: the storage arm, the per-table constant
-        # tuples (with the thread's fused isolation masks baked in) plus the
-        # base-PHT masks.  ``False`` marks a thread on the generic arm
-        # (non-XOR encoders, forced generic dispatch).
-        self._kernel_masks: Dict[int, object] = {}
-        self._zero_base_row_keys = row_diversifier_vector(
-            self._base_words.n_entries, 0)
         # Per-thread specialised kernels (generated functions, see
         # ``_build_exec_fn``) and their code objects, keyed by arm.  The
-        # kernels close over per-thread masks and state, so they register
-        # as a second mask cache: key re-randomisation drops them and the
-        # next fetch rebuilds them.
+        # kernels bind per-thread masks and state, so they register as a
+        # mask cache: key re-randomisation drops them and the next fetch
+        # rebuilds them.
         self._exec_fns: Dict[int, object] = {}
         self._kernel_code: Dict[tuple, object] = {}
         attached = self._tables[0].isolation
         if supports_fused_xor(attached):
-            attached.register_fast_mask_cache(self, self._kernel_masks,
-                                              self._build_kernel_masks)
             self._exec_token = object()
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
@@ -287,62 +281,8 @@ class TagePredictor(DirectionPredictor):
         tag = (word >> (cfg.useful_bits + cfg.counter_bits)) & self._tag_mask
         return tag, ctr, useful
 
-    # -- fused-kernel mask bundles --------------------------------------------
-    def _build_kernel_masks(self, thread_id: int):
-        """(Re)build the per-thread kernel constants for one hardware thread.
-
-        The bundle's first field is the storage arm (:func:`storage_arm`).
-        Passthrough and owner-tracking policies get all-zero masks; plain-XOR
-        policies get the thread's fused index/content keys (pulled from the
-        tables' own mask caches, so both dispatch layers agree bit for bit);
-        anything else is served by the generic path.
-
-        The result is cached per thread; XOR policies invalidate it on every
-        key re-randomisation and it rebuilds on the next access.  Tests that
-        force storage fast-path flags off must clear ``_kernel_masks``
-        afterwards (``invalidate_kernel_masks``).
-        """
-        tables = self._tables
-        base_words = self._base_words
-        n = self.config.n_tables
-        swar_i = self._swar_i.lane_offsets
-        swar_t0 = self._swar_t0.lane_offsets
-        swar_t1 = self._swar_t1.lane_offsets
-        entries = self.config.table_entries
-        arm = storage_arm(self.tables())
-        if arm in ("passthrough", "owner"):
-            # No key fields at all: the specialised loop indexes directly.
-            consts = tuple(
-                (t, t * entries, t * 0x1F, swar_i[t], t & 3,
-                 swar_t0[t], swar_t1[t])
-                for t in range(n))
-            bundle = (arm, consts, 0, 0, self._zero_base_row_keys)
-        elif arm == "fused-xor":
-            per_table = []
-            for t in range(n):
-                table = tables[t]
-                masks = table._xor_masks.get(thread_id)
-                if masks is None:
-                    masks = table._build_xor_masks(thread_id)
-                index_key, content_key, row_keys = masks
-                # The index hash constant t*0x1F and the thread's index key
-                # are both XORed into the index, so they fuse into one mask.
-                per_table.append((t, t * entries, (t * 0x1F) ^ index_key,
-                                  content_key, row_keys,
-                                  swar_i[t], t & 3, swar_t0[t], swar_t1[t]))
-            base_masks = base_words._xor_masks.get(thread_id)
-            if base_masks is None:
-                base_masks = base_words._build_xor_masks(thread_id)
-            bundle = (arm, tuple(per_table), base_masks[0], base_masks[1],
-                      base_masks[2])
-        else:
-            bundle = False
-        self._kernel_masks[thread_id] = bundle
-        return bundle
-
     def invalidate_kernel_masks(self) -> None:
-        """Drop every cached kernel bundle (tests / manual flag flips)."""
-        self._kernel_masks.clear()
+        """Drop every cached kernel (tests / manual fast-path flag flips)."""
         self._exec_fns.clear()
 
     # -- folded-history maintenance --------------------------------------------
@@ -538,13 +478,6 @@ class TagePredictor(DirectionPredictor):
             fn = self._build_exec_fn(thread_id)
         return fn
 
-    def _kernel_bundle(self, thread_id: int):
-        """The thread's cached kernel bundle (``False``: generic arm)."""
-        bundle = self._kernel_masks.get(thread_id)
-        if bundle is None:
-            bundle = self._build_kernel_masks(thread_id)
-        return bundle
-
     def _diversified(self, arm: str) -> bool:
         """Whether a fused-XOR arm must apply the per-row content keys."""
         return arm == "fused-xor" and bool(
@@ -556,15 +489,14 @@ class TagePredictor(DirectionPredictor):
         # ``.arm`` so benchmarks and tests can assert the intended
         # specialisation instead of a silent generic fallback.
         arm = storage_arm(self.tables())
-        bundle = self._kernel_bundle(thread_id) if arm == "fused-xor" else False
         diversified = self._diversified(arm)
         fn = make_kernel(self._kernel_code, ("tage", arm, diversified),
                          lambda: self._kernel_source(arm, diversified),
-                         self._kernel_namespace(thread_id, arm, bundle), arm)
+                         self._kernel_namespace(thread_id, arm), arm)
         self._exec_fns[thread_id] = fn
         return fn
 
-    def _kernel_namespace(self, thread_id: int, arm: str, bundle,
+    def _kernel_namespace(self, thread_id: int, arm: str,
                           pstats: Optional[PredictorStats] = None) -> dict:
         """Globals of one generated kernel: bound state + per-thread masks.
 
@@ -599,18 +531,17 @@ class TagePredictor(DirectionPredictor):
                 namespace[f"O{t}"] = table._owner
             namespace["BO"] = self._base_words._owner
         elif arm == "fused-xor":
-            _, consts, base_index_key, base_content_key, base_row_keys = bundle
-            for entry in consts:
-                t, _toff, mkey, ckey, row_keys = entry[:5]
-                namespace[f"MK{t}"] = mkey
-                namespace[f"CK{t}"] = ckey
-                namespace[f"RK{t}"] = row_keys
-                # Index key alone (hash constant stripped): maps a physical
-                # row back to its logical index on the cold reset-reread path.
-                namespace[f"IK{t}"] = mkey ^ (t * 0x1F)
-            namespace["BIK"] = base_index_key
-            namespace["BCK"] = base_content_key
-            namespace["BRK"] = base_row_keys
+            for t, table in enumerate(self._tables):
+                index_key, namespace[f"CK{t}"], namespace[f"RK{t}"] = \
+                    table.xor_masks(thread_id)
+                # The index hash constant t*0x1F and the thread's index key
+                # are both XORed into the index, so they fuse into one mask;
+                # the key alone maps a physical row back to its logical
+                # index on the cold reset-reread path.
+                namespace[f"MK{t}"] = (t * 0x1F) ^ index_key
+                namespace[f"IK{t}"] = index_key
+            (namespace["BIK"], namespace["BCK"],
+             namespace["BRK"]) = self._base_words.xor_masks(thread_id)
         return namespace
 
     def _kernel_source(self, arm: str, diversified: bool,
@@ -659,7 +590,7 @@ class TagePredictor(DirectionPredictor):
         lanes_t0 = self._swar_t0.lane_offsets
         lanes_t1 = self._swar_t1.lane_offsets
         boff = self._base_words._offset
-        cpw = self._base_cpw
+        cpw = self._base_pht.counters_per_word
         cbits = self._base_counter_bits
         bcmask = (1 << cbits) - 1
         new_i, new_t0, new_t1 = self._new_masks[1]
@@ -742,13 +673,9 @@ class TagePredictor(DirectionPredictor):
         # Inlined bimodal base lookup (reads are side-effect free; the
         # decoded word is reused by the base update below).
         emit(f"    base_index = pc2 & {self._base_index_mask}")
-        if cpw & (cpw - 1) == 0:
-            rshift = cpw.bit_length() - 1
-            row_expr = f"(base_index >> {rshift})" if rshift else "base_index"
-            emit(f"    base_shift = (base_index & {cpw - 1}) * {cbits}")
-        else:
-            row_expr = f"(base_index // {cpw})"
-            emit(f"    base_shift = (base_index % {cpw}) * {cbits}")
+        rshift = cpw.bit_length() - 1  # cpw is a power of two
+        row_expr = f"(base_index >> {rshift})" if rshift else "base_index"
+        emit(f"    base_shift = (base_index & {cpw - 1}) * {cbits}")
         if encoded:
             emit(f"    base_row = ({row_expr} ^ BIK)"
                  f" & {self._base_words._index_mask}")
@@ -913,34 +840,21 @@ class TagePredictor(DirectionPredictor):
     def _allocate(self, pc: int, taken: bool, provider: int,
                   indices: Sequence[int], tags: Sequence[int],
                   thread_id: int) -> None:
-        cfg = self.config
-        start = provider + 1
-        bundle = self._kernel_masks.get(thread_id)
-        if bundle is None:
-            bundle = self._build_kernel_masks(thread_id)
-        if bundle is not False:
-            if bundle[0] == "owner":
-                self._allocate_owned(taken, start, indices, tags, thread_id)
-            else:
-                self._allocate_packed(taken, start, indices, tags, bundle)
-            return
-        # Generic arm (non-XOR encoders, forced generic dispatch): every
-        # candidate read and write goes through the per-table dispatch.
-        candidates = []
-        for table in range(start, cfg.n_tables):
-            word = self._tables[table].read(indices[table], thread_id)
-            _, _, useful = self._unpack(word)
-            if useful == 0:
-                candidates.append(table)
+        """Allocate an entry in a table with a longer history than the
+        provider.  Every storage arm goes through the tables' own
+        ``read``/``write``, which apply the passthrough, fused-XOR and owner
+        arms inline and the generic dispatch otherwise."""
+        tables = self._tables
+        u_mask = self._u_mask
+        words = [(t, tables[t].read(indices[t], thread_id))
+                 for t in range(provider + 1, self.config.n_tables)]
+        candidates = [t for t, word in words if word & u_mask == 0]
         if not candidates:
             # No free entry: age the useful counters of all longer tables.
-            for table in range(start, cfg.n_tables):
-                word = self._tables[table].read(indices[table], thread_id)
-                tag, ctr, useful = self._unpack(word)
-                if useful > 0:
-                    self._tables[table].write(indices[table],
-                                              self._pack(tag, ctr, useful - 1),
-                                              thread_id)
+            # ``useful`` occupies the low bits, so the aged word is word - 1.
+            for t, word in words:
+                if word & u_mask:
+                    tables[t].write(indices[t], word - 1, thread_id)
             return
         # Prefer the shortest-history candidate, with a pseudo-random skip to
         # avoid ping-ponging (as in the reference TAGE implementation).
@@ -948,94 +862,8 @@ class TagePredictor(DirectionPredictor):
         if len(candidates) > 1 and self._lfsr.next_bits(2) == 0:
             choice = candidates[1]
         ctr = self._ctr_weak_taken if taken else self._ctr_weak_taken - 1
-        self._tables[choice].write(indices[choice],
-                                   self._pack(tags[choice], ctr, 0), thread_id)
-
-    def _allocate_packed(self, taken: bool, start: int,
-                         indices: Sequence[int], tags: Sequence[int],
-                         bundle) -> None:
-        """Allocation on the flat packed buffer (passthrough / fused-XOR).
-
-        Reads candidate entries straight from ``self._flat`` with the
-        thread's precomputed kernel masks instead of the generic per-table
-        accessors — bit-identical to the generic arm (the masks come from
-        the same caches the table reads use), but without any dispatch on
-        this ~10%-of-runtime path of high-mispredict encoded runs.
-        """
-        cfg = self.config
-        n_tables = cfg.n_tables
-        flat = self._flat
-        index_mask = (1 << self._index_bits) - 1
-        u_mask = self._u_mask
-        consts = bundle[1]
-        # Per candidate table: flat position and decode/encode key.
-        positions = [0] * n_tables
-        keys = [0] * n_tables
-        if bundle[0] == "fused-xor":
-            for t in range(start, n_tables):
-                entry = consts[t]
-                # entry[2] fuses the t*0x1F hash constant with the thread's
-                # index key; strip the constant to map logical index -> row.
-                row = (indices[t] ^ entry[2] ^ (t * 0x1F)) & index_mask
-                positions[t] = entry[1] + row
-                keys[t] = entry[3] ^ entry[4][row]
-        else:
-            for t in range(start, n_tables):
-                positions[t] = consts[t][1] + (indices[t] & index_mask)
-        candidates = []
-        for t in range(start, n_tables):
-            if (flat[positions[t]] ^ keys[t]) & u_mask == 0:
-                candidates.append(t)
-        if not candidates:
-            # No free entry: age the useful counters of all longer tables.
-            # ``useful`` occupies the low bits, so the aged word is word - 1.
-            for t in range(start, n_tables):
-                word = flat[positions[t]] ^ keys[t]
-                if word & u_mask:
-                    flat[positions[t]] = (word - 1) ^ keys[t]
-            return
-        choice = candidates[0]
-        if len(candidates) > 1 and self._lfsr.next_bits(2) == 0:
-            choice = candidates[1]
-        ctr = self._ctr_weak_taken if taken else self._ctr_weak_taken - 1
-        flat[positions[choice]] = \
-            self._pack(tags[choice], ctr, 0) ^ keys[choice]
-
-    def _allocate_owned(self, taken: bool, start: int,
-                        indices: Sequence[int], tags: Sequence[int],
-                        thread_id: int) -> None:
-        """Allocation on the owner arm: the generic arm's reads and writes
-        with the owner check and stamp inlined (tagged tables reset to 0)."""
-        n_tables = self.config.n_tables
-        entries = self.config.table_entries
-        flat = self._flat
-        index_mask = (1 << self._index_bits) - 1
-        u_mask = self._u_mask
-        tables = self._tables
-        words = [0] * n_tables
-        candidates = []
-        for t in range(start, n_tables):
-            row = indices[t] & index_mask
-            owner = tables[t]._owner[row]
-            if owner == thread_id or owner == -1:
-                words[t] = flat[t * entries + row]
-            if words[t] & u_mask == 0:
-                candidates.append(t)
-        if not candidates:
-            # No free entry: age the useful counters of all longer tables.
-            for t in range(start, n_tables):
-                if words[t] & u_mask:
-                    row = indices[t] & index_mask
-                    flat[t * entries + row] = words[t] - 1
-                    tables[t]._owner[row] = thread_id
-            return
-        choice = candidates[0]
-        if len(candidates) > 1 and self._lfsr.next_bits(2) == 0:
-            choice = candidates[1]
-        ctr = self._ctr_weak_taken if taken else self._ctr_weak_taken - 1
-        row = indices[choice] & index_mask
-        flat[choice * entries + row] = self._pack(tags[choice], ctr, 0)
-        tables[choice]._owner[row] = thread_id
+        tables[choice].write(indices[choice],
+                             self._pack(tags[choice], ctr, 0), thread_id)
 
     def _graceful_useful_reset(self, thread_id: int) -> None:
         """Periodically clear the low bit of every useful counter."""

@@ -2,25 +2,30 @@
 
 Under Precise Flush every entry carries the hardware thread that wrote it:
 another thread's entry reads as the reset value, and every write stamps the
-writer.  The generated direction kernels, the BTB's conditional kernel and
-its indirect/lookup fast paths apply that check and stamp inline (the
-``owner`` arm).  These tests drive them against the scalar protocol, which
-goes through ``PredictorTable.read``/``write`` and ``BranchTargetBuffer
-.lookup``/``update`` (the oracle unit is forced onto generic dispatch, so
-TAGE allocation takes its per-table path too), on two and four hardware
-threads with context switches (each flushing the switching thread's
-entries) and explicit ``flush_thread`` calls between steps.  Raw storage, every owner list, the BTB entries and
-counters, and per-thread statistics must match exactly.
+writer.  The generated direction kernels and the BTB's conditional and
+indirect kernels apply that check and stamp inline (the ``owner`` arm); the
+BTB kernels are also compared with the oracle on their other three arms.
+These tests drive them against the scalar protocol, which goes through
+``PredictorTable.read``/``write`` and ``BranchTargetBuffer.lookup``/
+``update`` (the oracle unit is forced onto generic dispatch, so TAGE
+allocation takes its per-table path too), on two and four hardware threads
+with context switches (each flushing the switching thread's entries) and
+explicit ``flush_thread`` calls between steps.  Raw storage, every owner
+list, the BTB entries and counters, and per-thread statistics must match
+exactly.
 """
 
 import random
 
 import pytest
 
-from repro.core.isolation import PreciseFlushIsolation
+from repro.core.encoding import SboxEncoder
+from repro.core.isolation import (NoisyXorIsolation, PreciseFlushIsolation,
+                                  XorContentIsolation)
 from repro.core.keys import KeyManager
 from repro.core.registry import make_bpu
 from repro.predictors.btb import BranchTargetBuffer
+from repro.predictors.table import IdentityIsolation
 from repro.predictors.tage import TageConfig
 from repro.types import BranchType
 from repro.workloads.generator import make_workload
@@ -124,17 +129,32 @@ def test_direction_kernel_matches_lookup_update(predictor, threads, small):
     assert _direction_state(fast, threads) == _direction_state(oracle, threads)
 
 
-def _small_btb(ways):
+#: BTB isolation policies, by the probe-kernel arm each one selects.
+BTB_POLICIES = {
+    "identity": (lambda keys: IdentityIsolation(), "passthrough"),
+    "xor": (lambda keys: XorContentIsolation(keys, row_diversified=False),
+            "fused-xor"),
+    "noisy_xor": (NoisyXorIsolation, "fused-xor"),
+    "precise_flush": (PreciseFlushIsolation, "owner"),
+    "sbox": (lambda keys: XorContentIsolation(keys, encoder=SboxEncoder()),
+             "generic"),
+}
+
+
+def _small_btb(ways, policy="precise_flush"):
     # Eight sets: the workload's branches collide constantly, and threads
     # running the same code install the same tags in the same sets.
+    make_isolation = BTB_POLICIES[policy][0]
     return BranchTargetBuffer(8, ways,
-                              isolation=PreciseFlushIsolation(KeyManager(seed=1)))
+                              isolation=make_isolation(KeyManager(seed=1)))
 
 
+@pytest.mark.parametrize("policy", list(BTB_POLICIES))
 @pytest.mark.parametrize("ways", [1, 2, 4])
 @pytest.mark.parametrize("threads", [2, 4])
-def test_btb_paths_match_lookup_update(ways, threads):
-    fast, oracle = _small_btb(ways), _small_btb(ways)
+def test_btb_paths_match_lookup_update(ways, threads, policy):
+    fast, oracle = _small_btb(ways, policy), _small_btb(ways, policy)
+    arm = BTB_POLICIES[policy][1]
     records = [r for r in make_workload("perlbench", seed=9).segment(4_000)
                if r.branch_type is not BranchType.RETURN]
     schedule = _threads(len(records), threads, seed=20 + threads)
@@ -145,10 +165,11 @@ def test_btb_paths_match_lookup_update(ways, threads):
             if taken:
                 oracle.update(pc, target, thread, BranchType.CONDITIONAL)
             kernel = fast.exec_conditional_kernel(thread)
-            assert kernel.arm == "owner"
+            assert kernel.arm == arm
             got = kernel(pc, target, taken)
         elif i % 3 == 0:
-            got = fast.lookup_fast(pc, thread)
+            lookup = fast.lookup(pc, thread)
+            got = lookup.hit, lookup.target
         else:
             oracle.update(pc, target, thread, record.branch_type)
             got = fast.execute_indirect_fast(pc, target, record.branch_type,

@@ -219,6 +219,14 @@ class TestPackedCounterTable:
         with pytest.raises(ValueError):
             PackedCounterTable(64, 3, word_bits=32)
 
+    @pytest.mark.parametrize("n_counters", [8, 4096])
+    def test_non_power_of_two_counters_per_word_is_rejected(self, n_counters):
+        # 24 / 2 = 12 counters per word: no power-of-two table splits into
+        # a power-of-two number of such words.
+        with pytest.raises(ValueError, match=r"word_bits \(24\).*"
+                                             r"counter_bits \(2\).*got 12"):
+            PackedCounterTable(n_counters, 2, word_bits=24)
+
     def test_storage_bits(self):
         pht = PackedCounterTable(4096, 2, word_bits=32)
         assert pht.storage_bits == 4096 * 2

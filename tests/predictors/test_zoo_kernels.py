@@ -1,7 +1,7 @@
 """Generated execute kernels of the SMT predictor zoo.
 
-Tournament, LTAGE and TAGE-SC-L run the batched engines through generated
-``exec_kernel`` functions on four storage arms (passthrough, fused-XOR,
+Gshare, Tournament, LTAGE and TAGE-SC-L run the batched engines through
+generated ``exec_kernel`` functions on four storage arms (passthrough, fused-XOR,
 owner, generic); ``test_xor_fastpath.py`` pins the arm each preset selects.  These
 tests pin the invalidation protocol (forced generic dispatch, flushes,
 stats resets), which the TAGE and gshare kernels share, and bit-identity of every arm with the scalar
@@ -70,16 +70,22 @@ def _scalar_step(direction, pc, taken, thread):
     return prediction.taken
 
 
-@pytest.mark.parametrize("predictor", ZOO)
+@pytest.mark.parametrize("predictor,kwargs", [
+    ("gshare", None),
+    # 27 history bits over a 10-bit index: the history fold XORs 3 chunks.
+    ("gshare", {"n_entries": 1024, "history_bits": 27}),
+] + [(name, None) for name in ZOO], ids=["gshare", "gshare-long-history"] + ZOO)
 @pytest.mark.parametrize("preset,encoder", [
     ("baseline", "xor"), ("complete_flush", "xor"), ("precise_flush", "xor"),
     ("xor_pht_simple", "xor"), ("noisy_xor_bp", "xor"),
     ("noisy_xor_bp", "sbox"), ("xor_bp", "shift_xor")])
-def test_kernel_matches_scalar_oracle(predictor, preset, encoder):
+def test_kernel_matches_scalar_oracle(predictor, kwargs, preset, encoder):
     """Kernel vs lookup/update on two threads, across switches and rekeys."""
     overrides = {"encoder": encoder} if encoder != "xor" else None
-    oracle = make_bpu(predictor, preset, seed=11, config_overrides=overrides)
-    fast = make_bpu(predictor, preset, seed=11, config_overrides=overrides)
+    oracle = make_bpu(predictor, preset, seed=11, config_overrides=overrides,
+                      predictor_kwargs=kwargs)
+    fast = make_bpu(predictor, preset, seed=11, config_overrides=overrides,
+                    predictor_kwargs=kwargs)
     if encoder != "xor":
         assert fast.direction.exec_kernel(0).arm == "generic"
     records = [r for r in make_workload("mcf", seed=5).segment(2_500)
