@@ -6,8 +6,9 @@ the table-storage layer, so *any* predictor built on
 :class:`repro.predictors.table.PredictorTable` picks up the protection without
 changing its algorithm.  This example demonstrates that twice:
 
-1. with the bundled perceptron predictor (whose per-entry state is a packed
-   vector of signed weights — nothing like a 2-bit counter); and
+1. with the bundled TAGE predictor (whose per-entry state is a packed
+   tag / prediction-counter / useful-counter word — nothing like a 2-bit
+   counter); and
 2. with a small custom predictor written right here in the example (a
    PC-indexed table of 3-bit counters), wrapped into a full branch prediction
    unit and attacked.
@@ -27,9 +28,9 @@ from repro.predictors import (
     BranchTargetBuffer,
     DirectionPrediction,
     DirectionPredictor,
-    PerceptronPredictor,
     PredictorTable,
     ReturnAddressStack,
+    TagePredictor,
     counter_is_taken,
     saturating_update,
 )
@@ -119,9 +120,8 @@ def attack_comparison() -> None:
 def main() -> None:
     print("== Prediction accuracy: isolation is predictor-agnostic ==")
     rows = []
-    rows += study("perceptron",
-                  lambda isolation: PerceptronPredictor(n_entries=512, history_bits=16,
-                                                        isolation=isolation))
+    rows += study("tage",
+                  lambda isolation: TagePredictor(isolation=isolation))
     rows += study("wide_counter (custom)",
                   lambda isolation: WideCounterPredictor(isolation=isolation))
     print(render_table(["predictor", "configuration", "direction accuracy"], rows))

@@ -11,7 +11,7 @@ Run:  python examples/hwcost_report.py
 """
 
 from repro.analysis import render_table, sweep
-from repro.hwcost import btb_cost, btb_energy, pht_energy, tage_pht_cost
+from repro.hwcost import btb_cost, tage_pht_cost
 
 
 def btb_sweep() -> None:
@@ -64,27 +64,8 @@ def paper_points() -> None:
     print()
 
 
-def energy_report() -> None:
-    """Per-access dynamic-energy overhead (extension beyond Table 5)."""
-    rows = []
-    for entries in (128, 256, 512):
-        estimate = btb_energy(entries, 2)
-        rows.append([estimate.structure, f"{estimate.baseline_fj:.0f} fJ",
-                     f"{estimate.added_fj:.1f} fJ",
-                     f"{100 * estimate.energy_overhead:.2f}%"])
-    for entries in (1024, 2048, 4096):
-        estimate = pht_energy(entries)
-        rows.append([estimate.structure, f"{estimate.baseline_fj:.0f} fJ",
-                     f"{estimate.added_fj:.1f} fJ",
-                     f"{100 * estimate.energy_overhead:.2f}%"])
-    print(render_table(["structure", "baseline access", "added", "overhead"], rows,
-                       title="Per-access dynamic energy of the Noisy-XOR-BP additions"))
-    print()
-
-
 def main() -> None:
     paper_points()
-    energy_report()
     btb_sweep()
     pht_sweep()
 

@@ -1,6 +1,5 @@
-"""Analytic hardware cost model for Noisy-XOR-BP (Table 5, plus energy)."""
+"""Analytic hardware cost model for Noisy-XOR-BP (Table 5)."""
 
-from .energy import EnergyEstimate, btb_energy, pht_energy
 from .estimator import CostEstimate, btb_cost, tage_pht_cost
 from .gates import TSMC28_LIKE, TechnologyParameters
 from .sram import sram_access_ps, sram_area_um2
@@ -9,9 +8,6 @@ __all__ = [
     "CostEstimate",
     "btb_cost",
     "tage_pht_cost",
-    "EnergyEstimate",
-    "btb_energy",
-    "pht_energy",
     "TechnologyParameters",
     "TSMC28_LIKE",
     "sram_access_ps",

@@ -26,7 +26,6 @@ from .gshare import GsharePredictor
 from .history import GlobalHistory, LocalHistoryTable, PathHistory, fold_history
 from .loop import LoopPredictor
 from .ltage import LTagePredictor
-from .perceptron import PerceptronPredictor
 from .ras import ReturnAddressStack
 from .statistical_corrector import StatisticalCorrector
 from .table import IdentityIsolation, PackedCounterTable, PredictorTable, TableIsolation
@@ -59,7 +58,6 @@ __all__ = [
     "fold_history",
     "LoopPredictor",
     "LTagePredictor",
-    "PerceptronPredictor",
     "ReturnAddressStack",
     "StatisticalCorrector",
     "IdentityIsolation",
@@ -83,7 +81,6 @@ DIRECTION_PREDICTORS = {
     "tage": TagePredictor,
     "ltage": LTagePredictor,
     "tage_sc_l": TageScLPredictor,
-    "perceptron": PerceptronPredictor,
 }
 
 

@@ -27,7 +27,10 @@ packed state rather than per-table objects:
   circular shift registers per tagged table) are packed **lane-wise into
   three machine integers** and updated SWAR-style: one shift/XOR sequence per
   register file instead of one per (table, register), with the per-table
-  "oldest history bit" gather replaced by a precomputed 2^n_tables-entry map;
+  "oldest history bit" gather replaced by a precomputed 2^n_tables-entry map
+  (shared by every predictor of the same geometry).  The two tag registers
+  share one lane pitch, so the kernel folds every table's tag from a single
+  ``tag0 ^ (tag1 << 1)`` per branch;
 * XOR-family isolation (XOR-BP / Noisy-XOR-BP) is **fused into the kernel**:
   per-(thread, table) encode/decode masks are precomputed at switch time and
   applied inline, so the encoded presets take the same monomorphic loop as
@@ -43,18 +46,19 @@ packed state rather than per-table objects:
   non-XOR encoders (and forced generic dispatch) get a fourth, *generic*
   arm whose storage accesses go through the tables' own ``read``/``write``
   dispatch;
-* allocation after a misprediction (:meth:`TagePredictor._allocate`) is
-  off the per-branch path and has one implementation for every arm: it
-  reads and writes through the tables' ``read``/``write``, which apply the
-  passthrough, fused-XOR and owner arms inline and the generic dispatch
-  otherwise.
+* allocation after a misprediction is **generated into the kernel** on
+  every arm: the candidate scan, useful-counter ageing, LFSR tie-break and
+  install reuse the rows and decoded words the lookup read (tables longer
+  than the provider are not written in between).  Only the branch right
+  after a graceful useful-counter reset, which rewrites those words, calls
+  :meth:`TagePredictor._allocate`, the scalar path's allocator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import DirectionPrediction, DirectionPredictor, PredictorStats
 from .bimodal import BimodalPredictor
@@ -135,21 +139,41 @@ class _DeterministicLfsr:
         return value
 
 
+def _two_step_terms() -> tuple:
+    """XOR terms of two ``next_bits`` steps in closed form.
+
+    The LFSR step is linear, so two steps from ``state`` give
+    ``(state >> 2) ^ terms[state & 3]``, and ``next_bits(2)`` is 0 exactly
+    when ``state & 3`` is.  The generated TAGE kernels step it this way.
+    """
+    terms = []
+    for low in range(4):
+        lfsr = _DeterministicLfsr()
+        lfsr._state = low
+        lfsr.next_bits(2)
+        terms.append(lfsr._state)
+    return tuple(terms)
+
+
+_LFSR_TWO_STEP_TERMS = _two_step_terms()
+
+
 class _FoldedSwar:
     """SWAR constants of one packed folded-history register file.
 
     Each of the ``n_tables`` folded circular-shift registers of width
-    ``width`` occupies one ``width + 1``-bit lane (the extra bit buffers the
-    shift-out before the fold) of a single integer.  One shift, one XOR with
-    the gathered oldest-bit insert mask, one guard fold and one mask update
-    all lanes at once.
+    ``width`` occupies one ``pitch``-bit lane (at least ``width + 1``: the
+    bit above the register buffers the shift-out before the fold) of a
+    single integer.  One shift, one XOR with the gathered oldest-bit insert
+    mask, one guard fold and one mask update all lanes at once.
     """
 
     __slots__ = ("width", "lane_offsets", "new_mask", "lane_mask",
                  "guard_mask", "insert_masks")
 
-    def __init__(self, width: int, n_tables: int, inserts: Sequence[int]) -> None:
-        pitch = width + 1
+    def __init__(self, width: int, n_tables: int, inserts: Sequence[int],
+                 pitch: int = 0) -> None:
+        pitch = pitch or width + 1
         self.width = width
         self.lane_offsets = [t * pitch for t in range(n_tables)]
         self.new_mask = sum(1 << off for off in self.lane_offsets)
@@ -158,6 +182,26 @@ class _FoldedSwar:
         self.guard_mask = sum(1 << (off + width) for off in self.lane_offsets)
         self.insert_masks = [1 << (self.lane_offsets[t] + inserts[t])
                              for t in range(n_tables)]
+
+
+@lru_cache(maxsize=16)
+def _oldest_bit_gather(old_shifts: Tuple[int, ...], masks_i: Tuple[int, ...],
+                       masks_t0: Tuple[int, ...],
+                       masks_t1: Tuple[int, ...]) -> Dict[int, tuple]:
+    """Oldest-bit gather map of one geometry (shared, read-only).
+
+    Maps the n GHR bits about to leave each table's history window straight
+    to the three lane-wise insert masks: 2^n entries, so one dict hit
+    replaces an n-iteration loop.  The map is a pure function of geometry,
+    so predictors of the same geometry share one copy.
+    """
+    gather: Dict[int, tuple] = {0: (0, 0, 0)}
+    for t, shift in enumerate(old_shifts):
+        bit = 1 << shift
+        for key, (mask_i, mask_t0, mask_t1) in list(gather.items()):
+            gather[key | bit] = (mask_i | masks_i[t], mask_t0 | masks_t0[t],
+                                 mask_t1 | masks_t1[t])
+    return gather
 
 
 class TagePredictor(DirectionPredictor):
@@ -210,28 +254,20 @@ class TagePredictor(DirectionPredictor):
                                    [length % index_bits for length in lengths])
         self._swar_t0 = _FoldedSwar(tag_bits, n,
                                     [length % tag_bits for length in lengths])
+        # The second tag register shares the first one's lanes, so one XOR
+        # of the two packed files folds every table's tag at once.
         self._swar_t1 = _FoldedSwar(tag1_bits, n,
-                                    [length % tag1_bits for length in lengths])
+                                    [length % tag1_bits for length in lengths],
+                                    pitch=tag_bits + 1)
         old_shifts = [length - 1 for length in lengths]
         self._old_shifts = old_shifts
         self._old_mask = sum(1 << shift for shift in old_shifts)
-        # Oldest-bit gather: the n GHR bits about to leave each table's
-        # history window, mapped straight to the three lane-wise insert
-        # masks.  2^n entries — one dict hit replaces an n-iteration loop.
+        self._old_gather: Optional[Dict[int, tuple]] = None
         if n <= _MAX_GATHER_TABLES:
-            gather: Dict[int, tuple] = {}
-            for combo in product((0, 1), repeat=n):
-                key = sum(bit << old_shifts[t] for t, bit in enumerate(combo))
-                gather[key] = (
-                    sum(self._swar_i.insert_masks[t]
-                        for t, bit in enumerate(combo) if bit),
-                    sum(self._swar_t0.insert_masks[t]
-                        for t, bit in enumerate(combo) if bit),
-                    sum(self._swar_t1.insert_masks[t]
-                        for t, bit in enumerate(combo) if bit))
-            self._old_gather: Optional[Dict[int, tuple]] = gather
-        else:
-            self._old_gather = None
+            self._old_gather = _oldest_bit_gather(
+                tuple(old_shifts), tuple(self._swar_i.insert_masks),
+                tuple(self._swar_t0.insert_masks),
+                tuple(self._swar_t1.insert_masks))
         self._new_masks = ((0, 0, 0), (self._swar_i.new_mask,
                                        self._swar_t0.new_mask,
                                        self._swar_t1.new_mask))
@@ -514,6 +550,7 @@ class TagePredictor(DirectionPredictor):
             "regs": self._folded_regs(thread_id),
             "pstats": self.stats(thread_id) if pstats is None else pstats,
             "predictor": self,
+            "lfsr": self._lfsr,
             "TID": thread_id,
         }
         if self._old_gather is not None:
@@ -578,7 +615,6 @@ class TagePredictor(DirectionPredictor):
         imask = (1 << ibits) - 1
         tmask = self._tag_mask
         t1bits = cfg.tag_bits - 1
-        t1mask = (1 << t1bits) - 1
         ubits = cfg.useful_bits
         cmask = self._ctr_mask
         umask = self._u_mask
@@ -587,31 +623,38 @@ class TagePredictor(DirectionPredictor):
         thresh = 1 << (cfg.counter_bits - 1)
         entries = cfg.table_entries
         lanes_i = self._swar_i.lane_offsets
-        lanes_t0 = self._swar_t0.lane_offsets
-        lanes_t1 = self._swar_t1.lane_offsets
+        # Both tag registers share one lane layout (see ``__init__``).
+        lanes_t = self._swar_t0.lane_offsets
         boff = self._base_words._offset
         cpw = self._base_pht.counters_per_word
         cbits = self._base_counter_bits
         bcmask = (1 << cbits) - 1
         new_i, new_t0, new_t1 = self._new_masks[1]
 
-        def hist_term(t: int) -> str:
-            lane = lanes_i[t]
-            return (f"((packed_i >> {lane}) & {imask})" if lane
-                    else f"(packed_i & {imask})")
+        def shifted(name: str, shift: int) -> str:
+            return f"({name} >> {shift})" if shift else name
 
-        def path_term(t: int) -> str:
-            shift = t & 3
-            return f"(path >> {shift})" if shift else "path"
+        # Every term is XORed into a value the row or tag mask clips, so
+        # the terms themselves need no masks.
+        def tag_expr(t: int) -> str:
+            return f"(pc2 ^ {shifted('tagx', lanes_t[t])}) & {tmask}"
 
-        def tag_term(t: int) -> str:
-            lane0 = lanes_t0[t]
-            lane1 = lanes_t1[t]
-            fold0 = (f"((packed_t0 >> {lane0}) & {tmask})" if lane0
-                     else f"(packed_t0 & {tmask})")
-            fold1 = (f"((packed_t1 >> {lane1}) & {t1mask})" if lane1
-                     else f"(packed_t1 & {t1mask})")
-            return f"(pc2 ^ {fold0} ^ ({fold1} << 1)) & {tmask}"
+        def cell(t: int) -> str:
+            toff = t * entries
+            return f"flat[{toff} + r{t}]" if toff else f"flat[r{t}]"
+
+        def content_key(t: int) -> str:
+            return f" ^ CK{t}" + (f" ^ RK{t}[r{t}]" if diversified else "")
+
+        def store(t: int, value: str, pad: str) -> List[str]:
+            """Lines writing decoded ``value`` to table ``t``'s row ``r{t}``."""
+            if generic:
+                return [f"{pad}W{t}(r{t}, {value}, TID)"]
+            if encoded:
+                return [f"{pad}{cell(t)} = ({value}){content_key(t)}"]
+            if owned:
+                return [f"{pad}{cell(t)} = {value}", f"{pad}O{t}[r{t}] = TID"]
+            return [f"{pad}{cell(t)} = {value}"]
 
         lines = []
         emit = lines.append
@@ -620,49 +663,52 @@ class TagePredictor(DirectionPredictor):
         emit("    packed_i = regs[0]")
         emit("    packed_t0 = regs[1]")
         emit("    packed_t1 = regs[2]")
+        # Lane t of tagx holds table t's tag0 ^ (tag1 << 1): the padding
+        # bit below each tag1 lane is clear, so the shift carries nothing in.
+        emit("    tagx = packed_t0 ^ (packed_t1 << 1)")
         emit("    path_value = path_values.get(TID, 0)")
-        emit(f"    path = path_value & {imask}")
-        emit(f"    remaining = path_value >> {ibits}")
-        emit("    while remaining:")
-        emit(f"        path ^= remaining & {imask}")
-        emit(f"        remaining >>= {ibits}")
+        # The path history folded to the index width, in closed form.
+        path_fold = " ^ ".join(
+            shifted("path_value", shift)
+            for shift in range(0, self._path._mask.bit_length(), ibits))
+        emit(f"    path = ({path_fold}) & {imask}")
         emit(f"    pc_bits = (pc >> 2) ^ (pc >> {ibits + 2})")
         emit("    pc2 = pc >> 2")
         emit("    provider = -1")
         emit("    alt = -1")
         emit("    provider_ctr = 0")
         for t in range(n):
-            toff = t * entries
             key = f"MK{t}" if encoded else (str(t * 0x1F) if t else "")
             key_xor = f" ^ {key}" if key else ""
-            emit(f"    row = (pc_bits ^ {hist_term(t)} ^ {path_term(t)}"
-                 f"{key_xor}) & {imask}")
-            cell = f"flat[{toff} + row]" if toff else "flat[row]"
+            # Each table keeps its row and decoded word in its own locals:
+            # the allocation below reuses them.
+            emit(f"    r{t} = (pc_bits ^ {shifted('packed_i', lanes_i[t])}"
+                 f" ^ {shifted('path', t & 3)}{key_xor}) & {imask}")
             if encoded:
-                decode = f" ^ CK{t}" + (f" ^ RK{t}[row]" if diversified else "")
-                emit(f"    word = {cell}{decode}")
+                emit(f"    w{t} = {cell(t)}{content_key(t)}")
             elif generic:
-                emit(f"    word = R{t}(row, TID)")
+                emit(f"    w{t} = R{t}(r{t}, TID)")
             elif owned:
                 # Tagged tables reset to 0: another thread's entry misses.
-                emit(f"    owner = O{t}[row]")
-                emit(f"    word = {cell} if owner == TID or owner == -1 else 0")
+                emit(f"    owner = O{t}[r{t}]")
+                emit(f"    w{t} = {cell(t)} if owner == TID or owner == -1"
+                     " else 0")
             else:
-                emit(f"    word = {cell}")
-            emit("    if word:")
-            emit(f"        tag = {tag_term(t)}")
-            emit(f"        if ((word >> {ctr_shift}) & {tmask}) == tag:")
+                emit(f"    w{t} = {cell(t)}")
+            emit(f"    if w{t}:")
+            emit(f"        tag = {tag_expr(t)}")
+            emit(f"        if ((w{t} >> {ctr_shift}) & {tmask}) == tag:")
             emit("            alt = provider")
             emit("            alt_ctr = provider_ctr")
             emit(f"            provider = {t}")
-            emit("            provider_row = row")
+            emit(f"            provider_row = r{t}")
             emit("            provider_tag = tag")
-            emit(f"            provider_ctr = (word >> {ubits}) & {cmask}")
-            emit(f"            provider_useful = word & {umask}")
+            emit(f"            provider_ctr = (w{t} >> {ubits}) & {cmask}")
+            emit(f"            provider_useful = w{t} & {umask}")
             if generic:
                 emit(f"            provider_write = W{t}")
             else:
-                emit(f"            provider_base = {toff}")
+                emit(f"            provider_base = {t * entries}")
             if owned:
                 emit(f"            provider_owner = O{t}")
             if encoded:
@@ -789,18 +835,52 @@ class TagePredictor(DirectionPredictor):
             emit(f"        {base_cell} = {new_word}")
             if owned:
                 emit("        BO[base_row] = TID")
-        # Allocation on misprediction: the logical index/tag hashes are only
-        # needed on this (rare) path; the folded registers have not been
-        # pushed yet, so the values equal the ones used by the lookup above.
+        # Allocation on misprediction, from the lookup's rows and words: the
+        # tables longer than the provider have not been written since.  A
+        # useful-counter reset has rewritten them, so that (cold) branch
+        # hands the logical indices and tags to the scalar allocator.
         emit(f"    if mispredicted and provider < {n - 1}:")
-        idx_items = ", ".join(
-            f"(pc_bits ^ {hist_term(t)} ^ {path_term(t)}"
-            + (f" ^ {t * 0x1F}" if t else "") + f") & {imask}"
-            for t in range(n))
-        tag_items = ", ".join(tag_term(t) for t in range(n))
-        emit("        predictor._allocate(pc, taken, provider,")
-        emit(f"                            [{idx_items}],")
-        emit(f"                            [{tag_items}], TID)")
+        emit("        if reset_fired:")
+        logical = (lambda t: f"(r{t} ^ IK{t}) & {imask}") if encoded \
+            else (lambda t: f"r{t}")
+        emit("            predictor._allocate(pc, taken, provider, ["
+             + ", ".join(logical(t) for t in range(n)) + "], [")
+        emit("                " + ", ".join(tag_expr(t) for t in range(n))
+             + "], TID)")
+        emit("        else:")
+        # Scan the longer tables for the first two free (useful == 0) ones.
+        emit("            choice = -1")
+        emit("            second = -1")
+        for t in range(n):
+            emit(f"            if provider < {t} and not w{t} & {umask}:")
+            if t == 0:
+                emit("                choice = 0")
+                continue
+            emit("                if choice < 0:")
+            emit(f"                    choice = {t}")
+            emit("                elif second < 0:")
+            emit(f"                    second = {t}")
+        emit("            if choice < 0:")
+        # No free entry: every longer table's useful counter is nonzero and
+        # occupies the low bits, so the aged word is word - 1.
+        for t in range(n):
+            emit(f"                if provider < {t}:")
+            lines.extend(store(t, f"w{t} - 1", " " * 20))
+        emit("            else:")
+        # Prefer the shortest-history candidate, with a pseudo-random skip
+        # to the second one (two LFSR steps in closed form).
+        emit("                if second >= 0:")
+        emit("                    lfsr_state = lfsr._state")
+        emit("                    lfsr._state = (lfsr_state >> 2)"
+             f" ^ {_LFSR_TWO_STEP_TERMS}[lfsr_state & 3]")
+        emit("                    if not lfsr_state & 3:")
+        emit("                        choice = second")
+        emit(f"                entry = {weak << ubits} if taken"
+             f" else {(weak - 1) << ubits}")
+        for t in range(n):
+            emit(f"                {'if' if t == 0 else 'elif'} choice == {t}:")
+            lines.extend(store(t, f"(({tag_expr(t)}) << {ctr_shift}) | entry",
+                               " " * 20))
         # -- history push (SWAR over the three packed register files) --------
         emit("    ghr_value = ghr_values.get(TID, 0)")
         if self._old_gather is not None:
@@ -841,9 +921,12 @@ class TagePredictor(DirectionPredictor):
                   indices: Sequence[int], tags: Sequence[int],
                   thread_id: int) -> None:
         """Allocate an entry in a table with a longer history than the
-        provider.  Every storage arm goes through the tables' own
-        ``read``/``write``, which apply the passthrough, fused-XOR and owner
-        arms inline and the generic dispatch otherwise."""
+        provider, through the tables' own ``read``/``write``.
+
+        This is the scalar path's allocator.  The generated kernels allocate
+        inline and call it only on the branch right after a useful-counter
+        reset (see :meth:`_kernel_source`); the parity suites hold the two
+        bit-identical."""
         tables = self._tables
         u_mask = self._u_mask
         words = [(t, tables[t].read(indices[t], thread_id))

@@ -57,7 +57,6 @@ class TestTopLevel:
         assert "figure7" in output
         assert "branchscope" in output
         assert "noisy_xor_bp" in output
-        assert "perceptron" in output
 
 
 class TestRunCommand:

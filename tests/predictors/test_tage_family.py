@@ -4,11 +4,31 @@ import random
 
 import pytest
 
+from repro.core.registry import make_bpu
+from repro.predictors.history import fold_history
 from repro.predictors.loop import LoopPredictor
 from repro.predictors.ltage import LTagePredictor
 from repro.predictors.statistical_corrector import StatisticalCorrector
-from repro.predictors.tage import TageConfig, TagePredictor, geometric_history_lengths
+from repro.predictors.tage import (_LFSR_TWO_STEP_TERMS, TageConfig, TagePredictor,
+                                   _DeterministicLfsr, geometric_history_lengths)
 from repro.predictors.tage_sc_l import TageScLPredictor
+from repro.types import BranchType, Privilege
+from repro.workloads.generator import make_workload
+
+#: TAGE geometries whose index width does not divide the 32-bit path
+#: history, whose tag widths differ from the default, or whose table count
+#: is past the oldest-bit gather map's limit.
+GEOMETRIES = {
+    "entries64": TageConfig(table_entries=64),
+    "entries128": TageConfig(table_entries=128),
+    "entries512": TageConfig(table_entries=512, tag_bits=9),
+    "entries2048": TageConfig(table_entries=2048),
+    "tag7": TageConfig(table_entries=256, tag_bits=7),
+    "tag12": TageConfig(tag_bits=12),
+    "n8-long": TageConfig(n_tables=8, min_history=8, max_history=256),
+    "n14-no-gather": TageConfig(n_tables=14, table_entries=256,
+                                min_history=4, max_history=200),
+}
 
 
 class TestGeometricHistoryLengths:
@@ -92,6 +112,107 @@ class TestTage:
         predictor.update(0x4000, True, thread_id=0)
         assert predictor.global_history.value(0) != 0
         assert predictor.global_history.value(1) == 0
+
+    @pytest.mark.parametrize("config", [
+        TageConfig(), TageConfig(tag_bits=8), GEOMETRIES["entries64"],
+        GEOMETRIES["tag12"], GEOMETRIES["n14-no-gather"]],
+        ids=["default", "tag8", "entries64", "tag12", "n14-no-gather"])
+    def test_folded_registers_match_fold_history(self, config):
+        # Each table's index, tag0 and tag1 register is its history window
+        # folded to the register's width, whatever the lane layout, after
+        # both the scalar push and the generated kernel's SWAR push.
+        rng = random.Random(3)
+        scalar, batched = TagePredictor(config), TagePredictor(config)
+        kernel = batched.exec_kernel(0)
+        for _ in range(700):
+            scalar._push_history(rng.random() < 0.5, 0)
+            kernel(0x4000 + 4 * rng.randrange(1024), rng.random() < 0.5)
+        for predictor in (scalar, batched):
+            regs = predictor._folded_regs(0)
+            ghr = predictor.global_history.value(0)
+            files = [(regs[0], predictor._swar_i),
+                     (regs[1], predictor._swar_t0),
+                     (regs[2], predictor._swar_t1)]
+            for t, length in enumerate(predictor.history_lengths):
+                window = ghr & ((1 << length) - 1)
+                for packed, swar in files:
+                    lane = (packed >> swar.lane_offsets[t]) \
+                        & ((1 << swar.width) - 1)
+                    assert lane == fold_history(window, length, swar.width)
+
+
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_kernel_matches_scalar_across_geometries(self, name):
+        # The kernel folds the path history in closed form and every tag
+        # from one shared-pitch XOR; the scalar path folds both the long
+        # way.  Predictions, storage and stats must agree on geometries
+        # where the widths and lane layouts differ from the default.
+        cfg = GEOMETRIES[name]
+        records = [r for r in make_workload("gcc", seed=2).segment(3_000)
+                   if r.branch_type is BranchType.CONDITIONAL]
+        for preset in ("baseline", "noisy_xor_bp"):
+            oracle, fast = (make_bpu("tage", preset, seed=7,
+                                     predictor_kwargs={"config": cfg})
+                            for _ in range(2))
+            for i, record in enumerate(records):
+                pc, taken = record.pc, record.taken
+                prediction = oracle.direction.lookup(pc, 0)
+                oracle.direction.stats(0).record(prediction.taken == taken)
+                oracle.direction.update(pc, taken, prediction, 0)
+                got = fast.direction.exec_kernel(0)(pc, taken)
+                assert got == prediction.taken, f"{preset}: branch {i}"
+                if i % 211 == 0:
+                    for bpu in (oracle, fast):
+                        bpu.notify_privilege_switch(0, Privilege.KERNEL)
+                        bpu.notify_privilege_switch(0, Privilege.USER)
+            for a, b in zip(oracle.direction.tables(),
+                            fast.direction.tables()):
+                assert list(a.rows()) == list(b.rows()), (preset, a.name)
+            assert (oracle.direction.stats(0).mispredictions
+                    == fast.direction.stats(0).mispredictions)
+            assert oracle.direction._lfsr._state == fast.direction._lfsr._state
+
+    def test_gather_map_is_shared_per_geometry(self):
+        assert TagePredictor()._old_gather is TagePredictor()._old_gather
+        assert (TagePredictor(TageConfig(tag_bits=8))._old_gather
+                is not TagePredictor()._old_gather)
+        assert TagePredictor(GEOMETRIES["n14-no-gather"])._old_gather is None
+
+    @pytest.mark.parametrize("config", [
+        TageConfig(), TageConfig(tag_bits=8), GEOMETRIES["entries64"]],
+        ids=["default", "tag8", "entries64"])
+    def test_gather_map_matches_per_table_gather(self, config):
+        # Each key (a set of oldest history bits) maps to the OR of those
+        # tables' insert masks in the three register files.
+        predictor = TagePredictor(config)
+        gather = predictor._old_gather
+        n = config.n_tables
+        assert len(gather) == 1 << n
+        files = (predictor._swar_i, predictor._swar_t0, predictor._swar_t1)
+        for subset in range(1 << n):
+            key, want = 0, [0, 0, 0]
+            for t in range(n):
+                if subset >> t & 1:
+                    key |= 1 << predictor._old_shifts[t]
+                    for f, swar in enumerate(files):
+                        want[f] |= swar.insert_masks[t]
+            assert gather[key] == tuple(want)
+
+
+class TestAllocationLfsr:
+    @pytest.mark.parametrize("low", range(4))
+    def test_two_step_closed_form_matches_next_bits(self, low):
+        # The kernels step the tie-break LFSR twice as
+        # ``(state >> 2) ^ terms[state & 3]`` and take ``next_bits(2) == 0``
+        # as ``state & 3 == 0``.
+        rng = random.Random(low)
+        for _ in range(500):
+            state = (rng.randrange(1 << 14) << 2) | low
+            lfsr = _DeterministicLfsr()
+            lfsr._state = state
+            bits = lfsr.next_bits(2)
+            assert lfsr._state == (state >> 2) ^ _LFSR_TWO_STEP_TERMS[low]
+            assert (bits == 0) == (low == 0)
 
 
 class TestLoopPredictor:

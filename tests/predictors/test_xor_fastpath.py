@@ -12,6 +12,8 @@ dispatch — and drive both through identical branch streams interleaved with
 context switches and privilege switches (mask re-randomisation boundaries).
 Per-branch outcomes, statistics and the raw (still encoded) storage bits
 must match exactly, on the bare BPU and through both batched core engines.
+The TAGE allocation test instead drives each kernel arm against the scalar
+``lookup``/``update`` oracle, because every arm's kernel allocates inline.
 """
 
 import random
@@ -25,7 +27,7 @@ from repro.cpu.core import SingleThreadCore
 from repro.cpu.smt import SmtCore
 from repro.experiments.runner import build_bpu
 from repro.experiments.scaling import ExperimentScale
-from repro.types import Privilege
+from repro.types import BranchType, Privilege
 from repro.workloads import SINGLE_THREAD_PAIRS, SMT2_PAIRS, make_pair_workloads
 from repro.workloads.generator import make_workload
 
@@ -206,41 +208,123 @@ class TestNonXorFallbackEquivalence:
         assert _raw_btb_state(fast) == _raw_btb_state(ref)
 
 
+#: TAGE kernel arm -> (preset, config overrides, hardware threads): every
+#: storage arm, with the fused-XOR arm's plain and row-diversified variants.
+ALLOCATION_ARMS = [
+    ("passthrough", "baseline", None, 1),
+    ("fused-xor", "xor_bp", None, 1),
+    ("fused-xor", "noisy_xor_bp", None, 1),
+    ("fused-xor", "xor_pht_simple", None, 1),
+    ("owner", "precise_flush", None, 2),
+    ("generic", "xor_bp", {"encoder": "sbox"}, 1),
+]
+
+
+def _count_allocations(predictor, counts):
+    """Wrap ``predictor._allocate`` to count each call's outcome: ageing (no
+    free entry), a single candidate, an LFSR tie-break between two or more
+    candidates, and calls on a branch whose useful-counter reset fired."""
+    allocate = predictor._allocate
+    tables = predictor.tagged_tables
+    period = predictor.config.useful_reset_period
+
+    def counting(pc, taken, provider, indices, tags, thread_id):
+        free = sum(1 for t in range(provider + 1, len(tables))
+                   if not tables[t].read(indices[t], thread_id)
+                   & predictor._u_mask)
+        counts["tie" if free > 1 else "single" if free else "age"] += 1
+        if predictor._update_count % period == 0:
+            counts["reset"] += 1
+        allocate(pc, taken, provider, indices, tags, thread_id)
+
+    predictor._allocate = counting
+
+
+def _check_kernel_allocation(predictor, predictor_kwargs, arm, preset,
+                             overrides, threads):
+    """Drive ``predictor``'s kernel against the scalar lookup/update oracle
+    on generic dispatch; storage, owners, the tie-break LFSR, USE_ALT_ON_NA
+    and stats must stay bit-identical, and every allocation outcome must
+    occur."""
+
+    def build():
+        return make_bpu(predictor, preset, seed=5,
+                        predictor_kwargs=predictor_kwargs,
+                        config_overrides=overrides)
+
+    fast, oracle = build(), build()
+    oracle.force_generic_dispatch()
+    # The TAGE component allocates; a composite records stats on itself.
+    fast_tage = getattr(fast.direction, "tage", fast.direction)
+    oracle_tage = getattr(oracle.direction, "tage", oracle.direction)
+    counts = {"age": 0, "single": 0, "tie": 0, "reset": 0}
+    _count_allocations(oracle_tage, counts)
+    kernel_calls = {"age": 0, "single": 0, "tie": 0, "reset": 0}
+    _count_allocations(fast_tage, kernel_calls)
+    records = [r for r in make_workload("mcf", seed=3).segment(8_000)
+               if r.branch_type is BranchType.CONDITIONAL]
+    for i, record in enumerate(records):
+        pc, taken = record.pc, record.taken
+        thread = (i // 400) % threads
+        prediction = oracle.direction.lookup(pc, thread)
+        oracle.direction.stats(thread).record(prediction.taken == taken)
+        oracle.direction.update(pc, taken, prediction, thread)
+        kernel = fast.direction.exec_kernel(thread)
+        assert kernel.arm == arm
+        assert kernel(pc, taken) == prediction.taken, f"record {i}"
+        if i % 499 == 0:
+            # Rekey boundary (and, under Precise Flush, a flush of the
+            # switching thread's entries).
+            for bpu in (fast, oracle):
+                bpu.notify_context_switch(thread)
+                bpu.notify_privilege_switch(thread, Privilege.KERNEL)
+                bpu.notify_privilege_switch(thread, Privilege.USER)
+    tables = [(t.name, list(t.rows()), list(t._owner))
+              for t in fast.direction.tables()]
+    assert tables == [(t.name, list(t.rows()), list(t._owner))
+                      for t in oracle.direction.tables()]
+    for thread in range(threads):
+        assert (fast.direction.stats(thread).lookups,
+                fast.direction.stats(thread).mispredictions) == \
+            (oracle.direction.stats(thread).lookups,
+             oracle.direction.stats(thread).mispredictions)
+    assert fast_tage._lfsr._state == oracle_tage._lfsr._state
+    assert fast_tage._use_alt == oracle_tage._use_alt
+    # Every allocation outcome occurred, and the kernel called out to the
+    # scalar allocator exactly on the reset branches.
+    assert all(counts.values()), counts
+    assert kernel_calls["reset"] == sum(
+        kernel_calls[k] for k in ("age", "single", "tie")) \
+        == counts["reset"]
+
+
+#: Tiny tagged tables on a real branch stream: entries become useful and
+#: are then contended, so allocation ages, installs in a single free table
+#: and breaks ties.  The short reset period makes the kernel's cold path
+#: (allocation right after a useful-counter reset) fire.
+ALLOCATION_CONFIG = TageConfig(n_tables=4, table_entries=16, base_entries=512,
+                               min_history=4, max_history=24,
+                               useful_reset_period=509)
+
+
 class TestAllocateParityHighMispredict:
-    def test_packed_allocation_matches_generic_dispatch(self):
-        # A coin-flip direction stream over a reused site set mispredicts
-        # ~50%, so the TAGE allocator runs on a large fraction of branches;
-        # the packed flat-buffer reads/writes must leave storage, stats and
-        # the allocation LFSR bit-identical to the generic per-table arm.
-        cfg = TageConfig(n_tables=4, table_entries=256, base_entries=512,
-                         min_history=4, max_history=24)
-        fast = make_bpu("tage", "xor_bp", seed=5,
-                        predictor_kwargs={"config": cfg})
-        slow = make_bpu("tage", "xor_bp", seed=5,
-                        predictor_kwargs={"config": cfg})
-        _force_generic_dispatch(slow)
-        rng = random.Random(99)
-        sites = [0x40000 + 4 * rng.randrange(4096) for _ in range(300)]
-        stream = [(sites[rng.randrange(len(sites))], rng.random() < 0.5)
-                  for _ in range(6_000)]
-        for i, (pc, taken) in enumerate(stream):
-            assert (fast.direction.execute(pc, taken, 0)
-                    == slow.direction.execute(pc, taken, 0)), f"record {i}"
-            if i % 97 == 0:
-                # Rekey boundary: allocation masks re-randomise mid-stream.
-                fast.notify_privilege_switch(0, Privilege.KERNEL)
-                fast.notify_privilege_switch(0, Privilege.USER)
-                slow.notify_privilege_switch(0, Privilege.KERNEL)
-                slow.notify_privilege_switch(0, Privilege.USER)
-        assert fast.direction.stats(0).mispredictions \
-            == slow.direction.stats(0).mispredictions
-        # The workload really was high-mispredict (allocation-heavy).
-        assert fast.direction.stats(0).mispredictions > 1_500
-        assert _raw_direction_state(fast) == _raw_direction_state(slow)
-        # The tie-break LFSR advanced identically: multi-candidate
-        # allocations took the packed path on one side, generic on the other.
-        assert fast.direction._lfsr._state == slow.direction._lfsr._state
-        assert fast.direction._lfsr._state != 0xACE1
+    @pytest.mark.parametrize("arm,preset,overrides,threads", ALLOCATION_ARMS)
+    def test_kernel_allocation_matches_scalar_oracle(self, arm, preset,
+                                                     overrides, threads):
+        # The kernel allocates inline from its lookup's rows and words; the
+        # oracle is the scalar lookup/update protocol on generic dispatch.
+        _check_kernel_allocation("tage", {"config": ALLOCATION_CONFIG},
+                                 arm, preset, overrides, threads)
+
+    @pytest.mark.parametrize("arm,preset,overrides,threads", ALLOCATION_ARMS)
+    @pytest.mark.parametrize("predictor", ["ltage", "tage_sc_l"])
+    def test_composite_kernel_allocation_matches_scalar_oracle(
+            self, predictor, arm, preset, overrides, threads):
+        # LTAGE and TAGE-SC-L run the TAGE kernel body, allocation included,
+        # with their side components inlined after it.
+        _check_kernel_allocation(predictor,
+                                 {"tage_config": ALLOCATION_CONFIG},
+                                 arm, preset, overrides, threads)
 
 
 def _engine_snapshot(result):
