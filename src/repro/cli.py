@@ -84,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with 'all': when cases fail permanently, finish "
                           "every healthy case and write a machine-readable "
                           "failure manifest (exit 3) instead of aborting")
-    run.add_argument("--resume", default=None, metavar="DIR",
-                     help="with 'all --shard': resume a killed shard from "
-                          "DIR's journal, re-simulating only unfinished "
-                          "cases (merged output stays bit-identical to an "
-                          "uninterrupted run)")
 
     merge = subparsers.add_parser(
         "merge", help="merge 'run all --shard' artifacts into final "
@@ -335,8 +330,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ("--jobs", args.jobs), ("--out", args.out),
         ("--experiments", args.experiments),
         ("--bench-set", args.bench_set),
-        ("--keep-going", args.keep_going or None),
-        ("--resume", args.resume)) if value is not None]
+        ("--keep-going", args.keep_going or None)) if value is not None]
     if all_only:
         print(f"{', '.join(all_only)} appl"
               f"{'y' if len(all_only) > 1 else 'ies'} to 'run all' only "
@@ -501,11 +495,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.resume is not None and shard is None:
-        print("--resume applies to sharded runs (--shard I/N): only shard "
-              "executions are journaled; unsharded runs resume implicitly "
-              "through REPRO_CACHE_DIR/REPRO_STORE_DIR", file=sys.stderr)
-        return 2
     summary = manifest.describe()
     print(f"manifest {summary['manifest_hash'][:12]}… "
           f"({summary['unique_cases']} unique cases from "
@@ -515,13 +504,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
           f"{summary['deduped_cases']} deduped)")
 
     if shard is not None:
-        if args.resume is not None and args.out is not None \
-                and os.path.abspath(args.resume) != os.path.abspath(args.out):
-            print("--resume DIR and --out DIR disagree; the journal lives in "
-                  "the run's output directory, so pass just --resume DIR",
-                  file=sys.stderr)
-            return 2
-        out_dir = args.out or args.resume or "repro-out"
+        out_dir = args.out or "repro-out"
         owned = manifest.shard_cases(shard)
         caseless = manifest.shard_caseless(shard)
         print(f"shard {shard}: {len(owned)} case(s), "
@@ -529,12 +512,11 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         cache = RunResultCache()
         try:
             path = execute_shard(manifest, shard, out_dir, jobs=jobs,
-                                 cache=cache, keep_going=args.keep_going,
-                                 resume=args.resume is not None)
+                                 cache=cache, keep_going=args.keep_going)
         except ExecutionError as exc:
             print(f"run failed: {exc}", file=sys.stderr)
-            print(f"every completed case is journaled; rerun with "
-                  f"--resume {out_dir} to continue from it", file=sys.stderr)
+            print("every completed case is in the shard's result store; "
+                  "rerun the same command to continue", file=sys.stderr)
             return 1
         except (OSError, ValueError) as exc:
             # e.g. a store digest conflict (results changed without an

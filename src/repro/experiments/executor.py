@@ -29,9 +29,10 @@ cases), and structured :class:`CaseFailure` records instead of raw
 tracebacks.  After retries are exhausted a run fails fast by default
 (:class:`ExecutionError`), or — with ``keep_going`` — completes every healthy
 case and reports the failures for a machine-readable failure manifest.
-Every completed case is published to the cache (and an optional ``on_result``
-journal callback) *as it finishes*, so a killed run can be resumed from what
-it already simulated.  All of those paths are certified deterministically by
+Every completed case is published to the cache — and through it to the
+result store — *as it finishes* (then to an optional ``on_result`` callback),
+so rerunning a killed run against the same store simulates only what it had
+not finished.  All of those paths are certified deterministically by
 :mod:`repro.testing.faults` (``REPRO_FAULT_SPEC``).
 
 The executor is deliberately engine-agnostic: a case's cache key includes
@@ -625,9 +626,8 @@ class SweepExecutor:
             ``REPRO_RETRY_BACKOFF``.
         on_result: optional ``callback(key, result)`` fired once per *newly
             simulated* case, in completion order, after the result has been
-            published to the cache.  The shard journal hangs off this hook,
-            which is what makes a killed run resumable from everything it
-            already finished.
+            published to the cache.  The service's per-job event stream
+            hangs off this hook.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -725,7 +725,8 @@ class SweepExecutor:
 
     def _complete(self, resolved: Dict[str, RunResult], key: str,
                   result: RunResult) -> None:
-        """Publish one newly simulated result (cache first, then journal)."""
+        """Publish one newly simulated result (cache first, then
+        ``on_result``)."""
         resolved[key] = result
         self.simulated += 1
         self.cache.put(key, result)

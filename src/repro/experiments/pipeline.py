@@ -4,9 +4,11 @@ The pipeline turns a planned :class:`~repro.experiments.manifest.ExperimentManif
 into finished figures/tables in three composable steps:
 
 * :func:`execute_shard` — run the cases (and caseless experiments) owned by
-  one shard over the process pool, and write a self-describing **shard
-  artifact** (JSON: engine version, manifest hash, scale, executed case
-  results keyed by cache key, and any whole experiment results);
+  one shard over the process pool, publishing each finished case to a
+  result store (so a killed shard resumes by rerunning it), and write a
+  self-describing **shard artifact** (JSON: engine version, manifest hash,
+  scale, executed case results keyed by cache key, and any whole experiment
+  results);
 * :func:`merge_artifacts` — validate a set of shard artifacts (same engine /
   manifest / scale; shards disjoint; **every planned case executed exactly
   once across the union**), pre-populate a
@@ -44,17 +46,16 @@ from .executor import (
     atomic_write_json,
 )
 from .manifest import ExperimentDef, ExperimentManifest, ShardSpec
+from .store import ResultStore
 
 __all__ = [
     "ARTIFACT_SCHEMA",
     "FAILURE_SCHEMA",
     "shard_artifact_path",
-    "journal_path",
     "failure_manifest_path",
     "assemble_experiment",
     "execute_shard",
     "load_artifact",
-    "load_journal",
     "merge_artifacts",
     "register_store_manifest",
     "run_serial",
@@ -69,9 +70,6 @@ logger = logging.getLogger(__name__)
 #: exact repetition family the shards executed.
 ARTIFACT_SCHEMA = 2
 
-#: Shard-journal schema revision (the append-only per-case checkpoint log).
-JOURNAL_SCHEMA = 1
-
 #: Failure-manifest schema revision (the machine-readable ``--keep-going``
 #: failure report).
 FAILURE_SCHEMA = 1
@@ -84,128 +82,12 @@ def shard_artifact_path(out_dir: str, shard: Optional[ShardSpec]) -> str:
     return os.path.join(out_dir, f"shard-{shard.index}-of-{shard.count}.json")
 
 
-def journal_path(out_dir: str, shard: Optional[ShardSpec]) -> str:
-    """Canonical shard-journal filename (``journal-i-of-n.jsonl``)."""
-    if shard is None:
-        return os.path.join(out_dir, "journal-0-of-1.jsonl")
-    return os.path.join(out_dir, f"journal-{shard.index}-of-{shard.count}.jsonl")
-
-
 def failure_manifest_path(out_dir: str, shard: Optional[ShardSpec]) -> str:
     """Canonical failure-manifest filename (``failures-i-of-n.json``)."""
     if shard is None:
         return os.path.join(out_dir, "failures-0-of-1.json")
     return os.path.join(out_dir,
                         f"failures-{shard.index}-of-{shard.count}.json")
-
-
-def _journal_header(manifest: ExperimentManifest,
-                    shard: Optional[ShardSpec]) -> dict:
-    return {
-        "kind": "shard-journal",
-        "schema": JOURNAL_SCHEMA,
-        "engine": ENGINE_VERSION,
-        "manifest_hash": manifest.manifest_hash(),
-        "repetitions": manifest.repetitions,
-        "shard": {"index": shard.index if shard else 0,
-                  "count": shard.count if shard else 1},
-    }
-
-
-def load_journal(path: str, header: dict) -> "Tuple[Dict[str, object], int]":
-    """Replay a shard journal; return ``(results by key, valid byte count)``.
-
-    The journal is append-only JSONL: one header line, then one
-    ``{"key": …, "result": …}`` record per completed case.  A process killed
-    mid-append leaves a torn final line; everything before it is salvaged and
-    ``valid bytes`` marks where the journal can be truncated and appending
-    resumed.  A missing journal — or one whose header line itself is torn —
-    yields ``({}, 0)`` (start fresh).  A journal whose *valid* header does
-    not match ``header`` (different engine, manifest, repetitions or shard)
-    raises ``ValueError``: resuming someone else's run would poison the
-    artifact.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return {}, 0
-    results: Dict[str, object] = {}
-    valid = 0
-    have_header = False
-    pos = 0
-    while True:
-        newline = data.find(b"\n", pos)
-        if newline == -1:
-            break  # torn trailing line (or EOF): salvage what came before
-        line = data[pos:newline]
-        next_pos = newline + 1
-        if line.strip():
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break  # corrupt line mid-file: salvage the prefix
-            if not have_header:
-                if not isinstance(record, dict) \
-                        or record.get("kind") != "shard-journal":
-                    raise ValueError(
-                        f"{path}: not a shard journal (unexpected first "
-                        "record)")
-                for field in ("schema", "engine", "manifest_hash",
-                              "repetitions", "shard"):
-                    if record.get(field) != header[field]:
-                        raise ValueError(
-                            f"{path}: journal belongs to a different run "
-                            f"({field} {record.get(field)!r} != "
-                            f"{header[field]!r}); refusing to resume from it")
-                have_header = True
-            else:
-                if not isinstance(record, dict) or "key" not in record \
-                        or "result" not in record:
-                    break
-                try:
-                    results[record["key"]] = run_result_from_dict(
-                        record["result"])
-                except (ValueError, KeyError, TypeError):
-                    break
-        pos = next_pos
-        valid = next_pos
-    if not have_header:
-        return {}, 0
-    return results, valid
-
-
-class _ShardJournal:
-    """Append-only per-case checkpoint log for one shard execution.
-
-    Each completed case is flushed and fsynced as its own JSONL record the
-    moment it finishes, so a ``kill -9`` (or injected worker crash) loses at
-    most the in-flight cases — never a finished one.  ``valid_bytes`` from
-    :func:`load_journal` truncates any torn tail before appending resumes.
-    """
-
-    def __init__(self, path: str, header: dict, valid_bytes: int) -> None:
-        self.path = path
-        if valid_bytes > 0:
-            with open(path, "rb+") as handle:
-                handle.truncate(valid_bytes)
-            self._handle = open(path, "a", encoding="utf-8")
-        else:
-            self._handle = open(path, "w", encoding="utf-8")
-            self._append(header)
-
-    def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True))
-        self._handle.write("\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def record(self, key: str, result) -> None:
-        """Journal one finished case (the executor's ``on_result`` hook)."""
-        self._append({"key": key, "result": run_result_to_dict(result)})
-
-    def close(self) -> None:
-        self._handle.close()
 
 
 def register_store_manifest(manifest: ExperimentManifest,
@@ -267,63 +149,42 @@ def write_failure_manifest(out_dir: str, shard: Optional[ShardSpec],
 def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
                   out_dir: str, *, jobs: Optional[int] = None,
                   cache: Optional[RunResultCache] = None,
-                  keep_going: bool = False, resume: bool = False) -> str:
+                  keep_going: bool = False) -> str:
     """Execute one shard of a manifest and write its artifact.
 
-    Every completed case is checkpointed to an append-only shard journal
-    (``journal-i-of-n.jsonl``) as it finishes; a killed run restarted with
-    ``resume=True`` replays the journal into the cache and simulates only the
-    remainder, producing an artifact bit-identical to an uninterrupted run.
+    Every completed case is published to a result store the moment it
+    finishes: the cache's store when it has one (``REPRO_STORE_DIR`` for the
+    default cache), otherwise ``<out_dir>/store``.  Rerunning a killed shard with the same ``out_dir``
+    therefore serves its finished cases as store hits and simulates only
+    the remainder, producing an artifact bit-identical to an uninterrupted
+    run (only the ``stats`` block records the split history).
 
     Args:
         manifest: the planned manifest (must be planned identically on every
             shard — same experiments, same scale).
         shard: this worker's slice; ``None`` executes everything.
-        out_dir: directory receiving ``shard-i-of-n.json`` (and the journal).
+        out_dir: directory receiving ``shard-i-of-n.json`` (and, without
+            ``REPRO_STORE_DIR``, the shard's ``store/``).
         jobs: process-pool width (``REPRO_JOBS`` when omitted).
-        cache: result cache (a fresh ``REPRO_CACHE_DIR``-honouring cache when
-            omitted, so CI can persist results across runs).
+        cache: result cache (a fresh one honouring ``REPRO_CACHE_DIR`` and
+            ``REPRO_STORE_DIR`` when omitted); a store-less cache gets the
+            store under ``out_dir``.
         keep_going: complete healthy cases when some fail permanently, and
             write a ``failures-i-of-n.json`` manifest instead of raising
             (failed cases are excluded from the artifact, so a later merge
             still enforces the exactly-once invariant loudly).
-        resume: replay the existing journal (header-checked against this
-            manifest/shard) before executing; without it a pre-existing
-            journal is overwritten.
 
     Returns:
         The artifact path.
     """
     os.makedirs(out_dir, exist_ok=True)
     owned = manifest.shard_cases(shard)
-    header = _journal_header(manifest, shard)
-    jpath = journal_path(out_dir, shard)
-    replayed: Dict[str, object] = {}
-    valid_bytes = 0
-    if resume:
-        replayed, valid_bytes = load_journal(jpath, header)
-        unknown = set(replayed) - set(owned)
-        if unknown:
-            # The header hash pins manifest+shard, so this is only reachable
-            # through manual journal surgery — but refuse to replay it.
-            raise ValueError(
-                f"{jpath}: journal contains {len(unknown)} case(s) this "
-                "shard does not own")
     if cache is None:
         cache = RunResultCache()
-    for key, result in replayed.items():
-        cache.put(key, result)
-
-    journal = _ShardJournal(jpath, header, valid_bytes)
-    try:
-        executor = SweepExecutor(jobs=jobs, cache=cache,
-                                 keep_going=keep_going,
-                                 on_result=journal.record)
-        results = executor.run_specs(list(owned.values()))
-    finally:
-        # Close even when retries are exhausted mid-run: everything that
-        # finished is journaled and a later ``resume`` picks it up.
-        journal.close()
+    if cache.store is None:
+        cache.store = ResultStore(os.path.join(out_dir, "store"))
+    executor = SweepExecutor(jobs=jobs, cache=cache, keep_going=keep_going)
+    results = executor.run_specs(list(owned.values()))
 
     cases = {key: run_result_to_dict(result)
              for key, result in zip(owned, results) if result is not None}
@@ -568,8 +429,8 @@ def run_serial(manifest: ExperimentManifest, *, jobs: Optional[int] = None,
         executor = SweepExecutor(jobs=jobs, cache=cache)
     executor.run_specs(list(manifest.unique_cases().values()))
     if executor.failures:
-        # keep-going executor: every healthy case finished (and is cached/
-        # journaled), but experiments cannot assemble around the holes.  The
+        # keep-going executor: every healthy case finished (and is cached),
+        # but experiments cannot assemble around the holes.  The
         # caller reports the structured failures; nothing is written.
         return {}
     results = {

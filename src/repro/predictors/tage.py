@@ -221,6 +221,14 @@ class TagePredictor(DirectionPredictor):
         super().__init__(isolation)
         self.config = config if config is not None else TageConfig()
         cfg = self.config
+        # Every folded-history register needs at least one bit: the index
+        # register is log2(table_entries) wide, the second tag register
+        # tag_bits - 1.
+        for field, bound in (("n_tables", 1), ("table_entries", 2),
+                             ("tag_bits", 2)):
+            if getattr(cfg, field) < bound:
+                raise ValueError(f"TageConfig.{field} must be >= {bound}, "
+                                 f"got {getattr(cfg, field)}")
         self._base = BimodalPredictor(cfg.base_entries, 2, isolation=isolation,
                                       word_bits=word_bits)
         self._history_lengths = cfg.history_lengths()

@@ -2,8 +2,8 @@
 
 Every recovery path in :mod:`repro.experiments.executor` — retry after a
 transient failure, rebuilding a broken process pool, classifying a hung case
-as timed out, salvaging a journal after a kill — exists to handle events that
-are rare and nondeterministic in production.  This module makes those events
+as timed out, quarantining a store entry torn by a kill — exists to handle
+events that are rare and nondeterministic in production.  This module makes those events
 *deterministic and cheap*, so the fault-tolerance suite and the CI chaos job
 certify each path on every run instead of hoping for it.
 

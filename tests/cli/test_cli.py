@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.store import ResultStore
 
 
 class TestParser:
@@ -180,15 +181,32 @@ class TestRunAllCommand:
         assert main(["run", "all", "--experiments", "table5"]) == 2
         assert "REPRO_FAULT_SPEC" in capsys.readouterr().err
 
-    def test_resume_requires_a_shard(self, capsys):
-        assert main(["run", "all", "--experiments", "table5",
-                     "--resume", "out"]) == 2
-        assert "--resume" in capsys.readouterr().err
+    def test_resume_flag_is_unknown(self, capsys):
+        # A killed shard continues by rerunning the same command: its
+        # finished cases are store hits.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "all", "--experiments", "table5", "--shard", "0/2",
+                  "--resume", "out"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
-    def test_resume_and_out_must_agree(self, capsys):
-        assert main(["run", "all", "--experiments", "table5",
-                     "--shard", "0/2", "--resume", "a", "--out", "b"]) == 2
-        assert "disagree" in capsys.readouterr().err
+    @pytest.mark.parametrize("env_store", [False, True])
+    def test_shard_store_defaults_under_out(self, env_store, tmp_path,
+                                            capsys, monkeypatch):
+        shard = self._one_case_shard()
+        out = tmp_path / "out"
+        store = tmp_path / "env-store"
+        if env_store:
+            monkeypatch.setenv("REPRO_STORE_DIR", str(store))
+        else:
+            monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        assert main(["run", "all", "--experiments", "figure1", "--scale",
+                     "0.05", "--shard", f"{shard}/64", "--out",
+                     str(out)]) == 0
+        used, unused = (store, out / "store") if env_store \
+            else (out / "store", store)
+        assert len(ResultStore(str(used))) == 1
+        assert not unused.exists()
 
     @staticmethod
     def _one_case_shard():
@@ -222,7 +240,7 @@ class TestRunAllCommand:
                                                  monkeypatch):
         # One-case shard whose only case fails permanently: the run still
         # completes (exit 3) and writes a machine-readable failure manifest;
-        # a fault-free --resume re-simulates the hole and clears it.
+        # a fault-free rerun re-simulates the hole and clears it.
         shard = self._one_case_shard()
         out = str(tmp_path / "chaos")
         monkeypatch.setenv("REPRO_FAULT_SPEC", "crash:attempts=99")
@@ -237,7 +255,7 @@ class TestRunAllCommand:
 
         monkeypatch.delenv("REPRO_FAULT_SPEC")
         assert main(["run", "all", "--experiments", "figure1", "--scale",
-                     "0.05", "--shard", f"{shard}/64", "--resume", out,
+                     "0.05", "--shard", f"{shard}/64", "--out", out,
                      "--keep-going"]) == 0
         assert not (tmp_path / "chaos" /
                     f"failures-{shard}-of-64.json").exists()
@@ -268,7 +286,7 @@ class TestRepetitionsOption:
     @pytest.mark.parametrize("flags", [["--jobs", "8"], ["--shard", "0/4"],
                                        ["--out", "x"],
                                        ["--experiments", "figure1"],
-                                       ["--keep-going"], ["--resume", "x"]])
+                                       ["--keep-going"]])
     def test_all_only_flags_rejected_for_single_experiments(self, flags,
                                                             capsys):
         # Same rule for every 'all'-only flag: `run figure1 --jobs 8` must

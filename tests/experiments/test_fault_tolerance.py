@@ -4,12 +4,13 @@ Every recovery path is exercised deterministically through the
 ``REPRO_FAULT_SPEC`` injection harness (:mod:`repro.testing.faults`):
 retry-to-success, retry exhaustion (fail-fast and ``keep_going``), timeout
 classification, worker-crash (``BrokenProcessPool``) recovery, real
-hang-then-timeout pool abandonment, Ctrl-C propagation, crash-then-resume
-journal replay, torn-write detection and orphaned tmp-file sweeping.
+hang-then-timeout pool abandonment, Ctrl-C propagation, crash-then-rerun
+served from the shard's result store, torn-write detection and orphaned
+tmp-file sweeping.
 
-The headline invariant: a run that crashed mid-shard and was resumed
-produces case payloads — and therefore merged figures — **bit-identical**
-to an uninterrupted run.  (Shard-artifact ``stats`` legitimately differ:
+The headline invariant: a run that crashed mid-shard and was rerun produces
+case payloads — and therefore merged figures — **bit-identical** to an
+uninterrupted run.  (Shard-artifact ``stats`` legitimately differ:
 they record what each execution actually simulated.)
 """
 
@@ -34,9 +35,7 @@ from repro.experiments.manifest import ExperimentDef, build_manifest
 from repro.experiments.pipeline import (
     execute_shard,
     failure_manifest_path,
-    journal_path,
     load_artifact,
-    load_journal,
     merge_artifacts,
     shard_artifact_path,
 )
@@ -230,7 +229,7 @@ class TestParallelFaults:
         assert failure.timed_out is True
 
 
-#: Golden-restricted Figure 1 registry for the journal/resume tests.
+#: Golden-restricted Figure 1 registry for the shard rerun tests.
 PAIRS = SINGLE_THREAD_PAIRS[:2]
 REGISTRY = {
     "figure1": ExperimentDef(
@@ -241,125 +240,58 @@ REGISTRY = {
 }
 
 
-def _manifest(scale=TINY):
-    return build_manifest(scale=scale, experiments=REGISTRY)
+def _manifest():
+    return build_manifest(scale=TINY, experiments=REGISTRY)
 
 
-class TestJournalResume:
+class TestStoreRerun:
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
         out = str(tmp_path_factory.mktemp("reference"))
-        path = execute_shard(_manifest(), None, out, jobs=1, cache=_cache())
-        return out, path
+        return execute_shard(_manifest(), None, out, jobs=1, cache=_cache())
 
-    def test_crash_then_resume_matches_uninterrupted_run(
+    def test_crash_then_rerun_matches_uninterrupted_run(
             self, reference, tmp_path, monkeypatch):
-        ref_dir, ref_path = reference
         manifest = _manifest()
         out = str(tmp_path / "crashed")
 
         # Case 5 fails permanently: serial execution completes (and
-        # journals) cases 0-4, then aborts.
+        # publishes to the store under ``out``) cases 0-4, then aborts.
         monkeypatch.setenv("REPRO_FAULT_SPEC", "crash:case_idx=5;attempts=99")
         monkeypatch.setenv("REPRO_RETRIES", "0")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         with pytest.raises(ExecutionError):
             execute_shard(manifest, None, out, jobs=1, cache=_cache())
         assert not os.path.exists(shard_artifact_path(out, None))
-        with open(journal_path(out, None), encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) == 1 + 5  # header + the five completed cases
+        assert len(ResultStore(os.path.join(out, "store"))) == 5
 
-        # Faults cleared, the resumed run replays the journal and simulates
-        # only the remainder.
+        # Faults cleared, rerunning the same shard serves the finished cases
+        # from the store and simulates only the remainder.
         monkeypatch.delenv("REPRO_FAULT_SPEC")
-        path = execute_shard(manifest, None, out, jobs=1, cache=_cache(),
-                             resume=True)
-        resumed = load_artifact(path)
-        ref = load_artifact(ref_path)
+        path = execute_shard(manifest, None, out, jobs=1, cache=_cache())
+        rerun = load_artifact(path)
+        ref = load_artifact(reference)
         total = len(manifest.unique_cases())
-        assert resumed["stats"]["simulated"] == total - 5
+        assert rerun["stats"]["simulated"] == total - 5
+        assert rerun["stats"]["store_hits"] == 5
         assert ref["stats"]["simulated"] == total
 
         # Case payloads are bit-identical; only the execution-history stats
         # block differs.
-        assert resumed["cases"] == ref["cases"]
-        assert {k: v for k, v in resumed.items() if k != "stats"} \
+        assert rerun["cases"] == ref["cases"]
+        assert {k: v for k, v in rerun.items() if k != "stats"} \
             == {k: v for k, v in ref.items() if k != "stats"}
 
         # And therefore the merged figures are byte-identical files.
         ref_merged = str(tmp_path / "m-ref")
-        res_merged = str(tmp_path / "m-res")
-        merge_artifacts([ref_path], manifest, out_dir=ref_merged)
-        merge_artifacts([path], manifest, out_dir=res_merged)
+        rerun_merged = str(tmp_path / "m-rerun")
+        merge_artifacts([reference], manifest, out_dir=ref_merged)
+        merge_artifacts([path], manifest, out_dir=rerun_merged)
         for name in ("figure1.json", "figure1.txt"):
             with open(os.path.join(ref_merged, name), "rb") as handle:
                 expected = handle.read()
-            with open(os.path.join(res_merged, name), "rb") as handle:
+            with open(os.path.join(rerun_merged, name), "rb") as handle:
                 assert handle.read() == expected, f"{name} drifted"
-
-    def test_foreign_journal_is_refused(self, reference, monkeypatch):
-        ref_dir, _path = reference
-        other = _manifest(scale=ExperimentScale())  # different manifest hash
-        with pytest.raises(ValueError, match="different run"):
-            execute_shard(other, None, ref_dir, jobs=1, cache=_cache(),
-                          resume=True)
-
-    def test_journal_with_unowned_case_is_refused(self, reference, tmp_path):
-        ref_dir, _path = reference
-        out = str(tmp_path / "forged")
-        os.makedirs(out)
-        with open(journal_path(ref_dir, None), encoding="utf-8") as handle:
-            header_line, first_record = handle.read().splitlines()[:2]
-        record = json.loads(first_record)
-        record["key"] = "0" * 64
-        with open(journal_path(out, None), "w", encoding="utf-8") as handle:
-            handle.write(header_line + "\n")
-            handle.write(json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match="does not own"):
-            execute_shard(_manifest(), None, out, jobs=1, cache=_cache(),
-                          resume=True)
-
-    def test_torn_tail_is_salvaged(self, reference, tmp_path):
-        ref_dir, _path = reference
-        source = journal_path(ref_dir, None)
-        with open(source, "rb") as handle:
-            intact = handle.read()
-        torn = str(tmp_path / "journal-0-of-1.jsonl")
-        with open(torn, "wb") as handle:
-            handle.write(intact + b'{"key": "torn-mid-app')
-        from repro.experiments.pipeline import _journal_header
-
-        header = _journal_header(_manifest(), None)
-        whole, valid_whole = load_journal(source, header)
-        salvaged, valid = load_journal(torn, header)
-        assert valid == valid_whole == len(intact)
-        assert salvaged.keys() == whole.keys()
-
-    def test_corrupt_record_salvages_the_prefix(self, reference, tmp_path):
-        ref_dir, _path = reference
-        from repro.experiments.pipeline import _journal_header
-
-        header = _journal_header(_manifest(), None)
-        with open(journal_path(ref_dir, None), encoding="utf-8") as handle:
-            lines = handle.read().splitlines(keepends=True)
-        corrupt = str(tmp_path / "journal-0-of-1.jsonl")
-        with open(corrupt, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:3])
-            handle.write("not json at all\n")
-            handle.writelines(lines[3:])
-        salvaged, valid = load_journal(corrupt, header)
-        assert len(salvaged) == 2  # the two records before the bad line
-        assert valid == sum(len(line) for line in lines[:3])
-
-    def test_missing_and_torn_header_journals_start_fresh(self, tmp_path):
-        from repro.experiments.pipeline import _journal_header
-
-        header = _journal_header(_manifest(), None)
-        assert load_journal(str(tmp_path / "absent.jsonl"), header) == ({}, 0)
-        torn = tmp_path / "torn.jsonl"
-        torn.write_bytes(b'{"kind": "shard-jou')  # killed mid-header
-        assert load_journal(str(torn), header) == ({}, 0)
 
     def test_keep_going_writes_a_failure_manifest(self, tmp_path,
                                                   monkeypatch):
@@ -384,7 +316,7 @@ class TestJournalResume:
         # the file's existence is the machine-readable failure signal.
         monkeypatch.delenv("REPRO_FAULT_SPEC")
         execute_shard(manifest, None, out, jobs=1, cache=_cache(),
-                      resume=True, keep_going=True)
+                      keep_going=True)
         assert not os.path.exists(fpath)
 
     def test_caseless_assembly_failure_is_recorded(self, tmp_path):

@@ -53,6 +53,15 @@ class TestTageConfig:
         assert config.history_lengths()[0] == 12
         assert config.history_lengths()[-1] == 130
 
+    @pytest.mark.parametrize("field, value, bound", [
+        ("table_entries", 1, 2), ("tag_bits", 0, 2), ("tag_bits", 1, 2),
+        ("n_tables", 0, 1)])
+    def test_degenerate_geometry_is_a_named_error(self, field, value, bound):
+        # Not a ZeroDivisionError from a zero-width folded register.
+        with pytest.raises(ValueError,
+                           match=rf"TageConfig\.{field} must be >= {bound}"):
+            TagePredictor(TageConfig(**{field: value}))
+
 
 def _train_pattern(predictor, pc, pattern, repetitions=60, measure_last=0.5):
     correct = 0
