@@ -154,10 +154,11 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
 
     Every completed case is published to a result store the moment it
     finishes: the cache's store when it has one (``REPRO_STORE_DIR`` for the
-    default cache), otherwise ``<out_dir>/store``.  Rerunning a killed shard with the same ``out_dir``
-    therefore serves its finished cases as store hits and simulates only
-    the remainder, producing an artifact bit-identical to an uninterrupted
-    run (only the ``stats`` block records the split history).
+    default cache), otherwise ``<out_dir>/store``.  Rerunning a killed shard
+    with the same ``out_dir`` therefore serves its finished cases as store
+    hits and simulates only the remainder, producing an artifact
+    bit-identical to an uninterrupted run (only the ``stats`` block records
+    the split history).
 
     Args:
         manifest: the planned manifest (must be planned identically on every

@@ -14,6 +14,7 @@ uninterrupted run.  (Shard-artifact ``stats`` legitimately differ:
 they record what each execution actually simulated.)
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -31,7 +32,11 @@ from repro.experiments.executor import (
     atomic_write_json,
     sweep_tmp_files,
 )
-from repro.experiments.manifest import ExperimentDef, build_manifest
+from repro.experiments.manifest import (
+    ExperimentDef,
+    ShardSpec,
+    build_manifest,
+)
 from repro.experiments.pipeline import (
     execute_shard,
     failure_manifest_path,
@@ -291,6 +296,73 @@ class TestStoreRerun:
             with open(os.path.join(ref_merged, name), "rb") as handle:
                 expected = handle.read()
             with open(os.path.join(rerun_merged, name), "rb") as handle:
+                assert handle.read() == expected, f"{name} drifted"
+
+    def test_torn_entry_after_crash_resimulates_on_rerun(
+            self, reference, tmp_path, monkeypatch):
+        manifest = _manifest()
+        out = str(tmp_path / "torn")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "crash:case_idx=5;attempts=99")
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        with pytest.raises(ExecutionError):
+            execute_shard(manifest, None, out, jobs=1, cache=_cache())
+
+        # Tear one finished case's entry, as a crash of the machine between
+        # the write and the page-cache flush would.
+        store = ResultStore(os.path.join(out, "store"))
+        torn = store.entry_path(store.keys()[0])
+        with open(torn, "rb") as handle:
+            intact = handle.read()
+        with open(torn, "wb") as handle:
+            handle.write(intact[: len(intact) // 2])
+
+        monkeypatch.delenv("REPRO_FAULT_SPEC")
+        path = execute_shard(manifest, None, out, jobs=1, cache=_cache())
+        rerun = load_artifact(path)
+        total = len(manifest.unique_cases())
+        assert rerun["stats"]["store_hits"] == 4
+        assert rerun["stats"]["simulated"] == total - 4
+        assert len(store.quarantined()) == 1
+        assert rerun["cases"] == load_artifact(reference)["cases"]
+
+    def test_another_runs_entries_are_not_served(self, tmp_path):
+        out = str(tmp_path / "shared")
+        execute_shard(_manifest(), None, out, jobs=1, cache=_cache())
+        # Same experiments and out_dir, another seed: every case key
+        # differs, so nothing the first run stored is served.
+        other = build_manifest(scale=dataclasses.replace(TINY, seed=8),
+                               experiments=REGISTRY)
+        total = len(other.unique_cases())
+        artifact = load_artifact(
+            execute_shard(other, None, out, jobs=1, cache=_cache()))
+        assert artifact["stats"]["store_hits"] == 0
+        assert artifact["stats"]["simulated"] == total
+        assert len(ResultStore(os.path.join(out, "store"))) == 2 * total
+
+    def test_other_shards_entries_are_not_served(self, reference, tmp_path):
+        manifest = _manifest()
+        out = str(tmp_path / "split")
+        first, second = ShardSpec(0, 2), ShardSpec(1, 2)
+        path0 = execute_shard(manifest, first, out, jobs=1, cache=_cache())
+        # Shard 1 shares shard 0's out_dir and so its store, but reads only
+        # the keys it owns and publishes only those.
+        path1 = execute_shard(manifest, second, out, jobs=1, cache=_cache())
+        art0, art1 = load_artifact(path0), load_artifact(path1)
+        assert art1["stats"]["store_hits"] == 0
+        assert sorted(art1["cases"]) == sorted(manifest.shard_cases(second))
+        assert not set(art0["cases"]) & set(art1["cases"])
+        assert len(ResultStore(os.path.join(out, "store"))) \
+            == len(manifest.unique_cases())
+
+        merged = str(tmp_path / "m-split")
+        ref_merged = str(tmp_path / "m-ref")
+        merge_artifacts([path0, path1], manifest, out_dir=merged)
+        merge_artifacts([reference], manifest, out_dir=ref_merged)
+        for name in ("figure1.json", "figure1.txt"):
+            with open(os.path.join(ref_merged, name), "rb") as handle:
+                expected = handle.read()
+            with open(os.path.join(merged, name), "rb") as handle:
                 assert handle.read() == expected, f"{name} drifted"
 
     def test_keep_going_writes_a_failure_manifest(self, tmp_path,
