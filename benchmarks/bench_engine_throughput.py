@@ -3,11 +3,11 @@
 Runs a reduced-scale batched simulation of the default single-thread case
 (Table 3 case1, gcc+calculix, FPGA-prototype core) for one preset on one
 direction predictor, and fails unless every structure runs on its intended
-fast path: the storage flags (passthrough, fused-XOR or owner arm) and the
-specialisation arm of every generated kernel are asserted before and after
-the run.  A silent fallback to the generic ``TableIsolation`` dispatch
-fails the script rather than quietly passing.  CI runs it once per storage
-and kernel arm::
+fast path: every structure's storage ``arm`` (passthrough, fused-XOR or
+owner) and the specialisation arm of every generated kernel are asserted
+before and after the run.  A silent fallback to the generic
+``TableIsolation`` dispatch fails the script rather than quietly passing.
+CI runs it once per storage and kernel arm::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py \
         --smoke --preset noisy_xor_bp
@@ -53,11 +53,6 @@ def _build_core(preset: str, predictor: str) -> SingleThreadCore:
                             syscall_time_scale=SCALE.syscall_time_scale)
 
 
-#: Storage flag that must be set for each expected arm.
-_ARM_FLAGS = {"passthrough": "_fast", "fused-xor": "_xor_fast",
-              "owner": "_owner_fast"}
-
-
 def _expected_arm(mechanism: str) -> str:
     if mechanism in ("xor", "noisy_xor"):
         return "fused-xor"
@@ -67,27 +62,29 @@ def _expected_arm(mechanism: str) -> str:
 
 
 def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
-    """Fail loudly unless the intended monomorphic fast paths are active.
+    """Fail loudly unless the intended monomorphic storage arms are active.
 
     Expectations are derived per structure from the preset's protection
-    config: an XOR-mechanism structure must ride the fused-XOR fast path,
-    a Precise Flush one the owner arm, anything else the passthrough one.
-    On top of the storage flags, the packed-BTB probe kernel and the
-    direction predictor's execute kernel must report the matching
-    specialisation arm.  Guards the benchmark and the CI smoke step
-    against silent fallbacks to the generic dispatch.
+    config: an XOR-mechanism structure must ride the fused-XOR arm, a
+    Precise Flush one the owner arm, anything else the passthrough one.
+    On top of every structure's storage ``arm``, the packed-BTB probe
+    kernel and the direction predictor's execute kernel must report the
+    matching specialisation arm.  Guards the benchmark and the CI smoke
+    step against silent fallbacks to the generic dispatch.
     """
     bpu = core.bpu
     config = resolve_preset(preset)
     want_pht = _expected_arm(config.pht_mechanism)
     want_btb = _expected_arm(config.btb_mechanism)
     for table in bpu.direction.tables():
-        if not getattr(table, _ARM_FLAGS[want_pht]):
+        if table.arm != want_pht:
             raise AssertionError(
-                f"{preset}: table {table.name!r} is not on the "
-                f"{want_pht} fast path")
-    if not getattr(bpu.btb, _ARM_FLAGS[want_btb]):
-        raise AssertionError(f"{preset}: BTB is not on the fast path")
+                f"{preset}: table {table.name!r} is on the {table.arm!r} "
+                f"arm, expected {want_pht!r}")
+    if bpu.btb.arm != want_btb:
+        raise AssertionError(
+            f"{preset}: BTB is on the {bpu.btb.arm!r} arm, "
+            f"expected {want_btb!r}")
     btb_arm = bpu.btb.exec_conditional_kernel(0).arm
     if btb_arm != want_btb:
         raise AssertionError(

@@ -69,9 +69,8 @@ class PhtTrainingAttack(Attack):
             # Trigger: the victim calls the shared function with an
             # out-of-bounds argument; the *prediction* decides its speculative
             # path, the resolved direction is not-taken.
-            predicted = env.victim_predicted_direction(SHARED_BRANCH_PC)
-            env.victim_branch(SHARED_BRANCH_PC, False, TAKEN_TARGET,
-                              BranchType.CONDITIONAL)
+            predicted = env.victim_branch(SHARED_BRANCH_PC, False,
+                                          TAKEN_TARGET, BranchType.CONDITIONAL)
             # The attacker observes the speculative leak via Flush+Reload.
             if env.channel.observe(predicted):
                 followed += 1

@@ -133,25 +133,28 @@ class AttackEnvironment:
 
     # -- execution helpers --------------------------------------------------------
     def commit(self, pc: int, taken: bool, target: int,
-               branch_type: BranchType, thread_id: int) -> None:
+               branch_type: BranchType, thread_id: int) -> Optional[bool]:
         """Commit one branch on a hardware thread, with no scheduling.
 
         The single commit point of every attacker and victim branch.  A
         conditional branch runs the thread's direction and BTB probe
-        kernels, as the batched engines do; other branch types go through
-        the unit's fused ``execute_branch_fast``.  The scalar
-        ``execute_branch`` is the parity oracle swapped in here
-        (tests/attacks/test_attack_fastpath.py).
+        kernels, as the batched engines do, and returns the direction
+        predictor's raw prediction (before training, and not overridden by
+        a BTB miss): the direction the branch is speculated down.  Other
+        branch types go through the unit's fused ``execute_branch_fast``
+        and return ``None``.  The scalar ``execute_branch`` is the parity
+        oracle swapped in here (tests/attacks/test_attack_fastpath.py).
         """
         if branch_type is not BranchType.CONDITIONAL:
             self.bpu.execute_branch_fast(pc, taken, target, branch_type,
                                          thread_id)
-            return
+            return None
         kernels = self._kernels.get(thread_id)
         if kernels is None:
             kernels = self._kernels[thread_id] = self._fetch_kernels(thread_id)
-        kernels[0](pc, taken)
+        predicted = kernels[0](pc, taken)
         kernels[1](pc, target, taken)
+        return predicted
 
     def _fetch_kernels(self, thread_id: int) -> tuple:
         direction = self.bpu.direction
@@ -165,18 +168,23 @@ class AttackEnvironment:
         return dir_execute, btb.exec_conditional_kernel(thread_id)
 
     def victim_branch(self, pc: int, taken: bool, target: int,
-                      branch_type: BranchType = BranchType.CONDITIONAL) -> None:
-        """The victim commits one branch."""
+                      branch_type: BranchType = BranchType.CONDITIONAL
+                      ) -> Optional[bool]:
+        """The victim commits one branch; returns :meth:`commit`'s raw
+        prediction (``None`` unless conditional)."""
         if self._running != "victim":  # run_as_victim(), minus two calls
             self._switch("victim")
-        self.commit(pc, taken, target, branch_type, self.victim_thread)
+        return self.commit(pc, taken, target, branch_type, self.victim_thread)
 
     def attacker_branch(self, pc: int, taken: bool, target: int,
-                        branch_type: BranchType = BranchType.CONDITIONAL) -> None:
-        """The attacker commits one branch."""
+                        branch_type: BranchType = BranchType.CONDITIONAL
+                        ) -> Optional[bool]:
+        """The attacker commits one branch; returns :meth:`commit`'s raw
+        prediction (``None`` unless conditional)."""
         if self._running != "attacker":
             self._switch("attacker")
-        self.commit(pc, taken, target, branch_type, self.attacker_thread)
+        return self.commit(pc, taken, target, branch_type,
+                           self.attacker_thread)
 
     # -- attacker observations -----------------------------------------------------
     def attacker_predicted_direction(self, pc: int) -> bool:
@@ -211,8 +219,3 @@ class AttackEnvironment:
         self.run_as_victim()
         result = self.bpu.btb.lookup(pc, self.victim_thread)
         return result.target if result.hit else None
-
-    def victim_predicted_direction(self, pc: int) -> bool:
-        """Direction the predictor gives the victim for ``pc`` (speculative path)."""
-        self.run_as_victim()
-        return self.bpu.direction.lookup(pc, self.victim_thread).taken

@@ -212,9 +212,10 @@ class XorContentIsolation(IsolationMechanism):
     old key — or state written by a different hardware thread — decodes to
     noise.
 
-    When the encoder is plain XOR, storage structures fuse the per-(thread,
-    table) masks directly into their accesses (the monomorphic fused-XOR fast
-    path of :mod:`repro.predictors.table`): they register a mask cache with
+    When the encoder is plain XOR, the generated kernels fuse the
+    per-(thread, table) masks directly into their storage accesses (the
+    fused-XOR arm of :mod:`repro.predictors.kernelgen`): storage structures
+    and kernels register a mask cache with
     :meth:`register_fast_mask_cache`, which this mechanism invalidates on
     every key regeneration so mask re-randomisation happens at switch time
     rather than in the per-branch loop.
@@ -381,8 +382,9 @@ class NoisyXorIsolation(XorContentIsolation):
 
     def fused_index_key(self, thread_id: int, index_bits: int,
                         table: object) -> int:
-        """Index-key mask fused into storage accesses (same key as
-        :meth:`map_index`, so the fast path is bit-identical to it)."""
+        """Index-key mask fused into the kernels' storage accesses (same
+        key as :meth:`map_index`, so the fused-XOR arm is bit-identical to
+        it)."""
         if index_bits <= 0:
             return 0
         return self._base_key(thread_id, index_bits, table,

@@ -228,21 +228,17 @@ class BranchPredictionUnit:
         """Route every storage access through the generic isolation dispatch.
 
         Diagnostic hook shared by the parity/fuzz suites and the throughput
-        benchmark: turns off the passthrough, fused-XOR and owner storage
-        fast paths on every direction table and the BTB, and drops all cached
-        specialised kernels so they rebuild on their generic arm.  Results
-        must be bit-identical either way — only throughput changes — which
-        is exactly what the differential tests assert.  Any new kernel
-        cache added to a structure must be dropped by
-        :meth:`release_kernels`.
+        benchmark: sets the storage ``arm`` of every direction table and the
+        BTB to ``"generic"`` and drops all cached specialised kernels, so
+        they rebuild on the generic arm, which calls the tables' scalar
+        ``read``/``write`` (always policy dispatch).  Results must be
+        bit-identical either way — only throughput changes — which is
+        exactly what the differential tests assert.  Any new kernel cache
+        added to a structure must be dropped by :meth:`release_kernels`.
         """
         for table in self.direction.tables():
-            table._fast = False
-            table._xor_fast = False
-            table._owner_fast = False
-        self.btb._fast = False
-        self.btb._xor_fast = False
-        self.btb._owner_fast = False
+            table.arm = "generic"
+        self.btb.arm = "generic"
         self.release_kernels()
 
     def release_kernels(self) -> None:

@@ -208,7 +208,9 @@ def atomic_write_json(path: str, payload, *,
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        # ``json.dumps`` runs the C encoder; ``json.dump`` streams through
+        # the pure-Python one.  The bytes are identical.
+        handle.write(json.dumps(payload, sort_keys=True))
         if trailing_newline:
             handle.write("\n")
     if os.environ.get(FAULT_SPEC_VAR):

@@ -19,7 +19,7 @@ from .counters import counter_is_taken, saturating_update
 from .kernelgen import (bind_table, emit_counter_read, emit_counter_train,
                         make_kernel, storage_arm)
 from .table import (PackedCounterTable, PredictorTable, TableIsolation,
-                    supports_fused_xor)
+                    isolation_arm)
 
 __all__ = ["BimodalPredictor"]
 
@@ -41,7 +41,9 @@ class BimodalPredictor(DirectionPredictor):
                  word_bits: int = 32) -> None:
         super().__init__(isolation)
         self._counter_bits = counter_bits
-        weak_not_taken = (1 << (counter_bits - 1)) - 1
+        # PackedCounterTable rejects counter_bits < 1.
+        weak_not_taken = ((1 << (counter_bits - 1)) - 1 if counter_bits > 0
+                          else 0)
         self._pht = PackedCounterTable(
             n_entries, counter_bits, word_bits=word_bits,
             reset_value=weak_not_taken, name="bimodal_pht", isolation=isolation)
@@ -55,7 +57,7 @@ class BimodalPredictor(DirectionPredictor):
         self._kernel_pool: Dict[int, object] = {}
         self._kernel_code: Dict[tuple, object] = {}
         attached = self._pht.word_table.isolation
-        if supports_fused_xor(attached):
+        if isolation_arm(attached) == "fused-xor":
             self._exec_token = object()
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
@@ -105,7 +107,7 @@ class BimodalPredictor(DirectionPredictor):
         return fn
 
     def invalidate_kernel_masks(self) -> None:
-        """Drop every cached kernel (tests / manual fast-path flag flips)."""
+        """Drop every cached kernel (tests / manual storage-arm changes)."""
         self._exec_fns.clear()
         self._kernel_pool.clear()
 

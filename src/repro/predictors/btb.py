@@ -23,29 +23,32 @@ per-way entry objects: one contiguous list per field (``valid``, ``tag``,
 ``target``, ``branch type``, ``owner``, ``LRU stamp``), each of length
 ``n_sets * n_ways`` with a per-set stride of ``n_ways``.  A set probe is a
 ``range(base, base + n_ways)`` walk over machine ints — no attribute loads,
-no entry-object indirection.  The fused per-(thread, table) XOR masks of the
-XOR-family presets are applied inline on the packed fields and re-randomised
-only at switch time via the mask-cache registration protocol on
-:class:`repro.core.isolation.XorContentIsolation`; Precise Flush's owner
-check is applied inline on the ``owner`` field the same way.
+no entry-object indirection.
 
 On top of the arrays, the conditional and the indirect probes are served by
 a **per-thread pair of generated kernels**
 (:meth:`BranchTargetBuffer.exec_conditional_kernel` and the one behind
 :meth:`BranchTargetBuffer.execute_indirect_fast`), emitted by one source
 generator on the storage arm :func:`repro.predictors.kernelgen.storage_arm`
-picks: the geometry constants are inlined, and the field arrays and the
-thread's decode masks are bound in the pair's shared globals, so a branch
-pays no mask-cache lookup and no isolation-arm branching.  Kernels follow
-the same protocol as the generated direction-predictor kernels — the
-batched engines fetch them via the ``exec_*_kernel`` entry point and
-re-fetch after every switch notification.  Key re-randomisation marks a
-thread's pair stale through the registered mask cache, and the next fetch
-writes the new masks into the pair's globals (no re-exec).
+picks from the BTB's ``arm``: the geometry constants are inlined, and the
+field arrays and the thread's decode masks are bound in the pair's shared
+globals, so a branch pays no mask-cache lookup and no isolation-arm
+branching.  The fused per-(thread, table) XOR masks of the XOR-family
+presets are re-randomised only at switch time via the mask-cache
+registration protocol on :class:`repro.core.isolation.XorContentIsolation`;
+Precise Flush's owner check is emitted inline on the ``owner`` field.
+Kernels follow the same protocol as the generated direction-predictor
+kernels — the batched engines fetch them via the ``exec_*_kernel`` entry
+point and re-fetch after every switch notification.  Key re-randomisation
+marks a thread's pair stale through the registered mask cache, and the next
+fetch writes the new masks into the pair's globals (no re-exec).
 
-The scalar protocol (:meth:`lookup` / :meth:`update`), the attack framework
-and the flush machinery see the exact same bits through the same arrays, and
-:class:`BTBEntry` remains as the introspection value object.
+The scalar protocol (:meth:`lookup` / :meth:`update`) shares no arm code
+with the kernels: it always goes through the policy's ``map_index`` /
+``encode`` / ``decode`` and the owner check, and is the oracle the kernels
+are tested against.  It, the attack framework and the flush machinery see
+the exact same bits through the same arrays, and :class:`BTBEntry` remains
+as the introspection value object.
 """
 
 from __future__ import annotations
@@ -54,9 +57,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .kernelgen import make_kernel, storage_arm
-from .table import (IdentityIsolation, TableIsolation, is_owner_isolation,
-                    is_passthrough_isolation, reset_template,
-                    row_diversifier_vector, supports_fused_xor)
+from .table import (IdentityIsolation, TableIsolation, isolation_arm,
+                    reset_template, row_diversifier_vector)
 from ..types import BranchType
 
 __all__ = ["BTBEntry", "BTBResult", "BranchTargetBuffer"]
@@ -129,10 +131,9 @@ class BranchTargetBuffer:
         self._target_mask = (1 << target_bits) - 1
         self._tag_shift = 2 + self._index_bits
         self._isolation = isolation if isolation is not None else IdentityIsolation()
-        self._fast = is_passthrough_isolation(self._isolation)
-        self._xor_fast = (not self._fast) and supports_fused_xor(self._isolation)
-        # Precise Flush: identity transforms, owner checked inline.
-        self._owner_fast = is_owner_isolation(self._isolation)
+        #: The kernels' storage arm (see :func:`isolation_arm`); forced
+        #: generic dispatch sets it to ``"generic"``.
+        self.arm = isolation_arm(self._isolation)
         # Flat packed parallel arrays: one list per field, ``n_ways`` stride
         # per set.  All access paths (kernels, scalar protocol, flushes,
         # introspection) share these lists; they are reset in place so bound
@@ -144,10 +145,10 @@ class BranchTargetBuffer:
         self._types: List[int] = [_DIRECT_INT] * total
         self._owners: List[int] = [_NO_OWNER] * total
         self._last: List[int] = [0] * total
-        # Per-thread (index_key, tag_key, target_key) masks of the fused-XOR
-        # fast path, re-randomised at switch time via the isolation policy's
-        # mask-cache protocol; the per-set row-diversifier vectors are
-        # thread-independent and built lazily.
+        # Per-thread (index_key, tag_key, target_key) masks of the kernels'
+        # fused-XOR arm, re-randomised at switch time via the isolation
+        # policy's mask-cache protocol; the per-set row-diversifier vectors
+        # are thread-independent and built lazily.
         self._xor_masks: dict = {}
         self._tag_row_keys: Optional[Tuple[int, ...]] = None
         self._target_row_keys: Optional[Tuple[int, ...]] = None
@@ -165,7 +166,7 @@ class BranchTargetBuffer:
         self.name = "btb"
         self.lookups = 0
         self.hits = 0
-        if self._xor_fast:
+        if self.arm == "fused-xor":
             self._isolation.register_fast_mask_cache(self, self._xor_masks,
                                                      self._build_xor_masks)
             self._kernel_token = object()
@@ -518,35 +519,22 @@ class BranchTargetBuffer:
         """Install or refresh the entry for a *taken* branch.
 
         Following the BTB update rule exploited by SBPA (Section 2.1), the BTB
-        is only updated for taken branches; the caller enforces that.
+        is only updated for taken branches; the caller enforces that.  The
+        set and the stored tag and target always come from the policy's
+        ``map_index``/``encode`` (the oracle of the probe kernels, which
+        emit the storage arm inline).
 
         Returns:
             The way that was written (useful for tests and attack analysis).
         """
         self._clock += 1
-        if self._fast:
-            set_index = (pc >> 2) & self._index_mask
-            encoded_tag = (pc >> self._tag_shift) & self._tag_mask
-            encoded_target = target & self._target_mask
-        elif self._xor_fast:
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, tag_key, target_key = masks
-            set_index = ((pc >> 2) ^ index_key) & self._index_mask
-            encoded_tag = (((pc >> self._tag_shift) & self._tag_mask)
-                           ^ tag_key ^ self._tag_row_keys[set_index])
-            encoded_target = ((target & self._target_mask)
-                              ^ target_key ^ self._target_row_keys[set_index])
-        else:
-            set_index = self.set_of(pc, thread_id)
-            lookup_tag = self.tag_of(pc)
-            encoded_tag = self._isolation.encode(lookup_tag, self._tag_bits,
-                                                 thread_id, self,
-                                                 set_index) & self._tag_mask
-            encoded_target = self._isolation.encode(target & self._target_mask,
-                                                    self._target_bits, thread_id,
-                                                    self, set_index) & self._target_mask
+        set_index = self.set_of(pc, thread_id)
+        encoded_tag = self._isolation.encode(self.tag_of(pc), self._tag_bits,
+                                             thread_id, self,
+                                             set_index) & self._tag_mask
+        encoded_target = self._isolation.encode(
+            target & self._target_mask, self._target_bits, thread_id, self,
+            set_index) & self._target_mask
         valid = self._valid
         tags = self._tags
         last = self._last

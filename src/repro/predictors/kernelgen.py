@@ -7,7 +7,10 @@ generated Python source with the geometry inlined as literals and the
 thread's storage lists and isolation masks bound in the function globals.
 
 Each :class:`repro.predictors.table.PredictorTable` access is emitted on one
-of four *arms*, chosen from the tables' storage fast-path flags:
+of four *arms*, chosen from the tables' ``arm`` (set from the attached
+policy by :func:`repro.predictors.table.isolation_arm`).  The kernels are
+the only place the arms are implemented; the tables' scalar
+``read``/``write`` always dispatch through the policy and are the oracle:
 
 * ``passthrough`` (baseline / Complete Flush): plain list indexing;
 * ``fused-xor`` (plain-XOR XOR-BP / Noisy-XOR-BP): the thread's precomputed
@@ -42,15 +45,10 @@ __all__ = ["storage_arm", "bind_table", "emit_read", "emit_write",
 
 
 def storage_arm(tables: Iterable[PredictorTable]) -> str:
-    """The one arm every table in ``tables`` can run on."""
-    tables = list(tables)
-    if all(t._fast for t in tables):
-        return "passthrough"
-    if all(t._xor_fast for t in tables):
-        return "fused-xor"
-    if all(t._owner_fast for t in tables):
-        return "owner"
-    return "generic"
+    """The one arm every table in ``tables`` can run on: their common
+    ``arm``, or ``"generic"`` when they differ."""
+    arms = {table.arm for table in tables}
+    return arms.pop() if len(arms) == 1 else "generic"
 
 
 def bind_table(namespace: dict, name: str, table: PredictorTable, arm: str,

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from .base import DirectionPrediction, DirectionPredictor
 from .kernelgen import make_kernel, storage_arm
 from .loop import LoopPredictor
-from .table import PredictorTable, TableIsolation, supports_fused_xor
+from .table import PredictorTable, TableIsolation, isolation_arm
 from .tage import TageConfig, TagePredictor
 
 __all__ = ["LTagePredictor", "TageComposite"]
@@ -53,7 +53,7 @@ class TageComposite(DirectionPredictor):
         self._exec_fns: Dict[int, object] = {}
         self._kernel_code: Dict[tuple, object] = {}
         attached = tage.tagged_tables[0].isolation
-        if supports_fused_xor(attached):
+        if isolation_arm(attached) == "fused-xor":
             self._exec_token = object()
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
@@ -104,7 +104,7 @@ class TageComposite(DirectionPredictor):
         return fn
 
     def invalidate_kernel_masks(self) -> None:
-        """Drop every cached kernel (tests / manual fast-path flag flips)."""
+        """Drop every cached kernel (tests / manual storage-arm changes)."""
         self._exec_fns.clear()
         self._tage.invalidate_kernel_masks()
 

@@ -19,24 +19,22 @@ Keeping the policy at the storage layer means the predictor algorithms
 isolation mechanism is active — mirroring the paper's claim that the scheme
 is "versatile to accommodate multiple branch predictors".
 
-Three monomorphic storage flags let the simulation hot path skip the
-virtual dispatch:
+Each table records, when a policy is attached, the *storage arm* the
+policy allows (:func:`isolation_arm`): ``passthrough`` (baseline and flush
+policies: identity transforms, no owner tracking), ``fused-xor``
+(plain-XOR content/index encoding, the paper's headline XOR-BP /
+Noisy-XOR-BP mechanisms), ``owner`` (identity transforms plus
+``tracks_owner``: Precise Flush) or ``generic`` (any other encoder).  Only
+the generated predictor kernels (:mod:`repro.predictors.kernelgen`) act on
+the arm; they emit it inline.  For the fused-XOR arm the masks are
+precomputed per (thread, table) and re-randomised only at
+context/privilege-switch time via the mask-cache registration protocol on
+:class:`repro.core.isolation.XorContentIsolation`.
 
-* the *passthrough* fast path (baseline and flush policies: identity
-  transforms, no owner tracking) reads and writes storage directly;
-* the *fused-XOR* fast path (plain-XOR content/index encoding, the paper's
-  headline XOR-BP / Noisy-XOR-BP mechanisms) applies thread-private
-  encode/decode masks inline.  The masks are precomputed per (thread, table)
-  and re-randomised only at context/privilege-switch time — hoisted out of
-  the per-branch loop — via the mask-cache registration protocol on
-  :class:`repro.core.isolation.XorContentIsolation`;
-* the *owner* fast path (identity transforms plus ``tracks_owner``:
-  Precise Flush) checks the owner list inline on reads (another thread's
-  entry reads as the reset value) and stamps it on writes.
-
-The generated predictor kernels (:mod:`repro.predictors.kernelgen`) emit
-the same three arms inline; forced generic dispatch (all three flags off)
-is the oracle both are tested against.
+The scalar :meth:`PredictorTable.read`/:meth:`PredictorTable.write` share
+no arm code with the kernels: they always go through the policy's
+``map_index``/``encode``/``decode`` and the owner check, and are the oracle
+the kernels are tested against.
 
 Tables can also share one flat storage list (``storage``/``storage_offset``),
 which lets multi-table predictors such as TAGE keep every tagged entry in a
@@ -50,8 +48,7 @@ from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 __all__ = ["TableIsolation", "IdentityIsolation", "PredictorTable",
-           "PackedCounterTable", "is_passthrough_isolation",
-           "is_owner_isolation", "supports_fused_xor", "ROW_DIVERSIFIER",
+           "PackedCounterTable", "isolation_arm", "ROW_DIVERSIFIER",
            "reset_template", "row_diversifier_vector"]
 
 _NO_OWNER = -1
@@ -94,8 +91,8 @@ class TableIsolation:
     tracks_owner: bool = False
 
     #: True when the policy is a plain-XOR encoder whose per-(thread, table)
-    #: masks can be precomputed and fused into storage accesses (the
-    #: monomorphic fused-XOR fast path).  Set by
+    #: masks can be precomputed and fused into the generated kernels' storage
+    #: accesses (the fused-XOR arm).  Set by
     #: :class:`repro.core.isolation.XorContentIsolation`.
     supports_fused_xor: bool = False
 
@@ -137,48 +134,32 @@ class IdentityIsolation(TableIsolation):
 _IDENTITY = IdentityIsolation()
 
 
-def _identity_transforms(isolation: TableIsolation) -> bool:
+def isolation_arm(isolation: TableIsolation) -> str:
+    """The storage arm a policy lets the generated kernels use.
+
+    * ``"passthrough"``: identity ``map_index``/``encode``/``decode``
+      inherited from :class:`TableIsolation` and no owner tracking
+      (baseline and flush-based policies);
+    * ``"fused-xor"``: a plain-XOR encoder (``supports_fused_xor``) whose
+      content and index keys commute into precomputed per-(thread, table)
+      masks, without owner tracking;
+    * ``"owner"``: identity transforms plus ``tracks_owner`` (Precise
+      Flush);
+    * ``"generic"``: anything else (non-XOR encoders such as the S-box and
+      shift-XOR ablations), which kernels run through the table's own
+      ``read``/``write``.
+    """
     cls = type(isolation)
-    return (cls.map_index is TableIsolation.map_index
-            and cls.encode is TableIsolation.encode
-            and cls.decode is TableIsolation.decode)
-
-
-def is_passthrough_isolation(isolation: TableIsolation) -> bool:
-    """True when a policy leaves indices, contents and ownership untouched.
-
-    Baseline and flush-based policies inherit the identity ``map_index`` /
-    ``encode`` / ``decode`` from :class:`TableIsolation` and do not track
-    entry owners, so storage accesses can skip the virtual-dispatch
-    indirection entirely (the monomorphic fast path used by the batched
-    simulation engine).  Encoding policies override the hooks and Precise
-    Flush tracks owners, which disables the fast path.
-    """
-    return _identity_transforms(isolation) and not isolation.tracks_owner
-
-
-def is_owner_isolation(isolation: TableIsolation) -> bool:
-    """True when a policy only tracks owners (identity transforms).
-
-    Precise Flush leaves indices and contents untouched but tags every
-    entry with its writer; a read by another thread sees the reset value.
-    Kernels can apply that check and the owner stamp inline (the *owner*
-    arm) instead of going through the table's ``read``/``write``.
-    """
-    return _identity_transforms(isolation) and isolation.tracks_owner
-
-
-def supports_fused_xor(isolation: TableIsolation) -> bool:
-    """True when storage can fuse the policy's XOR masks inline.
-
-    Plain-XOR content (and, for Noisy-XOR, index) encoding commutes into a
-    precomputed per-(thread, table) mask, so the storage layer can decode and
-    encode without any virtual dispatch.  Policies using non-XOR encoders
-    (S-box, shift-XOR ablations) or owner tracking must keep the generic
-    dispatch path.
-    """
-    return bool(getattr(isolation, "supports_fused_xor", False)
-                and not isolation.tracks_owner)
+    identity = (cls.map_index is TableIsolation.map_index
+                and cls.encode is TableIsolation.encode
+                and cls.decode is TableIsolation.decode)
+    if isolation.tracks_owner:
+        return "owner" if identity else "generic"
+    if identity:
+        return "passthrough"
+    if getattr(isolation, "supports_fused_xor", False):
+        return "fused-xor"
+    return "generic"
 
 
 def _require_power_of_two(n: int, what: str) -> None:
@@ -235,15 +216,15 @@ class PredictorTable:
 
     def _attach_isolation(self, isolation: TableIsolation) -> None:
         self._isolation = isolation
-        self._fast = is_passthrough_isolation(isolation)
-        self._xor_fast = (not self._fast) and supports_fused_xor(isolation)
-        self._owner_fast = is_owner_isolation(isolation)
+        #: The kernels' storage arm (:func:`isolation_arm`); forced generic
+        #: dispatch sets it to ``"generic"``.
+        self.arm = isolation_arm(isolation)
         # Per-thread (index_key, content_key, row_keys) decode masks of the
-        # fused-XOR fast path.  A fresh dict per attachment so that a
+        # kernels' fused-XOR arm.  A fresh dict per attachment so that a
         # previously attached policy invalidating its registered caches can
         # never clear the new policy's masks.
         self._xor_masks: dict = {}
-        if self._xor_fast:
+        if self.arm == "fused-xor":
             isolation.register_fast_mask_cache(self, self._xor_masks,
                                                self._build_xor_masks)
         isolation.register_flushable(self)
@@ -328,26 +309,6 @@ class PredictorTable:
         different hardware thread read as the reset value: the thread-ID tag
         makes them invisible to other threads.
         """
-        if self._fast:
-            # Identity/flush policies: no index mapping, no decoding, no
-            # owner check — stored words are already masked.
-            return self._data[self._offset + (index & self._index_mask)]
-        if self._xor_fast:
-            # Fused-XOR fast path: precomputed thread-private masks replace
-            # the virtual encode/decode dispatch (bit-identical to it).
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, content_key, row_keys = masks
-            row = (index ^ index_key) & self._index_mask
-            return self._data[self._offset + row] ^ content_key ^ row_keys[row]
-        if self._owner_fast:
-            # Precise Flush: identity transforms, owner checked inline.
-            row = index & self._index_mask
-            owner = self._owner[row]
-            if owner != _NO_OWNER and owner != thread_id:
-                return self._reset_value
-            return self._data[self._offset + row]
         row = self.physical_index(index, thread_id)
         if self._isolation.tracks_owner:
             owner = self._owner[row]
@@ -359,24 +320,6 @@ class PredictorTable:
 
     def write(self, index: int, value: int, thread_id: int = 0) -> None:
         """Encode and write a word at a logical index."""
-        if self._fast:
-            self._data[self._offset + (index & self._index_mask)] = \
-                value & self._value_mask
-            return
-        if self._xor_fast:
-            masks = self._xor_masks.get(thread_id)
-            if masks is None:
-                masks = self._build_xor_masks(thread_id)
-            index_key, content_key, row_keys = masks
-            row = (index ^ index_key) & self._index_mask
-            self._data[self._offset + row] = \
-                (value & self._value_mask) ^ content_key ^ row_keys[row]
-            return
-        if self._owner_fast:
-            row = index & self._index_mask
-            self._data[self._offset + row] = value & self._value_mask
-            self._owner[row] = thread_id
-            return
         row = self.physical_index(index, thread_id)
         encoded = self._isolation.encode(value & self._value_mask, self._entry_bits,
                                          thread_id, self, row)
@@ -459,12 +402,11 @@ class PackedCounterTable:
     packing only changes the granularity at which the isolation policy's
     encode/decode runs — and therefore the obfuscation strength.
 
-    All storage access (including the three fast paths) is delegated
-    to the underlying :class:`PredictorTable`, so there is a single packed
-    implementation of the isolation dispatch for every direction table; this
-    class only translates counter indices to (word, slot) coordinates.  The
-    fused predictor kernels bypass these wrappers and drive the word table
-    directly.
+    All storage access is delegated to the underlying
+    :class:`PredictorTable`'s isolation dispatch; this class only translates
+    counter indices to (word, slot) coordinates.  The generated predictor
+    kernels bypass these wrappers and drive the word table directly on its
+    storage arm.
 
     Args:
         n_counters: number of logical counters; power of two.
@@ -480,6 +422,8 @@ class PackedCounterTable:
                  reset_value: int = 1, name: str = "pht",
                  isolation: Optional[TableIsolation] = None) -> None:
         _require_power_of_two(n_counters, "n_counters")
+        if counter_bits < 1:
+            raise ValueError(f"counter_bits must be >= 1, got {counter_bits}")
         if word_bits % counter_bits:
             raise ValueError("word_bits must be a multiple of counter_bits")
         self._counters_per_word = word_bits // counter_bits

@@ -65,7 +65,7 @@ from .bimodal import BimodalPredictor
 from .counters import counter_is_taken, saturating_update
 from .history import GlobalHistory, PathHistory
 from .kernelgen import make_kernel, storage_arm
-from .table import PredictorTable, TableIsolation, supports_fused_xor
+from .table import PredictorTable, TableIsolation, isolation_arm
 
 __all__ = ["TageConfig", "TagePredictor", "geometric_history_lengths"]
 
@@ -305,7 +305,7 @@ class TagePredictor(DirectionPredictor):
         self._exec_fns: Dict[int, object] = {}
         self._kernel_code: Dict[tuple, object] = {}
         attached = self._tables[0].isolation
-        if supports_fused_xor(attached):
+        if isolation_arm(attached) == "fused-xor":
             self._exec_token = object()
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
@@ -326,7 +326,7 @@ class TagePredictor(DirectionPredictor):
         return tag, ctr, useful
 
     def invalidate_kernel_masks(self) -> None:
-        """Drop every cached kernel (tests / manual fast-path flag flips)."""
+        """Drop every cached kernel (tests / manual storage-arm changes)."""
         self._exec_fns.clear()
 
     # -- folded-history maintenance --------------------------------------------

@@ -28,7 +28,7 @@ from .history import GlobalHistory, LocalHistoryTable, PathHistory
 from .kernelgen import (bind_table, emit_counter_read, emit_counter_train,
                         fold_expr, make_kernel, storage_arm)
 from .table import (PackedCounterTable, PredictorTable, TableIsolation,
-                    supports_fused_xor)
+                    isolation_arm)
 
 __all__ = ["TournamentPredictor"]
 
@@ -86,7 +86,7 @@ class TournamentPredictor(DirectionPredictor):
         self._exec_fns: Dict[int, object] = {}
         self._kernel_code: Dict[tuple, object] = {}
         attached = self._local_pht.word_table.isolation
-        if supports_fused_xor(attached):
+        if isolation_arm(attached) == "fused-xor":
             self._exec_token = object()
             attached.register_fast_mask_cache(self._exec_token,
                                               self._exec_fns,
@@ -181,7 +181,7 @@ class TournamentPredictor(DirectionPredictor):
         return fn
 
     def invalidate_kernel_masks(self) -> None:
-        """Drop every cached kernel (tests / manual fast-path flag flips)."""
+        """Drop every cached kernel (tests / manual storage-arm changes)."""
         self._exec_fns.clear()
 
     def _build_exec_fn(self, thread_id: int):

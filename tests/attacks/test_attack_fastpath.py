@@ -23,6 +23,7 @@ import repro.experiments.ablations as ablations
 import repro.security.leakage as leakage
 from repro.attacks import ALL_ATTACKS, AttackEnvironment, run_attack
 from repro.core.secure import BranchPredictionUnit
+from repro.types import BranchType
 
 #: (preset, config overrides): the Table 1 mechanisms, the 2-bit XOR-PHT and
 #: one non-XOR encoder, which keeps every storage access on the generic
@@ -43,7 +44,16 @@ ITERATIONS = 12
 
 
 def _scalar_commit(self, pc, taken, target, branch_type, thread_id):
+    # The raw direction prediction, as the direction kernel returns it;
+    # ``BranchOutcome.predicted_taken`` is overridden by a BTB miss.  Only a
+    # conditional branch looks it up: on any other type the lookup would
+    # draw the thread's lazily created direction key, which that commit
+    # never draws, and so reorder the key draws.
+    predicted = None
+    if branch_type is BranchType.CONDITIONAL:
+        predicted = self.bpu.direction.lookup(pc, thread_id).taken
     self.bpu.execute_branch(pc, taken, target, branch_type, thread_id)
+    return predicted
 
 
 def _bpu_state(bpu):

@@ -62,6 +62,31 @@ class TestAttackEnvironment:
         env.victim_syscall()
         assert bpu.isolation.key_manager.generation(0) > generation_before
 
+    @pytest.mark.parametrize("smt", [False, True], ids=["st", "smt"])
+    @pytest.mark.parametrize("preset", ["baseline", "precise_flush",
+                                        "noisy_xor_bp"])
+    @pytest.mark.parametrize("predictor", ["gshare", "tage_sc_l"])
+    def test_victim_branch_returns_the_raw_prediction(self, predictor, preset,
+                                                      smt):
+        """A conditional ``victim_branch`` returns what the direction
+        predictor's ``lookup`` gave just before it; other types ``None``."""
+        bpu = make_bpu(predictor, preset)
+        env = AttackEnvironment(bpu, smt=smt)
+        pc, target = 0x4000, 0x5000
+        seen = set()
+        for step, taken in enumerate([True] * 24 + [False] * 24):
+            if step % 8 == 0:
+                env.attacker_branch(pc, True, target)
+            env.run_as_victim()
+            expected = bpu.direction.lookup(pc, env.victim_thread).taken
+            assert env.victim_branch(pc, taken, target) is expected
+            seen.add(expected)
+        assert seen == {False, True}
+        for branch_type in BranchType:
+            if branch_type is not BranchType.CONDITIONAL:
+                assert env.victim_branch(pc + 0x100, True, target,
+                                         branch_type) is None
+
     def test_probe_helpers(self):
         bpu = make_bpu("bimodal", "baseline")
         env = AttackEnvironment(bpu, smt=False,

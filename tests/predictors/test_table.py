@@ -10,6 +10,8 @@ from repro.core.isolation import (
     XorContentIsolation,
 )
 from repro.core.keys import KeyManager
+from repro.core.registry import make_bpu
+from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.table import (
     ROW_DIVERSIFIER,
     IdentityIsolation,
@@ -227,6 +229,16 @@ class TestPackedCounterTable:
                                              r"counter_bits \(2\).*got 12"):
             PackedCounterTable(n_counters, 2, word_bits=24)
 
+    @pytest.mark.parametrize("bits", [0, -2])
+    @pytest.mark.parametrize("build", [
+        lambda bits: PackedCounterTable(16, counter_bits=bits),
+        lambda bits: BimodalPredictor(counter_bits=bits),
+    ], ids=["packed", "bimodal"])
+    def test_counter_bits_below_one_is_rejected(self, build, bits):
+        with pytest.raises(ValueError,
+                           match=rf"counter_bits must be >= 1, got {bits}"):
+            build(bits)
+
     def test_storage_bits(self):
         pht = PackedCounterTable(4096, 2, word_bits=32)
         assert pht.storage_bits == 4096 * 2
@@ -252,3 +264,49 @@ class TestPackedCounterTable:
         # now read any value, but the structure must still be self-consistent
         # for thread 1.
         assert pht.read(1, thread_id=1) == 3
+
+
+#: The Table 1 presets and the 2-bit XOR-PHT: each puts storage on a
+#: passthrough, fused-XOR or owner kernel arm, never the generic one.
+STORAGE_PRESETS = ["baseline", "complete_flush", "precise_flush", "xor_bp",
+                   "noisy_xor_bp", "xor_pht_simple"]
+
+
+def _count_dispatch(isolation, monkeypatch):
+    """Record every ``map_index``/``encode``/``decode`` call on a policy."""
+    calls = []
+    for hook in ("map_index", "encode", "decode"):
+        def counted(*args, _real=getattr(isolation, hook), _hook=hook):
+            calls.append(_hook)
+            return _real(*args)
+
+        monkeypatch.setattr(isolation, hook, counted)
+    return calls
+
+
+class TestScalarStorageIsPolicyDispatch:
+    """The scalar ``read``/``write``/``update`` are the kernels' oracle: on
+    every preset they reach the policy's hooks, whatever the kernels' arm,
+    with no ``force_generic_dispatch``."""
+
+    @pytest.mark.parametrize("preset", STORAGE_PRESETS)
+    def test_table_read_and_write_reach_the_policy(self, preset, monkeypatch):
+        table = make_bpu("gshare", preset).direction.tables()[0]
+        assert table.arm != "generic"
+        value = (1 << table.entry_bits) - 2  # not the reset value
+        calls = _count_dispatch(table.isolation, monkeypatch)
+        table.write(5, value, 1)
+        assert calls[:1] == ["map_index"] and "encode" in calls
+        calls.clear()
+        assert table.read(5, 1) == value
+        assert calls[:1] == ["map_index"] and "decode" in calls
+
+    @pytest.mark.parametrize("preset", STORAGE_PRESETS)
+    def test_btb_update_reaches_the_policy(self, preset, monkeypatch):
+        btb = make_bpu("gshare", preset).btb
+        assert btb.arm != "generic"
+        calls = _count_dispatch(btb.isolation, monkeypatch)
+        btb.update(0x4000, 0x5000, 1)
+        assert calls[:1] == ["map_index"] and calls.count("encode") >= 2
+        result = btb.lookup(0x4000, 1)
+        assert result.hit and result.target == 0x5000

@@ -1,14 +1,14 @@
 """Fused-XOR fast path vs generic ``TableIsolation`` dispatch.
 
 The XOR-family presets (``xor_bp``, ``noisy_xor_bp``, ``noisy_xor_btb``,
-``noisy_xor_pht``) are served by monomorphic fast paths: precomputed
-per-(thread, table) encode/decode masks fused into storage accesses, the
-generated TAGE kernels and the BTB's masked probe arms.  The masks are
-re-randomised at switch time via the isolation mask-cache protocol.
+``noisy_xor_pht``) are served by the generated kernels' fused-XOR arm:
+precomputed per-(thread, table) encode/decode masks inlined into the
+direction kernels' storage accesses and the BTB's probe kernels.  The masks
+are re-randomised at switch time via the isolation mask-cache protocol.
 
-These tests build twin systems — one on the fast paths, one with every
-storage fast-path flag forced off so all accesses take the generic virtual
-dispatch — and drive both through identical branch streams interleaved with
+These tests build twin systems — one on the fused-XOR arm, one with every
+structure's storage arm forced to ``"generic"`` so all accesses take the
+virtual dispatch — and drive both through identical branch streams interleaved with
 context switches and privilege switches (mask re-randomisation boundaries).
 Per-branch outcomes, statistics and the raw (still encoded) storage bits
 must match exactly, on the bare BPU and through both batched core engines.
@@ -46,7 +46,7 @@ SCALE = ExperimentScale(
 
 
 def _force_generic_dispatch(bpu):
-    """Turn off every storage fast path so accesses take virtual dispatch."""
+    """Put every structure on the generic arm (virtual dispatch)."""
     bpu.force_generic_dispatch()
 
 
