@@ -682,21 +682,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "gc":
-        import os
-
-        from .experiments.executor import sweep_tmp_files
-
         try:
             removed = store.gc(manifest_hashes=args.manifest_hash)
         except (OSError, ValueError) as exc:
             print(f"gc failed: {exc}", file=sys.stderr)
             return 2
         swept = store.sweep_tmp()
-        cache_dir = os.environ.get("REPRO_CACHE_DIR")
-        if cache_dir and os.path.isdir(cache_dir):
-            # Killed writers leak the same *.tmp.<pid> staging files into
-            # the disk cache; gc is the natural place to reclaim both.
-            swept += sweep_tmp_files(cache_dir)
         stale = "stale engine revisions"
         if args.manifest_hash:
             stale += " and superseded manifests"

@@ -7,11 +7,10 @@ results.  This module provides the shared machinery:
 * :class:`CaseSpec` — a self-contained, picklable description of one case
   (single-thread or SMT), with a deterministic cache key;
 * :class:`RunResultCache` — a memoisation layer for finished
-  :class:`repro.cpu.stats.RunResult` objects, in-memory by default,
-  persisted to disk when a cache directory is configured (``REPRO_CACHE_DIR``
-  or an explicit path), and backed by a cross-machine
-  :class:`repro.experiments.store.ResultStore` when one is configured
-  (``REPRO_STORE_DIR`` or an explicit instance), keyed by
+  :class:`repro.cpu.stats.RunResult` objects, in memory and, when one is
+  configured (``REPRO_STORE_DIR`` or an explicit instance), in the
+  :class:`repro.experiments.store.ResultStore` — the one on-disk home for
+  results — keyed by
   ``(kind, pair, core config, preset, scale, switch interval, seed offset,
   engine version)``;
 * :class:`SweepExecutor` — runs a list of case specs, deduplicating
@@ -37,7 +36,7 @@ not finished.  All of those paths are certified deterministically by
 
 The executor is deliberately engine-agnostic: a case's cache key includes
 :data:`ENGINE_VERSION`, which must be bumped whenever the simulation
-semantics change, so stale on-disk entries can never leak across engine
+semantics change, so stale store entries can never leak across engine
 revisions.
 """
 
@@ -60,7 +59,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cpu.config import CoreConfig
-from ..cpu.stats import RunResult, run_result_from_dict, run_result_to_dict
+from ..cpu.stats import RunResult
 from ..testing.faults import FAULT_SPEC_VAR, InjectedTimeout, active_clauses
 from ..workloads.pairs import BenchmarkPair
 from .scaling import ExperimentScale
@@ -199,9 +198,9 @@ def atomic_write_json(path: str, payload, *,
                       trailing_newline: bool = False) -> None:
     """Write canonical (sorted-keys) JSON via tmp-file + atomic replace.
 
-    Shared by the disk cache, the result store and the shard-artifact
-    writer: a killed process can leave a stray ``*.tmp.<pid>`` file but
-    never a torn JSON document under the real name.  (A ``torn_write``
+    Shared by the result store and the shard-artifact writer: a killed
+    process can leave a stray ``*.tmp.<pid>`` file but never a torn JSON
+    document under the real name.  (A ``torn_write``
     clause in ``REPRO_FAULT_SPEC`` deterministically simulates exactly that
     killed writer: truncated document under the real name, orphaned tmp
     file left behind.)
@@ -241,9 +240,9 @@ def sweep_tmp_files(directory: str) -> List[str]:
 
     Walks ``directory`` for the tmp names :func:`atomic_write_json` uses and
     removes those whose writer process is gone; a live writer's in-flight
-    tmp file is left alone.  Returns the removed paths.  Shared by
-    ``store gc`` and the disk-cache sweep — without it, every killed shard
-    leaks one tmp file per in-flight write, forever.
+    tmp file is left alone.  Returns the removed paths.  ``store gc``
+    sweeps the store with it — without it, every killed shard leaks one
+    tmp file per in-flight write, forever.
     """
     removed: List[str] = []
     for root, _dirs, files in os.walk(directory):
@@ -449,32 +448,30 @@ class ExecutionError(RuntimeError):
 
 
 class RunResultCache:
-    """Three-level (memory → disk → store) cache of finished run results.
+    """Two-level (memory → store) cache of finished run results.
 
     Args:
-        directory: on-disk cache directory.  When omitted (``None``), the
-            ``REPRO_CACHE_DIR`` environment variable is consulted; when that
-            is unset too, the cache is memory-only (still deduplicating
-            within a process).  Pass ``False`` to force a memory-only cache
-            regardless of the environment.
+        directory: ``None`` or ``False`` only — the store is the one
+            on-disk home for results.  Kept for ``perfbench``'s callers
+            until its next re-pin; a path raises :class:`TypeError` so no
+            caller silently loses persistence.
         store: optional :class:`~repro.experiments.store.ResultStore` used as
-            the third cache level.  When omitted (``None``), ``REPRO_STORE_DIR``
-            is consulted (no store when unset); pass ``False`` to force a
-            store-less cache regardless of the environment (the replay-only
-            merge path needs this so its completeness guarantee cannot be
-            voided by a configured store).  Store hits are promoted into
-            the faster levels, and every :meth:`put` writes through to the
-            store — so any shard or machine sharing a store publishes its
-            results for all others.
+            the second cache level.  When omitted (``None``),
+            ``REPRO_STORE_DIR`` is consulted (no store when unset); pass
+            ``False`` to force a store-less cache regardless of the
+            environment (the replay-only merge path needs this so its
+            completeness guarantee cannot be voided by a configured store).
+            Store hits are promoted into memory, and every :meth:`put`
+            writes through to the store — so any shard or machine sharing a
+            store publishes its results for all others.
     """
 
     def __init__(self, directory: "Optional[object]" = None,
                  store: "Optional[object]" = None) -> None:
-        if directory is None:
-            directory = os.environ.get("REPRO_CACHE_DIR") or None
-        elif directory is False:
-            directory = None
-        self.directory = directory
+        if directory is not None and directory is not False:
+            raise TypeError(f"RunResultCache has no disk level (directory="
+                            f"{directory!r}); use REPRO_STORE_DIR or "
+                            "store=ResultStore(path)")
         if store is None:
             # Imported lazily: the store module imports ENGINE_VERSION from
             # this one.
@@ -486,87 +483,23 @@ class RunResultCache:
         self.store = store
         self._memory: Dict[str, RunResult] = {}
         self.hits = 0
-        self.misses = 0
         #: Hits served by the result store (a subset of ``hits``).
         self.store_hits = 0
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
-
-    def _write_disk(self, key: str, result: RunResult) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        atomic_write_json(self._path(key), run_result_to_dict(result))
-
-    def _best_effort_disk(self, key: str, result: RunResult) -> None:
-        """Disk promotion from the read path: never fail a lookup over a
-        read-only cache directory."""
-        try:
-            self._write_disk(key, result)
-        except OSError:
-            pass
 
     def get(self, key: str) -> Optional[RunResult]:
         """Return the cached result for a key, or ``None``."""
         result = self._memory.get(key)
-        if result is not None:
-            self.hits += 1
-            return result
-        if self.directory:
-            path = self._path(key)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    result = run_result_from_dict(json.load(handle))
-            except FileNotFoundError:
-                result = None
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                # A present-but-unreadable disk entry (torn write, bit-rot,
-                # permissions) degrades to a miss — the case re-simulates —
-                # instead of aborting a long run over one bad cache file.
-                logger.warning("disk cache entry %s is unreadable (%s: %s); "
-                               "re-simulating", path, type(exc).__name__, exc)
-                result = None
-            if result is not None:
-                # Publish disk-cached results too: "every finished
-                # simulation reaches the store" must hold for warm-cache
-                # runs, or a machine with a warm REPRO_CACHE_DIR would
-                # export an empty store.
-                if self.store is not None:
-                    try:
-                        self.store.put(key, result)
-                    except ValueError:
-                        # The disk entry conflicts with the digest-verified
-                        # store entry.  Disk entries carry no integrity
-                        # information, so trust the store: serve its result
-                        # and heal the disk copy instead of crashing the
-                        # read path.
-                        verified = self.store.get(key)
-                        if verified is not None:
-                            result = verified
-                            self._best_effort_disk(key, result)
-                    except OSError:
-                        # Read-only store mount: publication from the read
-                        # path is best-effort — the result is already in
-                        # hand, a lookup must not fail on it.
-                        pass
-                self._memory[key] = result
-                self.hits += 1
-                return result
-        if self.store is not None:
+        if result is None and self.store is not None:
             result = self.store.get(key)
             if result is not None:
-                # Promote into the faster levels so later lookups (and other
-                # processes sharing the cache directory) stay local.
                 self._memory[key] = result
-                if self.directory:
-                    self._best_effort_disk(key, result)
-                self.hits += 1
                 self.store_hits += 1
-                return result
-        self.misses += 1
-        return None
+        if result is not None:
+            self.hits += 1
+        return result
 
     def put(self, key: str, result: RunResult) -> None:
-        """Store a finished result under a key (memory, disk and store).
+        """Store a finished result under a key (memory and store).
 
         Store publication is best-effort on filesystem errors (a read-only
         shared store must not abort a run whose simulation already
@@ -574,20 +507,11 @@ class RunResultCache:
         determinism tripwire, not an IO problem.
         """
         self._memory[key] = result
-        if self.directory:
-            self._write_disk(key, result)
         if self.store is not None:
             try:
                 self.store.put(key, result)
             except OSError:
                 pass
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries, if any, survive)."""
-        self._memory.clear()
-
-    def __len__(self) -> int:
-        return len(self._memory)
 
 
 class SweepExecutor:
@@ -607,7 +531,7 @@ class SweepExecutor:
             :class:`~concurrent.futures.ProcessPoolExecutor`.  Defaults to
             the ``REPRO_JOBS`` environment variable (serial when unset).
         cache: result cache shared across calls; a fresh
-            :class:`RunResultCache` (honouring ``REPRO_CACHE_DIR``) when
+            :class:`RunResultCache` (honouring ``REPRO_STORE_DIR``) when
             omitted.
         allow_simulation: when ``False`` the executor only *replays* cached
             results and raises on any miss.  The sharded pipeline's merge step

@@ -167,9 +167,8 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
         out_dir: directory receiving ``shard-i-of-n.json`` (and, without
             ``REPRO_STORE_DIR``, the shard's ``store/``).
         jobs: process-pool width (``REPRO_JOBS`` when omitted).
-        cache: result cache (a fresh one honouring ``REPRO_CACHE_DIR`` and
-            ``REPRO_STORE_DIR`` when omitted); a store-less cache gets the
-            store under ``out_dir``.
+        cache: result cache (a fresh one honouring ``REPRO_STORE_DIR`` when
+            omitted); a store-less cache gets the store under ``out_dir``.
         keep_going: complete healthy cases when some fail permanently, and
             write a ``failures-i-of-n.json`` manifest instead of raising
             (failed cases are excluded from the artifact, so a later merge
@@ -378,12 +377,11 @@ def merge_artifacts(paths: Iterable[str], manifest: ExperimentManifest,
         raise ValueError("no shard artifacts to merge")
     _validate_artifacts(manifest, artifacts)
 
-    # directory=False / store=False: the replay must be a pure function of
-    # the artifacts — a configured REPRO_CACHE_DIR or REPRO_STORE_DIR could
-    # otherwise serve cases no shard executed (voiding the exactly-once
-    # proof), and the artifact loading would silently write through into the
-    # user's cache/store.
-    cache = RunResultCache(directory=False, store=False)
+    # store=False: the replay must be a pure function of the artifacts — a
+    # configured REPRO_STORE_DIR could otherwise serve cases no shard
+    # executed (voiding the exactly-once proof), and the artifact loading
+    # would silently write through into the user's store.
+    cache = RunResultCache(store=False)
     for _path, payload in artifacts:
         for key, data in payload["cases"].items():
             cache.put(key, run_result_from_dict(data))

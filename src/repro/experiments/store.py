@@ -28,10 +28,10 @@ results a durable, cross-machine home:
   :meth:`ResultStore.ingest` path used for local artifacts.
 
 :class:`~repro.experiments.executor.RunResultCache` consults a store (from
-``REPRO_STORE_DIR`` or an explicit instance) as its third level — memory →
-``REPRO_CACHE_DIR`` → store — and writes every finished simulation through
-to it, so any machine or CI shard can publish results for every other to
-reuse without re-simulating.
+``REPRO_STORE_DIR`` or an explicit instance) as its second level — memory
+→ store — and writes every finished simulation through to it, so any
+machine or CI shard can publish results for every other to reuse without
+re-simulating.
 """
 
 from __future__ import annotations

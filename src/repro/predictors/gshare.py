@@ -20,7 +20,7 @@ from .history import GlobalHistory
 from .kernelgen import (bind_table, emit_counter_read, emit_counter_train,
                         fold_expr, make_kernel, storage_arm)
 from .table import (PackedCounterTable, PredictorTable, TableIsolation,
-                    isolation_arm)
+                    _require_power_of_two, isolation_arm)
 
 __all__ = ["GsharePredictor"]
 
@@ -43,6 +43,11 @@ class GsharePredictor(DirectionPredictor):
                  isolation: Optional[TableIsolation] = None,
                  word_bits: int = 32) -> None:
         super().__init__(isolation)
+        _require_power_of_two(n_entries, "n_entries")
+        if history_bits is None and n_entries < 2:
+            # The history length defaults to the index width, which is 0.
+            raise ValueError("n_entries must be >= 2 when history_bits is "
+                             f"omitted, got {n_entries}")
         self._index_bits = n_entries.bit_length() - 1
         self._index_mask = n_entries - 1
         self._history_bits = history_bits if history_bits is not None else self._index_bits

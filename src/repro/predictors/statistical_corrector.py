@@ -52,6 +52,8 @@ class StatisticalCorrector:
                  history_lengths: Optional[List[int]] = None,
                  local_history_bits: int = 8, *,
                  isolation: Optional[TableIsolation] = None) -> None:
+        if counter_bits < 1:
+            raise ValueError(f"counter_bits must be >= 1, got {counter_bits}")
         self._counter_bits = counter_bits
         self._max = (1 << (counter_bits - 1)) - 1
         self._index_bits = table_entries.bit_length() - 1

@@ -133,7 +133,7 @@ class JobScheduler:
             inject_stage_fault(f"service:job:{job.id}")
         # Fresh memory cache per job, shared store underneath: dedupe across
         # jobs (and machines) is the store's, measured by store_hits.
-        cache = RunResultCache(directory=False, store=self.store)
+        cache = RunResultCache(store=self.store)
 
         def on_result(key, result) -> None:
             job.add_event("case", key=key)

@@ -372,7 +372,7 @@ class TestStoreCommand:
                         "baseline", tiny)
         store = ResultStore(str(store_dir))
         executor = SweepExecutor(
-            jobs=1, cache=RunResultCache(directory=False, store=store))
+            jobs=1, cache=RunResultCache(store=store))
         executor.run_spec(spec)
         return store
 

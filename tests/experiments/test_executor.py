@@ -18,6 +18,7 @@ from repro.experiments.runner import (
     sweep_smt,
 )
 from repro.experiments.scaling import ExperimentScale
+from repro.experiments.store import ResultStore
 from repro.workloads import SINGLE_THREAD_PAIRS, SMT2_PAIRS
 
 #: Deliberately tiny budgets: these tests exercise plumbing, not physics.
@@ -62,70 +63,57 @@ class TestCacheKey:
                             "0000.0-test-bump")
         assert _spec().cache_key() != before
 
-    def test_engine_version_bump_misses_disk_cache(self, tmp_path, monkeypatch):
-        # Populate a disk cache under the current engine version, then bump
-        # the version: the same spec must re-simulate (disk entry unused).
-        cache = RunResultCache(directory=str(tmp_path))
-        executor = SweepExecutor(jobs=1, cache=cache)
+    def test_engine_version_bump_misses_the_store(self, tmp_path,
+                                                  monkeypatch):
+        # Publish a case to a result store under the current engine
+        # version, then bump the version: the same spec must re-simulate
+        # (the stored entry is unused).
+        def fresh_executor() -> SweepExecutor:
+            store = ResultStore(str(tmp_path))
+            return SweepExecutor(jobs=1, cache=RunResultCache(store=store))
+
+        executor = fresh_executor()
         executor.run_spec(_spec())
         assert executor.simulated == 1
 
         monkeypatch.setattr("repro.experiments.executor.ENGINE_VERSION",
                             "0000.0-test-bump")
-        fresh = SweepExecutor(jobs=1,
-                              cache=RunResultCache(directory=str(tmp_path)))
-        fresh.run_spec(_spec())
-        assert fresh.simulated == 1  # disk entry from the old engine ignored
+        bumped = fresh_executor()
+        bumped.run_spec(_spec())
+        assert bumped.simulated == 1  # entry from the old engine ignored
+        assert bumped.cache.store_hits == 0
 
-        # Under the old version the entry would still have been a hit.
+        # Undoing the bump makes the stored entry a hit again.
         monkeypatch.undo()
-        rerun = SweepExecutor(jobs=1,
-                              cache=RunResultCache(directory=str(tmp_path)))
+        rerun = fresh_executor()
         rerun.run_spec(_spec())
         assert rerun.simulated == 0
+        assert rerun.cache.store_hits == 1
 
 
 class TestRunResultCache:
     def test_memory_roundtrip(self):
-        cache = RunResultCache(directory=None)
+        cache = RunResultCache()
         executor = SweepExecutor(jobs=1, cache=cache)
         result = executor.run_spec(_spec())
         assert cache.get(_spec().cache_key()).cycles == result.cycles
 
-    def test_disk_roundtrip(self, tmp_path):
-        cache = RunResultCache(directory=str(tmp_path))
-        executor = SweepExecutor(jobs=1, cache=cache)
-        result = executor.run_spec(_spec())
-        # A fresh cache instance (new process, conceptually) reads the file.
-        fresh = RunResultCache(directory=str(tmp_path))
-        restored = fresh.get(_spec().cache_key())
-        assert restored is not None
-        assert restored.cycles == result.cycles
-        assert restored.threads.keys() == result.threads.keys()
-        for name, stats in result.threads.items():
-            assert restored.threads[name].branches == stats.branches
-
-    def test_env_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = RunResultCache()
-        assert cache.directory == str(tmp_path)
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = RunResultCache(directory=str(tmp_path))
-        key = _spec().cache_key()
-        (tmp_path / f"{key}.json").write_text("{not json")
-        assert cache.get(key) is None
+    def test_directory_path_is_rejected(self, tmp_path):
+        # The cache has no disk level: a path must fail loudly instead of
+        # silently dropping the persistence the caller asked for.
+        with pytest.raises(TypeError, match="REPRO_STORE_DIR"):
+            RunResultCache(directory=str(tmp_path))
 
 
 class TestSweepExecutor:
     def test_duplicate_specs_simulate_once(self):
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache())
         results = executor.run_specs([_spec(), _spec(), _spec()])
         assert executor.simulated == 1
         assert results[0] is results[1] is results[2]
 
     def test_results_keep_submission_order(self):
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache())
         specs = [_spec(preset="baseline"), _spec(preset="complete_flush"),
                  _spec(preset="baseline")]
         results = executor.run_specs(specs)
@@ -134,8 +122,8 @@ class TestSweepExecutor:
         assert results[2] is results[0]
 
     def test_parallel_results_match_serial(self):
-        serial = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
-        parallel = SweepExecutor(jobs=2, cache=RunResultCache(directory=None))
+        serial = SweepExecutor(jobs=1, cache=RunResultCache())
+        parallel = SweepExecutor(jobs=2, cache=RunResultCache())
         specs = [_spec(preset="baseline"), _spec(preset="complete_flush")]
         expected = serial.run_specs(specs)
         observed = parallel.run_specs([_spec(preset="baseline"),
@@ -158,7 +146,7 @@ class TestSweepExecutor:
             env_jobs()
 
     def test_replay_only_executor_rejects_uncached_cases(self):
-        cache = RunResultCache(directory=None)
+        cache = RunResultCache()
         warm = SweepExecutor(jobs=1, cache=cache)
         warm.run_spec(_spec())
         replay = SweepExecutor(jobs=1, cache=cache, allow_simulation=False)
@@ -169,7 +157,7 @@ class TestSweepExecutor:
             replay.run_spec(_spec(preset="complete_flush"))
 
     def test_unknown_kind_rejected(self):
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache())
         # A deterministic misconfiguration is not retried (no backoff burn)
         # and surfaces as a structured ExecutionError after one attempt.
         with pytest.raises(ExecutionError, match="unknown case kind"):
@@ -181,7 +169,7 @@ class TestSweepExecutor:
 
 class TestSweepIntegration:
     def test_single_thread_sweep_runs_baseline_once_per_pair(self):
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache())
         pairs = SINGLE_THREAD_PAIRS[:2]
         results = sweep_single_thread(pairs, CONFIG,
                                       ["baseline", "complete_flush"],
@@ -192,7 +180,7 @@ class TestSweepIntegration:
                                 for preset in ("baseline", "complete_flush")}
 
     def test_smt_sweep_dedupes_baseline(self):
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache())
         pair = SMT2_PAIRS[0]
         sweep_smt([pair], SMT_CONFIG, ["baseline", "complete_flush"], TINY,
                   executor=executor)
@@ -203,7 +191,7 @@ class TestSweepIntegration:
         assert executor.simulated == simulated_after_first
 
     def test_figure_driver_shares_baselines_with_sweeps(self):
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=None))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache())
         pairs = SINGLE_THREAD_PAIRS[:2]
         sweep_single_thread(pairs, CONFIG, ["baseline"], TINY,
                             executor=executor)
@@ -220,9 +208,9 @@ class TestSweepIntegration:
         pairs = SINGLE_THREAD_PAIRS[:2]
         serial = sweep_single_thread(
             pairs, CONFIG, ["baseline"], TINY,
-            executor=SweepExecutor(jobs=1, cache=RunResultCache(directory=None)))
+            executor=SweepExecutor(jobs=1, cache=RunResultCache()))
         parallel = sweep_single_thread(
             pairs, CONFIG, ["baseline"], TINY,
-            executor=SweepExecutor(jobs=2, cache=RunResultCache(directory=None)))
+            executor=SweepExecutor(jobs=2, cache=RunResultCache()))
         assert {k: v.cycles for k, v in serial.items()} \
             == {k: v.cycles for k, v in parallel.items()}

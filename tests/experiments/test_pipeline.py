@@ -71,8 +71,8 @@ def _manifest():
 
 def _memory_cache():
     # Explicit memory-only caches keep the tests isolated from any
-    # REPRO_CACHE_DIR / REPRO_STORE_DIR in the environment.
-    return RunResultCache(directory=False, store=False)
+    # REPRO_STORE_DIR in the environment.
+    return RunResultCache(store=False)
 
 
 def _snapshot(result):

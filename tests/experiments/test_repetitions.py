@@ -221,7 +221,7 @@ class TestAggregationDeterminism:
         manifest = build_manifest(scale=TINY,
                                   experiments=_figure1_registry(),
                                   repetitions=2)
-        cache = RunResultCache(directory=False, store=False)
+        cache = RunResultCache(store=False)
         return run_serial(manifest, jobs=1, cache=cache)
 
     def _manifest(self):
@@ -238,8 +238,7 @@ class TestAggregationDeterminism:
         manifest = self._manifest()
         for index in range(3):
             execute_shard(manifest, ShardSpec(index, 3), str(tmp_path),
-                          jobs=1, cache=RunResultCache(directory=False,
-                                                       store=False))
+                          jobs=1, cache=RunResultCache(store=False))
         paths = [shard_artifact_path(str(tmp_path), ShardSpec(i, 3))
                  for i in range(3)]
         expected = _result_bytes(serial)
@@ -260,7 +259,7 @@ class TestAggregationDeterminism:
             store = ResultStore(str(tmp_path / f"store-{index}"))
             execute_shard(manifest, ShardSpec(index, 2),
                           str(tmp_path / "shards"), jobs=1,
-                          cache=RunResultCache(directory=False, store=store))
+                          cache=RunResultCache(store=store))
             path, count = store.export(str(tmp_path / f"export-{index}.json"))
             assert count > 0
             exports.append(path)
@@ -270,7 +269,7 @@ class TestAggregationDeterminism:
             merged_store = ResultStore(str(tmp_path / f"merged-{order[0]}"))
             for index in order:
                 merged_store.ingest(exports[index])
-            cache = RunResultCache(directory=False, store=merged_store)
+            cache = RunResultCache(store=merged_store)
             replay = SweepExecutor(jobs=1, cache=cache,
                                    allow_simulation=False)
             results = run_serial(self._manifest(), executor=replay)
@@ -282,7 +281,7 @@ class TestAggregationDeterminism:
     def test_merge_rejects_mismatched_repetitions(self, tmp_path):
         manifest = self._manifest()
         execute_shard(manifest, None, str(tmp_path), jobs=1,
-                      cache=RunResultCache(directory=False, store=False))
+                      cache=RunResultCache(store=False))
         path = shard_artifact_path(str(tmp_path), None)
         single = build_manifest(scale=TINY, experiments=_figure1_registry())
         with pytest.raises(ValueError, match="repetitions"):
@@ -324,12 +323,11 @@ class TestNonRepeatableExperiments:
         base = build_manifest(scale=TINY, experiments=self._registry())
         assert list(reps.unique_cases()) == list(base.unique_cases())
         assert reps.total_planned() == base.total_planned() == 1
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=False,
-                                                              store=False))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache(store=False))
         aggregated = run_serial(reps, executor=executor)
         assert executor.simulated == 1  # no hidden per-seed re-simulation
         single = run_serial(base, jobs=1,
-                            cache=RunResultCache(directory=False, store=False))
+                            cache=RunResultCache(store=False))
         assert _result_bytes(aggregated) == _result_bytes(single)
 
 
@@ -346,7 +344,7 @@ class TestSingleRepetitionIdentity:
         manifest = build_manifest(scale=TINY,
                                   experiments=_figure1_registry())
         results = run_serial(manifest, jobs=1,
-                             cache=RunResultCache(directory=False, store=False))
+                             cache=RunResultCache(store=False))
         figure = results["figure1"].figure
         assert figure.errors == {}
         payload = result_to_dict(results["figure1"])

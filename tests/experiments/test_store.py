@@ -2,9 +2,9 @@
 
 Covers the entry round trip (put → get, export → ingest → verify),
 corruption and cross-engine rejection, gc of stale engine revisions, and the
-cache wiring: the store as the third level of
+cache wiring: the store as the second level of
 :class:`~repro.experiments.executor.RunResultCache` (memory →
-``REPRO_CACHE_DIR`` → ``REPRO_STORE_DIR``) with write-through publication.
+``REPRO_STORE_DIR``) with write-through publication.
 """
 
 import json
@@ -44,8 +44,7 @@ def _spec(preset="baseline", **overrides):
 @pytest.fixture(scope="module")
 def simulated():
     """One real (key, RunResult) pair, simulated once for the module."""
-    executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=False,
-                                                          store=False))
+    executor = SweepExecutor(jobs=1, cache=RunResultCache(store=False))
     spec = _spec()
     return spec.cache_key(), executor.run_spec(spec)
 
@@ -241,7 +240,7 @@ class TestExchange:
             assemble=lambda scale, executor: None)}
         manifest = build_manifest(scale=TINY, experiments=registry)
         execute_shard(manifest, None, str(tmp_path / "shards"), jobs=1,
-                      cache=RunResultCache(directory=False, store=False))
+                      cache=RunResultCache(store=False))
         artifact = shard_artifact_path(str(tmp_path / "shards"), None)
         store = ResultStore(str(tmp_path / "store"))
         added, skipped = store.ingest(artifact)
@@ -403,68 +402,33 @@ class TestCacheWiring:
     def test_put_writes_through_and_get_promotes(self, tmp_path, simulated):
         key, result = simulated
         store = ResultStore(str(tmp_path / "store"))
-        publisher = RunResultCache(directory=False, store=store)
+        publisher = RunResultCache(store=store)
         publisher.put(key, result)
         assert store.get(key) is not None  # write-through publication
 
-        disk_dir = tmp_path / "cache"
-        consumer = RunResultCache(directory=str(disk_dir), store=store)
+        consumer = RunResultCache(store=store)
         restored = consumer.get(key)
         assert restored is not None
         assert consumer.store_hits == 1
         assert consumer.hits == 1
-        # The hit was promoted to the local disk level.
-        assert (disk_dir / f"{key}.json").exists()
-        # And to memory: a second get is served without touching the store.
-        store_dir_entry = store.entry_path(key)
-        os.remove(store_dir_entry)
+        # The hit was promoted to memory: a second get is served without
+        # touching the store.
+        os.remove(store.entry_path(key))
         assert consumer.get(key) is not None
+        assert consumer.hits == 2
         assert consumer.store_hits == 1
-
-    def test_conflicting_disk_entry_heals_from_the_store(self, tmp_path,
-                                                         simulated):
-        import dataclasses
-
-        # A bit-rotted (but parseable) disk-cache entry conflicting with the
-        # digest-verified store entry must not crash the read path: the
-        # store's result is served and the disk copy rewritten.
-        key, result = simulated
-        store = ResultStore(str(tmp_path / "store"))
-        store.put(key, result)
-        disk_dir = tmp_path / "cache"
-        rotted = dataclasses.replace(result, cycles=result.cycles + 7)
-        RunResultCache(directory=str(disk_dir), store=False).put(key, rotted)
-
-        cache = RunResultCache(directory=str(disk_dir), store=store)
-        served = cache.get(key)
-        assert served.cycles == result.cycles  # store's verified value
-        healed = RunResultCache(directory=str(disk_dir), store=False)
-        assert healed.get(key).cycles == result.cycles  # disk rewritten
-
-    def test_disk_hit_publishes_to_store(self, tmp_path, simulated):
-        # "Every finished simulation reaches the store" must hold on a
-        # warm-cache machine too: a disk hit is still a publication.
-        key, result = simulated
-        disk_only = RunResultCache(directory=str(tmp_path / "cache"),
-                                   store=False)
-        disk_only.put(key, result)
-        store = ResultStore(str(tmp_path / "store"))
-        warm = RunResultCache(directory=str(tmp_path / "cache"), store=store)
-        assert warm.get(key) is not None
-        assert warm.store_hits == 0  # it was a disk hit...
-        assert store.get(key) is not None  # ...but the store got published
 
     def test_executor_replays_across_machines_via_store(self, tmp_path):
         store_a = ResultStore(str(tmp_path / "shared"))
         machine_a = SweepExecutor(
-            jobs=1, cache=RunResultCache(directory=False, store=store_a))
+            jobs=1, cache=RunResultCache(store=store_a))
         machine_a.run_spec(_spec(preset="complete_flush"))
         assert machine_a.simulated == 1
 
-        # A different "machine": fresh memory, no disk cache, same store.
+        # A different "machine": fresh memory, same store.
         store_b = ResultStore(str(tmp_path / "shared"))
         machine_b = SweepExecutor(
-            jobs=1, cache=RunResultCache(directory=False, store=store_b))
+            jobs=1, cache=RunResultCache(store=store_b))
         result = machine_b.run_spec(_spec(preset="complete_flush"))
         assert machine_b.simulated == 0
         assert machine_b.cache.store_hits == 1
@@ -472,38 +436,30 @@ class TestCacheWiring:
 
     def test_cache_picks_up_env_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        cache = RunResultCache(directory=None)
+        cache = RunResultCache()
         assert cache.store is not None
         assert cache.store.directory == str(tmp_path)
         monkeypatch.delenv("REPRO_STORE_DIR")
-        assert RunResultCache(directory=None).store is None
+        assert RunResultCache().store is None
 
     def test_store_false_opts_out_of_the_env_store(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        assert RunResultCache(directory=False, store=False).store is None
+        assert RunResultCache(store=False).store is None
 
-    def test_directory_false_opts_out_of_the_env_cache_dir(self, tmp_path,
-                                                           monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert RunResultCache(directory=False, store=False).directory is None
-
-    def test_merge_replay_ignores_the_env_store_and_cache(self, tmp_path,
-                                                          simulated,
-                                                          monkeypatch):
+    def test_merge_replay_ignores_the_env_store(self, tmp_path, simulated,
+                                                monkeypatch):
         # The merge's replay-only executor must be a pure function of the
-        # artifacts: a configured REPRO_STORE_DIR or REPRO_CACHE_DIR holding
-        # a case that no shard executed must NOT rescue an incomplete
-        # plan()/assemble() pair, and the artifact cases must not leak into
-        # the user's store or cache directory.
+        # artifacts: a configured REPRO_STORE_DIR holding a case that no
+        # shard executed must NOT rescue an incomplete plan()/assemble()
+        # pair, and the artifact cases must not leak into the user's store.
         from repro.experiments.pipeline import merge_artifacts
 
         key, result = simulated
         env_store_dir = tmp_path / "env-store"
         hidden = _spec(preset="complete_flush")
-        executor = SweepExecutor(
-            jobs=1, cache=RunResultCache(
-                directory=False, store=ResultStore(str(env_store_dir))))
+        executor = SweepExecutor(jobs=1, cache=RunResultCache(
+            store=ResultStore(str(env_store_dir))))
         executor.run_spec(hidden)
 
         # plan() misses the complete_flush case its assemble() reads.
@@ -513,21 +469,14 @@ class TestCacheWiring:
             assemble=lambda scale, ex: ex.run_specs([_spec(), hidden]))}
         manifest = build_manifest(scale=TINY, experiments=registry)
         execute_shard(manifest, None, str(tmp_path / "shards"), jobs=1,
-                      cache=RunResultCache(directory=False, store=False))
+                      cache=RunResultCache(store=False))
         artifact = shard_artifact_path(str(tmp_path / "shards"), None)
 
-        env_cache_dir = tmp_path / "env-cache"
-        RunResultCache(directory=str(env_cache_dir),
-                       store=False).put(hidden.cache_key(), result)
         monkeypatch.setenv("REPRO_STORE_DIR", str(env_store_dir))
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(env_cache_dir))
         with pytest.raises(RuntimeError, match="replay-only"):
             merge_artifacts([artifact], manifest)
-        # And nothing from the artifacts was written through to the store
-        # or the cache directory.
+        # And nothing from the artifacts was written through to the store.
         assert ResultStore(str(env_store_dir)).get(key) is None
-        assert RunResultCache(directory=str(env_cache_dir),
-                              store=False).get(key) is None
 
 
 class TestManifestScope:

@@ -40,7 +40,7 @@ SCALE = ExperimentScale().scaled_by(0.05)
 def _run_all(out_dir):
     """Run the full manifest serially, in memory, into ``out_dir``."""
     run_serial(build_manifest(scale=SCALE), jobs=1,
-               cache=RunResultCache(directory=False, store=False),
+               cache=RunResultCache(store=False),
                out_dir=out_dir)
     return sorted(name for name in os.listdir(out_dir)
                   if name.endswith(".json"))

@@ -11,6 +11,7 @@ from repro.predictors import (
     make_direction_predictor,
 )
 from repro.predictors.base import DirectionPrediction
+from repro.predictors.statistical_corrector import StatisticalCorrector
 
 
 PREDICTOR_CLASSES = [BimodalPredictor, GsharePredictor, TournamentPredictor]
@@ -84,6 +85,27 @@ class TestCommonBehaviour:
         predictor.predict_and_update(0x4000, True, thread_id=0)
         predictor.predict_and_update(0x4000, True, thread_id=1)
         assert predictor.total_stats().lookups == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StatisticalCorrector(counter_bits=0),
+     r"counter_bits must be >= 1, got 0"),
+    (lambda: StatisticalCorrector(counter_bits=-3),
+     r"counter_bits must be >= 1, got -3"),
+    (lambda: GsharePredictor(0),
+     r"n_entries must be a positive power of two, got 0"),
+    (lambda: GsharePredictor(1),
+     r"n_entries must be >= 2 when history_bits is omitted, got 1"),
+], ids=["sc-bits-0", "sc-bits-neg", "gshare-entries-0", "gshare-entries-1"])
+def test_bad_geometry_names_the_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_single_entry_gshare_with_explicit_history_works():
+    predictor = GsharePredictor(1, history_bits=4)
+    predictor.predict_and_update(0x4000, True)
+    assert predictor.total_stats().lookups == 1
 
 
 class TestBimodal:

@@ -102,8 +102,8 @@ class TestLifecycle:
         assert manifest.manifest_hash() == document["manifest_hash"]
         serial = tmp_path / "serial"
         run_serial(manifest, out_dir=str(serial),
-                   executor=SweepExecutor(jobs=1, cache=RunResultCache(
-                       directory=False, store=False)))
+                   executor=SweepExecutor(
+                       jobs=1, cache=RunResultCache(store=False)))
         names = sorted(os.listdir(serial))
         assert sorted(os.listdir(served)) == names
         for name in names:

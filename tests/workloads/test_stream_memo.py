@@ -208,8 +208,7 @@ def test_stream_order_generates_each_stream_at_most_twice(generated):
         smt_instructions=4_000, smt_warmup_instructions=1_000, seed=7)
     manifest = build_manifest(["figure1"], scale=scale)
     specs = list(manifest.unique_cases().values())
-    executor = SweepExecutor(jobs=1, cache=RunResultCache(directory=False,
-                                                          store=False))
+    executor = SweepExecutor(jobs=1, cache=RunResultCache(store=False))
     executor.run_specs(specs)
     assert executor.simulated == len(specs)
     assert len(generated) > _STREAM_MEMO_SIZE
