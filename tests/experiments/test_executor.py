@@ -98,6 +98,33 @@ class TestRunResultCache:
         result = executor.run_spec(_spec())
         assert cache.get(_spec().cache_key()).cycles == result.cycles
 
+    def test_store_roundtrip_across_fresh_caches(self, tmp_path):
+        cache = RunResultCache(store=ResultStore(str(tmp_path)))
+        executor = SweepExecutor(jobs=1, cache=cache)
+        result = executor.run_spec(_spec())
+        # A fresh cache instance (new process, conceptually) reads the
+        # published store entry.
+        fresh = RunResultCache(store=ResultStore(str(tmp_path)))
+        restored = fresh.get(_spec().cache_key())
+        assert restored is not None
+        assert fresh.store_hits == 1
+        assert restored.cycles == result.cycles
+        assert restored.threads.keys() == result.threads.keys()
+        for name, stats in result.threads.items():
+            assert restored.threads[name].branches == stats.branches
+
+    @pytest.mark.parametrize("directory", [None, False])
+    def test_memory_only_directory_values_are_accepted(self, tmp_path,
+                                                       directory):
+        # The benchmark harness builds its caches as
+        # RunResultCache(directory=False, store=...): both memory-only
+        # spellings must keep working and leave the store wiring intact.
+        store = ResultStore(str(tmp_path))
+        cache = RunResultCache(directory=directory, store=store)
+        assert cache.store is store
+        SweepExecutor(jobs=1, cache=cache).run_spec(_spec())
+        assert store.get(_spec().cache_key()) is not None
+
     def test_directory_path_is_rejected(self, tmp_path):
         # The cache has no disk level: a path must fail loudly instead of
         # silently dropping the persistence the caller asked for.
