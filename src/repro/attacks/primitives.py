@@ -20,7 +20,6 @@ branches).  This module provides:
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -101,6 +100,9 @@ class AttackEnvironment:
         # a thread's first conditional commit and dropped after every
         # switch notification this environment issues (the engines' rule).
         self._kernels: dict = {}
+        # Both threads hold a key from the start, drawn in thread order (the
+        # SMT core's rule), whichever commits or probes first.
+        bpu.draw_keys(self.attacker_thread + 1)
 
     # -- scheduling -------------------------------------------------------------
     def _switch(self, to: str) -> None:
@@ -143,7 +145,8 @@ class AttackEnvironment:
         a BTB miss): the direction the branch is speculated down.  Other
         branch types go through the unit's fused ``execute_branch_fast``
         and return ``None``.  The scalar ``execute_branch`` is the parity
-        oracle swapped in here (tests/attacks/test_attack_fastpath.py).
+        oracle swapped in here by the ``attack`` rows of
+        tests/parity/test_parity.py.
         """
         if branch_type is not BranchType.CONDITIONAL:
             self.bpu.execute_branch_fast(pc, taken, target, branch_type,
@@ -151,21 +154,12 @@ class AttackEnvironment:
             return None
         kernels = self._kernels.get(thread_id)
         if kernels is None:
-            kernels = self._kernels[thread_id] = self._fetch_kernels(thread_id)
+            kernels = self._kernels[thread_id] = (
+                self.bpu.direction.exec_kernel(thread_id),
+                self.bpu.btb.exec_conditional_kernel(thread_id))
         predicted = kernels[0](pc, taken)
         kernels[1](pc, target, taken)
         return predicted
-
-    def _fetch_kernels(self, thread_id: int) -> tuple:
-        direction = self.bpu.direction
-        btb = self.bpu.btb
-        exec_kernel = getattr(direction, "exec_kernel", None)
-        if exec_kernel is not None:
-            dir_execute = exec_kernel(thread_id)
-        else:
-            dir_execute = functools.partial(direction.execute,
-                                            thread_id=thread_id)
-        return dir_execute, btb.exec_conditional_kernel(thread_id)
 
     def victim_branch(self, pc: int, taken: bool, target: int,
                       branch_type: BranchType = BranchType.CONDITIONAL

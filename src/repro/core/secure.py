@@ -89,6 +89,21 @@ class BranchPredictionUnit:
         self.context_switches = 0
         self.privilege_switches = 0
 
+    def draw_keys(self, n_threads: int) -> None:
+        """Give hardware threads ``0 .. n_threads - 1`` their keys now, in
+        thread order.
+
+        Otherwise a key is drawn lazily by the first structure that needs
+        it: a fused-XOR kernel when it is fetched, the scalar path at its
+        first encode or decode.  Drivers of several threads call this
+        before the first branch, so neither the engine nor the dispatch arm
+        decides which thread gets which draw.
+        """
+        key_manager = getattr(self.isolation, "key_manager", None)
+        if key_manager is not None:
+            for thread in range(n_threads):
+                key_manager.state(thread)
+
     # -- switch notification protocol -----------------------------------------
     def notify_context_switch(self, thread_id: int) -> None:
         """The OS switched the software context on a hardware thread.
@@ -227,7 +242,7 @@ class BranchPredictionUnit:
     def force_generic_dispatch(self) -> None:
         """Route every storage access through the generic isolation dispatch.
 
-        Diagnostic hook shared by the parity/fuzz suites and the throughput
+        Diagnostic hook shared by the parity harness and the throughput
         benchmark: sets the storage ``arm`` of every direction table and the
         BTB to ``"generic"`` and drops all cached specialised kernels, so
         they rebuild on the generic arm, which calls the tables' scalar
@@ -250,9 +265,7 @@ class BranchPredictionUnit:
         run ends lets the whole unit die by reference counting instead of
         piling up for the cyclic collector; the next fetch simply rebuilds.
         """
-        invalidate_btb = getattr(self.btb, "invalidate_kernels", None)
-        if invalidate_btb is not None:
-            invalidate_btb()
+        self.btb.invalidate_kernels()
         invalidate = getattr(self.direction, "invalidate_kernel_masks", None)
         if invalidate is not None:
             invalidate()

@@ -24,40 +24,10 @@ from .scheduler import RoundRobinScheduler, SyscallModel
 from .stats import RunResult, ThreadStats
 from .timing import BranchTimingModel
 
-__all__ = ["SingleThreadCore", "unique_labels", "record_batch_stream", "TRACE_BATCH"]
+__all__ = ["SingleThreadCore", "unique_labels", "TRACE_BATCH"]
 
 #: Records pulled from each workload per trace-generation chunk.
 TRACE_BATCH = 2048
-
-
-def record_batch_stream(workload, n: int, seed_offset: int = 0):
-    """Tuple-batch stream for any workload object.
-
-    Uses the workload's native ``record_batches`` when available (synthetic
-    and recorded-trace workloads); otherwise chunks its ``records()``
-    generator, so duck-typed third-party workloads keep working with the
-    batched engine.
-    """
-    maker = getattr(workload, "record_batches", None)
-    if maker is not None:
-        return maker(n, seed_offset=seed_offset)
-
-    def _wrap():
-        records = workload.records(seed_offset=seed_offset)
-        while True:
-            batch = []
-            append = batch.append
-            for record in records:
-                append((record.pc, record.taken, record.target,
-                        record.branch_type, record.instructions,
-                        record.syscall_after))
-                if len(batch) >= n:
-                    break
-            if not batch:
-                return
-            yield batch
-
-    return _wrap()
 
 
 def unique_labels(names: Sequence[str]) -> List[str]:
@@ -255,7 +225,7 @@ class SingleThreadCore:
         n_workloads = len(self.workloads)
         scheduler = RoundRobinScheduler(n_workloads, switch_interval)
         timer = scheduler.timer
-        batch_iters = [record_batch_stream(wl, TRACE_BATCH, seed_offset=i)
+        batch_iters = [wl.record_batches(TRACE_BATCH, seed_offset=i)
                        for i, wl in enumerate(self.workloads)]
         buffers: List[list] = [[] for _ in range(n_workloads)]
         positions = [0] * n_workloads
@@ -272,21 +242,13 @@ class SingleThreadCore:
         bpu = self.bpu
         execute = bpu.execute_branch_fast
         hw = self.HW_THREAD
-        direction = bpu.direction
-        # Predictors exposing ``exec_kernel`` hand the loop a per-thread
-        # specialised kernel; it is re-fetched after every switch
-        # notification (switches may rotate keys or drop bound state).
-        # Kernels accept and ignore a trailing thread id, so both call
-        # shapes below are the same.
-        exec_kernel = getattr(direction, "exec_kernel", None)
-        dir_execute = (exec_kernel(hw) if exec_kernel is not None
-                       else direction.execute)
-        # The packed BTB exposes the same kernel protocol for its fused
-        # conditional probe; duck-typed replacement BTBs fall back to the
-        # bound method (identical call shape).
-        btb_kernel = getattr(bpu.btb, "exec_conditional_kernel", None)
-        btb_conditional = (btb_kernel(hw) if btb_kernel is not None
-                           else bpu.btb.execute_conditional_fast)
+        # The direction predictor and the BTB hand the loop per-thread
+        # kernels, re-fetched after every switch notification (switches may
+        # rotate keys or drop bound state).
+        exec_kernel = bpu.direction.exec_kernel
+        btb_kernel = bpu.btb.exec_conditional_kernel
+        dir_execute = exec_kernel(hw)
+        btb_conditional = btb_kernel(hw)
         miss_forces_not_taken = bpu._btb_miss_forces_not_taken
         notify_privilege = bpu.notify_privilege_switch
         notify_context = bpu.notify_context_switch
@@ -400,10 +362,8 @@ class SingleThreadCore:
                 cycles += kernel_cycles
                 s_cycles += kernel_cycles
                 own += kernel_cycles
-                if exec_kernel is not None:
-                    dir_execute = exec_kernel(hw)
-                if btb_kernel is not None:
-                    btb_conditional = btb_kernel(hw)
+                dir_execute = exec_kernel(hw)
+                btb_conditional = btb_kernel(hw)
 
             # System calls of the running workload (driven by its own cycles);
             # the schedule is only consulted when a call is actually due.
@@ -419,10 +379,8 @@ class SingleThreadCore:
                     own += kernel_cycles
                 event_next = event._next
                 if n_events:
-                    if exec_kernel is not None:
-                        dir_execute = exec_kernel(hw)
-                    if btb_kernel is not None:
-                        btb_conditional = btb_kernel(hw)
+                    dir_execute = exec_kernel(hw)
+                    btb_conditional = btb_kernel(hw)
 
             # Timer tick: round-robin to the next software context.  The
             # local context state is reloaded only after the commit check
@@ -436,10 +394,8 @@ class SingleThreadCore:
                     scheduler.switches += fires
                     s_switches += 1
                     notify_context(hw)
-                    if exec_kernel is not None:
-                        dir_execute = exec_kernel(hw)
-                    if btb_kernel is not None:
-                        btb_conditional = btb_kernel(hw)
+                    dir_execute = exec_kernel(hw)
+                    btb_conditional = btb_kernel(hw)
                     buffers[current] = buf
                     positions[current] = pos
                     own_cycles[current] = own

@@ -23,7 +23,7 @@ from ..core.secure import BranchPredictionUnit
 from ..types import BranchType, Privilege
 from ..workloads.generator import SyntheticWorkload
 from .config import CoreConfig
-from .core import TRACE_BATCH, record_batch_stream, unique_labels
+from .core import TRACE_BATCH, unique_labels
 from .scheduler import PeriodicEvent, SyscallModel
 from .stats import RunResult, ThreadStats
 from .timing import BranchTimingModel
@@ -90,13 +90,9 @@ class SmtCore:
         if engine not in ("batched", "scalar"):
             raise ValueError(f"unknown engine {engine!r}")
         # Every hardware thread holds a key from the first cycle, drawn in
-        # thread order.  Drawn lazily, the first structure to touch a key
-        # would decide which thread gets which draw, and the engines and
-        # dispatch arms would leave differently encoded stale entries.
-        key_manager = getattr(self.bpu.isolation, "key_manager", None)
-        if key_manager is not None:
-            for thread in range(self.config.smt_threads):
-                key_manager.state(thread)
+        # thread order: drawn lazily, the engines and dispatch arms would
+        # leave differently encoded stale entries.
+        self.bpu.draw_keys(self.config.smt_threads)
         if engine == "batched":
             return self._run_batched(instructions, warmup_instructions,
                                      mechanism_name)
@@ -224,7 +220,7 @@ class SmtCore:
         switch_interval = config.context_switch_interval / self.time_scale
         kernel_cycles = float(config.syscall_kernel_cycles)
 
-        batch_iters = [record_batch_stream(wl, TRACE_BATCH, seed_offset=i)
+        batch_iters = [wl.record_batches(TRACE_BATCH, seed_offset=i)
                        for i, wl in enumerate(self.workloads)]
         buffers: List[list] = [[] for _ in range(n)]
         positions = [0] * n
@@ -243,22 +239,14 @@ class SmtCore:
         # same statement-for-statement, so outcomes are identical.
         bpu = self.bpu
         execute = bpu.execute_branch_fast
-        direction = bpu.direction
-        # Per-hardware-thread specialised kernels (see
+        # Per-hardware-thread direction and BTB kernels (see
         # ``SingleThreadCore._run_batched``); re-fetched per thread after its
-        # switch notifications.
-        exec_kernel = getattr(direction, "exec_kernel", None)
-        if exec_kernel is not None:
-            dir_kernels = [exec_kernel(t) for t in range(n)]
-        else:
-            dir_kernels = [direction.execute] * n
-        # Per-hardware-thread packed-BTB probe kernels (same protocol as the
-        # direction kernels); duck-typed BTBs fall back to the bound method.
-        btb_kernel = getattr(bpu.btb, "exec_conditional_kernel", None)
-        if btb_kernel is not None:
-            btb_kernels = [btb_kernel(t) for t in range(n)]
-        else:
-            btb_kernels = [bpu.btb.execute_conditional_fast] * n
+        # switch notifications.  Kernels accept and ignore a trailing
+        # thread id.
+        exec_kernel = bpu.direction.exec_kernel
+        btb_kernel = bpu.btb.exec_conditional_kernel
+        dir_kernels = [exec_kernel(t) for t in range(n)]
+        btb_kernels = [btb_kernel(t) for t in range(n)]
         miss_forces_not_taken = bpu._btb_miss_forces_not_taken
         notify_privilege = bpu.notify_privilege_switch
         notify_context = bpu.notify_context_switch
@@ -371,10 +359,8 @@ class SmtCore:
                 local += kernel_cycles
                 stat.cycles += kernel_cycles
                 local_cycles[thread] = local
-                if exec_kernel is not None:
-                    dir_kernels[thread] = exec_kernel(thread)
-                if btb_kernel is not None:
-                    btb_kernels[thread] = btb_kernel(thread)
+                dir_kernels[thread] = exec_kernel(thread)
+                btb_kernels[thread] = btb_kernel(thread)
 
             # Per-thread system calls (absent in SE mode).
             if not se_mode:
@@ -390,10 +376,8 @@ class SmtCore:
                         stat.cycles += kernel_cycles
                     local_cycles[thread] = local
                     if n_events:
-                        if exec_kernel is not None:
-                            dir_kernels[thread] = exec_kernel(thread)
-                        if btb_kernel is not None:
-                            btb_kernels[thread] = btb_kernel(thread)
+                        dir_kernels[thread] = exec_kernel(thread)
+                        btb_kernels[thread] = btb_kernel(thread)
 
             # Per-thread OS timer ticks.
             timer = timers[thread]
@@ -404,10 +388,8 @@ class SmtCore:
                     stat.context_switches += ticks
                     for _ in range(ticks):
                         notify_context(thread)
-                    if exec_kernel is not None:
-                        dir_kernels[thread] = exec_kernel(thread)
-                    if btb_kernel is not None:
-                        btb_kernels[thread] = btb_kernel(thread)
+                    dir_kernels[thread] = exec_kernel(thread)
+                    btb_kernels[thread] = btb_kernel(thread)
 
         elapsed = max(local_cycles)
         if warmup_instructions > 0:

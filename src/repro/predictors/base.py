@@ -146,6 +146,23 @@ class DirectionPredictor(Flushable):
         self.update(pc, taken, prediction, thread_id)
         return predicted
 
+    def exec_kernel(self, thread_id: int = 0):
+        """Return the thread's execute kernel ``fn(pc, taken)``.
+
+        The batched engines and the attack environment drive every
+        direction predictor through this per-thread callable.  Predictors
+        with generated kernels override it; this default runs
+        :meth:`execute` for ``thread_id``, so a predictor that implements
+        only ``lookup``/``update`` runs on both cores unchanged.  Like a
+        generated kernel, it accepts (and ignores) a trailing thread id.
+        """
+        execute = self.execute
+
+        def kernel(pc: int, taken: bool, _thread_id: int = 0) -> bool:
+            return execute(pc, taken, thread_id)
+
+        return kernel
+
     # -- structure access -----------------------------------------------------
     @property
     def isolation(self) -> Optional[TableIsolation]:

@@ -366,9 +366,9 @@ class BranchTargetBuffer:
         branches and installs them as conditional; the indirect kernel
         (``conditional=False``) ``fn(pc, target, branch_type)`` always
         updates and installs ``branch_type``.  Statement order mirrors
-        :meth:`lookup` + :meth:`update` exactly — the differential-parity
-        suite holds the generated kernels, the generic dispatch and the
-        scalar protocol bit-identical.
+        :meth:`lookup` + :meth:`update` exactly — the parity harness holds
+        the generated kernels, the generic dispatch and the scalar protocol
+        bit-identical.
 
         On the owner arm a hit also needs the way to belong to the probing
         thread, while a taken branch's update re-finds the first valid way

@@ -21,7 +21,7 @@ from typing import List, Optional
 from .counters import signed_saturating_update
 from .history import GlobalHistory, LocalHistoryTable, fold_history
 from .kernelgen import bind_table, emit_read, emit_write, fold_expr
-from .table import PredictorTable, TableIsolation
+from .table import PredictorTable, TableIsolation, _require_power_of_two
 
 __all__ = ["StatisticalCorrector"]
 
@@ -54,6 +54,7 @@ class StatisticalCorrector:
                  isolation: Optional[TableIsolation] = None) -> None:
         if counter_bits < 1:
             raise ValueError(f"counter_bits must be >= 1, got {counter_bits}")
+        _require_power_of_two(table_entries, "table_entries")
         self._counter_bits = counter_bits
         self._max = (1 << (counter_bits - 1)) - 1
         self._index_bits = table_entries.bit_length() - 1

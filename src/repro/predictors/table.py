@@ -424,8 +424,9 @@ class PackedCounterTable:
         _require_power_of_two(n_counters, "n_counters")
         if counter_bits < 1:
             raise ValueError(f"counter_bits must be >= 1, got {counter_bits}")
-        if word_bits % counter_bits:
-            raise ValueError("word_bits must be a multiple of counter_bits")
+        if word_bits < counter_bits or word_bits % counter_bits:
+            raise ValueError(f"word_bits ({word_bits}) must be a positive "
+                             f"multiple of counter_bits ({counter_bits})")
         self._counters_per_word = word_bits // counter_bits
         cpw = self._counters_per_word
         if cpw & (cpw - 1):

@@ -933,7 +933,7 @@ class TagePredictor(DirectionPredictor):
 
         This is the scalar path's allocator.  The generated kernels allocate
         inline and call it only on the branch right after a useful-counter
-        reset (see :meth:`_kernel_source`); the parity suites hold the two
+        reset (see :meth:`_kernel_source`); the parity harness holds the two
         bit-identical."""
         tables = self._tables
         u_mask = self._u_mask

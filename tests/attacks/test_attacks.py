@@ -1,6 +1,14 @@
 """Tests for the attack framework: primitives, individual attacks, harness."""
 
+import gc
+import weakref
+
 import pytest
+
+import repro.attacks.covert_channel as covert_channel
+import repro.attacks.harness as harness
+import repro.experiments.ablations as ablations
+import repro.security.leakage as leakage
 
 from repro.attacks import (
     ALL_ATTACKS,
@@ -61,6 +69,15 @@ class TestAttackEnvironment:
         generation_before = bpu.isolation.key_manager.generation(0)
         env.victim_syscall()
         assert bpu.isolation.key_manager.generation(0) > generation_before
+
+    @pytest.mark.parametrize("smt", [False, True], ids=["st", "smt"])
+    def test_threads_hold_keys_from_the_start_in_thread_order(self, smt):
+        """Keys are drawn at construction, victim first, so which thread
+        touches a keyed structure first cannot decide who gets which draw."""
+        bpu = make_bpu("bimodal", "xor_btb")
+        AttackEnvironment(bpu, smt=smt)
+        assert list(bpu.isolation.key_manager._states) == (
+            [0, 1] if smt else [0])
 
     @pytest.mark.parametrize("smt", [False, True], ids=["st", "smt"])
     @pytest.mark.parametrize("preset", ["baseline", "precise_flush",
@@ -223,3 +240,43 @@ class TestSmtReuseAttacks:
                               iterations=150)
         assert naive.success_rate > 0.85
         assert enhanced.success_rate < 0.75
+
+
+#: Every driver that builds an attack unit, one call each.
+STUDIES = {
+    "run_attack": lambda preset: run_attack("branchscope", preset, smt=True,
+                                            iterations=4),
+    "covert_channel": lambda preset: covert_channel.run_covert_channel(
+        preset, payload_bits=16),
+    "direction_leakage": lambda preset: leakage.measure_direction_leakage(
+        preset, trials=8, smt=True),
+    "btb_occupancy_leakage": lambda preset:
+        leakage.measure_btb_occupancy_leakage(preset, trials=8),
+    "key_refresh": lambda preset: ablations._cross_privilege_training_rate(
+        True, iterations=4),
+}
+
+
+@pytest.mark.parametrize("preset", ["baseline", "precise_flush", "xor_bp",
+                                    "noisy_xor_bp"])
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_study_frees_its_unit_by_refcount(study, preset, monkeypatch):
+    """The fast path caches BTB kernels that bind the BTB; each study drops
+    them, so its unit is gone on return even with the cyclic GC off."""
+    refs = []
+    for module in (harness, covert_channel, leakage, ablations):
+        def spy(*args, _real=module.make_bpu, **kwargs):
+            bpu = _real(*args, **kwargs)
+            refs.append(weakref.ref(bpu.btb))
+            return bpu
+
+        monkeypatch.setattr(module, "make_bpu", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        STUDIES[study](preset)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 1
+    assert alive == []

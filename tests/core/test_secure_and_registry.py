@@ -188,3 +188,74 @@ class TestRegistry:
         key = lambda bpu: bpu.isolation.key_manager.master_key(0)
         assert key(a) == key(b)
         assert key(a) != key(c)
+
+
+#: Direction predictors with generated execute kernels.
+KERNEL_PREDICTORS = ["tage", "gshare", "tournament", "ltage", "tage_sc_l"]
+
+#: Every preset whose mechanisms are plain-XOR encoders (the paper's
+#: headline defenses); ``noisy_xor_btb``/``noisy_xor_pht`` protect only one
+#: structure, so the other side runs the passthrough fast path.
+XOR_PRESETS = ["xor_bp", "noisy_xor_bp", "noisy_xor_btb", "noisy_xor_pht"]
+
+
+@pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
+@pytest.mark.parametrize("preset", ["baseline", "noisy_xor_bp"])
+def test_force_generic_dispatch_reaches_every_kernel(predictor, preset):
+    bpu = make_bpu(predictor, preset, seed=3)
+    for thread in (0, 1):
+        assert bpu.direction.exec_kernel(thread).arm != "generic"
+    bpu.force_generic_dispatch()
+    for thread in (0, 1):
+        assert bpu.direction.exec_kernel(thread).arm == "generic"
+
+
+class TestPackedKernelArms:
+    """The packed-BTB and direction-predictor kernels must run their intended arm.
+
+    Silent fallback to the generic dispatch would keep results correct but
+    quietly lose the packed fast paths; these assertions (mirrored by the
+    throughput benchmark) pin the specialisation choice itself.
+    """
+
+    @pytest.mark.parametrize("preset", XOR_PRESETS + [
+        "baseline", "complete_flush", "xor_pht", "xor_pht_simple", "xor_btb"])
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
+    def test_kernel_arms_match_preset(self, preset, predictor):
+        config = resolve_preset(preset)
+        bpu = make_bpu(predictor, preset, seed=11)
+        want_btb = ("fused-xor" if config.btb_mechanism in ("xor", "noisy_xor")
+                    else "passthrough")
+        want_pht = ("fused-xor" if config.pht_mechanism in ("xor", "noisy_xor")
+                    else "passthrough")
+        assert bpu.btb.exec_conditional_kernel(0).arm == want_btb
+        assert bpu.direction.exec_kernel(0).arm == want_pht
+        # Re-randomisation rebuilds the same arm (never a generic fallback).
+        bpu.notify_context_switch(0)
+        assert bpu.btb.exec_conditional_kernel(0).arm == want_btb
+        assert bpu.direction.exec_kernel(0).arm == want_pht
+
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
+    def test_non_xor_encoder_takes_generic_arm(self, predictor):
+        # S-box content encoding is reversible but not plain XOR, so it must
+        # not be fused into the packed kernels.
+        bpu = make_bpu(predictor, "xor_bp", seed=11,
+                       config_overrides={"encoder": "sbox"})
+        assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
+        assert bpu.direction.exec_kernel(0).arm == "generic"
+
+    @pytest.mark.parametrize("predictor", KERNEL_PREDICTORS)
+    def test_precise_flush_takes_owner_arm(self, predictor):
+        bpu = make_bpu(predictor, "precise_flush", seed=11)
+        for _ in range(2):
+            for thread in (0, 1):
+                assert bpu.btb.exec_conditional_kernel(thread).arm == "owner"
+                assert bpu.direction.exec_kernel(thread).arm == "owner"
+            # A switch flushes the thread's entries and rebuilds its
+            # kernels on the same arm.
+            bpu.notify_context_switch(0)
+        # Forced generic dispatch still reaches the generic arm.
+        bpu.force_generic_dispatch()
+        assert bpu.btb.exec_conditional_kernel(0).arm == "generic"
+        for thread in (0, 1):
+            assert bpu.direction.exec_kernel(thread).arm == "generic"

@@ -45,6 +45,13 @@ class TestSingleThreadCore:
         with pytest.raises(ValueError):
             SingleThreadCore(fast_config, _build(fast_config, "baseline"), [])
 
+    def test_unknown_engine_rejected(self, fast_config):
+        workloads = make_pair_workloads(get_pair("case6", "single"), seed=1)
+        core = SingleThreadCore(fast_config, _build(fast_config, "baseline"),
+                                workloads)
+        with pytest.raises(ValueError):
+            core.run(target_branches=100, engine="vectorised")
+
     def test_background_workload_also_progresses(self, fast_config):
         pair = get_pair("case6", "single")
         workloads = make_pair_workloads(pair, seed=1)
@@ -122,6 +129,13 @@ class TestSmtCore:
         config = sunny_cove_smt("gshare", 2)
         with pytest.raises(ValueError):
             SmtCore(config, _build(config, "baseline"), [make_workload("milc")])
+
+    def test_unknown_engine_rejected(self):
+        config = sunny_cove_smt("gshare", 2)
+        workloads = make_pair_workloads(get_pair("case8", "smt2"), seed=1)
+        core = SmtCore(config, _build(config, "baseline"), workloads)
+        with pytest.raises(ValueError):
+            core.run(instructions=1_000, engine="vectorised")
 
     def test_se_mode_suppresses_syscalls(self):
         config = sunny_cove_smt("gshare", 2)

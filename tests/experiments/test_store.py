@@ -12,7 +12,10 @@ import os
 
 import pytest
 
-from repro.cpu.config import fpga_prototype
+from repro.cpu.config import fpga_prototype, sunny_cove_smt
+from repro.cpu.core import SingleThreadCore
+from repro.cpu.smt import SmtCore
+from repro.cpu.stats import run_result_to_dict
 from repro.experiments.executor import (
     ENGINE_VERSION,
     CaseSpec,
@@ -23,7 +26,9 @@ from repro.experiments.manifest import ExperimentDef, build_manifest
 from repro.experiments.pipeline import execute_shard, shard_artifact_path
 from repro.experiments.scaling import ExperimentScale
 from repro.experiments.store import STORE_SCHEMA, ResultStore, env_store
-from repro.workloads.pairs import SINGLE_THREAD_PAIRS
+from repro.experiments.runner import build_bpu
+from repro.workloads import make_pair_workloads
+from repro.workloads.pairs import SINGLE_THREAD_PAIRS, SMT2_PAIRS
 
 #: Deliberately tiny budgets: these tests exercise plumbing, not physics.
 TINY = ExperimentScale(
@@ -647,3 +652,52 @@ class TestIngestUrl:
         probe.close()
         with pytest.raises(ValueError, match="download failed"):
             store.ingest_url(f"http://127.0.0.1:{port}/export.json")
+
+
+def _engine_run(kind, engine):
+    """One ``xor_bp`` TAGE case at the tiny scale on one engine."""
+    if kind == "single":
+        config = fpga_prototype("tage")
+        core = SingleThreadCore(
+            config, build_bpu(config, "xor_bp", seed=TINY.seed + 1),
+            make_pair_workloads(SINGLE_THREAD_PAIRS[0], seed=TINY.seed),
+            time_scale=TINY.time_scale,
+            syscall_time_scale=TINY.syscall_time_scale)
+        return core.run(target_branches=TINY.st_target_branches,
+                        warmup_branches=TINY.st_warmup_branches,
+                        mechanism_name="xor_bp", engine=engine)
+    config = sunny_cove_smt("tage")
+    core = SmtCore(config, build_bpu(config, "xor_bp", seed=TINY.seed + 1),
+                   make_pair_workloads(SMT2_PAIRS[0], seed=TINY.seed),
+                   time_scale=TINY.smt_time_scale)
+    return core.run(instructions=TINY.smt_instructions,
+                    warmup_instructions=TINY.smt_warmup_instructions,
+                    mechanism_name="xor_bp", engine=engine)
+
+
+class TestStoreRoundTrip:
+    """Store entries do not depend on the engine that produced them.
+
+    ``CaseSpec.cache_key()`` and the store digest never mention the
+    engine, so a scalar-produced entry must be byte-identical to the
+    batched one: ``put``-ing both under one key must succeed, since the
+    store rejects a conflicting digest.
+    """
+
+    @pytest.mark.parametrize("kind", ["single", "smt"])
+    def test_scalar_and_batched_entries_byte_identical(self, tmp_path, kind):
+        res_scalar = _engine_run(kind, "scalar")
+        res_batched = _engine_run(kind, "batched")
+        key = f"{kind}-xor_bp-tage"
+
+        store = ResultStore(str(tmp_path / "scalar-first"))
+        store.put(key, res_scalar)
+        store.put(key, res_batched)
+        assert run_result_to_dict(store.get(key)) == \
+            run_result_to_dict(res_batched)
+
+        store = ResultStore(str(tmp_path / "batched-first"))
+        store.put(key, res_batched)
+        store.put(key, res_scalar)
+        assert run_result_to_dict(store.get(key)) == \
+            run_result_to_dict(res_scalar)

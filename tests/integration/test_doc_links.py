@@ -1,4 +1,5 @@
-"""The docs-link check: every referenced repository ``*.md`` file exists."""
+"""The docs-link check: every referenced repository ``*.md`` file and
+path-qualified ``tests/**/*.py`` module exists."""
 
 import importlib.util
 import os
@@ -52,3 +53,19 @@ def test_output_paths_and_urls_are_not_references(tool, tmp_path):
                       "https://example.org/upstream/README.md\n"),
     })
     assert tool.main(["--repo-root", root]) == 0
+
+
+def test_dangling_test_module_reference_fails(tool, tmp_path, capsys):
+    root = _repo(tmp_path, {
+        "tests/parity/test_parity.py": "",
+        "README.md": ("Held by `tests/parity/test_parity.py::test_parity` "
+                      "and tests/cpu/test_gone.py; test_bare.py is a name, "
+                      "not a path.\n"),
+        "src/pkg/mod.py": '"""Oracle in (tests/attacks/test_old.py)."""\n',
+    })
+    assert tool.main(["--repo-root", root]) == 1
+    errors = capsys.readouterr().err
+    assert "README.md:1: tests/cpu/test_gone.py does not exist" in errors
+    assert "mod.py:1: tests/attacks/test_old.py does not exist" in errors
+    assert "test_parity.py does not exist" not in errors
+    assert "test_bare.py" not in errors

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.isolation import NoisyXorIsolation, PreciseFlushIsolation, XorContentIsolation
 from repro.core.keys import KeyManager
+from repro.core.registry import make_bpu
 from repro.predictors.btb import BranchTargetBuffer
 from repro.predictors.ras import ReturnAddressStack
 from repro.types import BranchType
@@ -200,3 +201,78 @@ class TestBranchTypeHelpers:
 
     def test_indirect_uses_btb(self):
         assert BranchType.INDIRECT.uses_btb
+
+
+class TestKernelFetch:
+    """The probe kernels the cores fetch straight from the BTB."""
+
+    def test_btb_kernel_cached_per_thread(self):
+        bpu = make_bpu("tage", "xor_bp", seed=7)
+        first = bpu.btb.exec_conditional_kernel(0)
+        assert bpu.btb.exec_conditional_kernel(0) is first
+        assert bpu.btb.exec_conditional_kernel(1) is not first
+
+    def test_btb_rekey_rebinds_the_same_kernel(self):
+        """A rekey writes the thread's new masks into the kernel it already
+        has instead of generating a new one."""
+        bpu = make_bpu("tage", "xor_bp", seed=7)
+        before = bpu.btb.exec_conditional_kernel(0)
+        assert before.arm == "fused-xor"
+        old_masks = bpu.btb._xor_masks[0]
+        bpu.notify_context_switch(0)
+        after = bpu.btb.exec_conditional_kernel(0)
+        new_masks = bpu.btb._xor_masks[0]
+        assert after is before
+        assert new_masks != old_masks
+        assert (after.__globals__["IK"], after.__globals__["TK"],
+                after.__globals__["GK"]) == new_masks
+
+    def test_btb_invalidate_drops_the_kernel(self):
+        bpu = make_bpu("tage", "xor_bp", seed=7)
+        before = bpu.btb.exec_conditional_kernel(0)
+        bpu.btb.invalidate_kernels()
+        assert bpu.btb.exec_conditional_kernel(0) is not before
+
+
+def _small_btb(ways):
+    # Eight sets: the workload's branches collide constantly, and threads
+    # running the same code install the same tags in the same sets.
+    return BranchTargetBuffer(8, ways,
+                              isolation=PreciseFlushIsolation(KeyManager(seed=1)))
+
+
+def _btb_state(btb):
+    return btb.snapshot(), btb.lookups, btb.hits, btb._clock
+
+
+@pytest.mark.parametrize("path", ["conditional", "indirect"])
+def test_btb_same_tag_from_two_threads_in_one_set(path):
+    """A taken branch takes over the way holding its tag, whoever owns it."""
+    fast, oracle = _small_btb(2), _small_btb(2)
+    pc = 0x4000
+    other_pc = pc + 8 * 4  # same set, different tag
+
+    def step(thread, branch_pc, target):
+        result = oracle.lookup(branch_pc, thread)
+        if path == "conditional":
+            oracle.update(branch_pc, target, thread, BranchType.CONDITIONAL)
+            got = fast.exec_conditional_kernel(thread)(branch_pc, target, True)
+        else:
+            oracle.update(branch_pc, target, thread, BranchType.INDIRECT)
+            got = fast.execute_indirect_fast(branch_pc, target,
+                                             BranchType.INDIRECT, thread)
+        assert got == (result.hit, result.target)
+        return got
+
+    assert step(1, pc, 0x1000) == (False, None)       # thread 1: way 0
+    assert step(0, other_pc, 0x2000) == (False, None)  # thread 0: way 1
+    assert step(1, pc, 0x1000) == (True, 0x1000)
+    # Thread 0 cannot see thread 1's entry, but its install re-uses way 0
+    # (same tag) instead of evicting the LRU way 1 and duplicating the tag.
+    assert step(0, pc, 0x3000) == (False, None)
+    assert _btb_state(fast) == _btb_state(oracle)
+    ways = fast.entries_in_set(fast.set_of(pc))
+    assert [(way.valid, way.owner) for way in ways] == [(True, 0), (True, 0)]
+    assert step(0, pc, 0x3000) == (True, 0x3000)
+    assert step(1, pc, 0x1000) == (False, None)
+    assert _btb_state(fast) == _btb_state(oracle)

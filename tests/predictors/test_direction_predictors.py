@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.registry import make_bpu
 from repro.predictors import (
     BimodalPredictor,
     GsharePredictor,
@@ -12,6 +13,7 @@ from repro.predictors import (
 )
 from repro.predictors.base import DirectionPrediction
 from repro.predictors.statistical_corrector import StatisticalCorrector
+from repro.types import Privilege
 
 
 PREDICTOR_CLASSES = [BimodalPredictor, GsharePredictor, TournamentPredictor]
@@ -96,7 +98,12 @@ class TestCommonBehaviour:
      r"n_entries must be a positive power of two, got 0"),
     (lambda: GsharePredictor(1),
      r"n_entries must be >= 2 when history_bits is omitted, got 1"),
-], ids=["sc-bits-0", "sc-bits-neg", "gshare-entries-0", "gshare-entries-1"])
+    (lambda: StatisticalCorrector(0),
+     r"table_entries must be a positive power of two, got 0"),
+    (lambda: GsharePredictor(8, word_bits=0),
+     r"word_bits \(0\) must be a positive multiple of counter_bits \(2\)"),
+], ids=["sc-bits-0", "sc-bits-neg", "gshare-entries-0", "gshare-entries-1",
+        "sc-entries-0", "gshare-word-bits-0"])
 def test_bad_geometry_names_the_field(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -202,3 +209,123 @@ class TestFactory:
     def test_name_normalisation(self):
         predictor = make_direction_predictor("TAGE-SC-L")
         assert predictor.name == "tage_sc_l"
+
+
+class TestKernelFetch:
+    """The kernels the cores fetch straight from the predictor."""
+
+    @pytest.mark.parametrize("predictor", ["tage", "gshare", "tournament",
+                                           "ltage", "tage_sc_l", "bimodal"])
+    def test_direction_kernel_cached_per_thread(self, predictor):
+        bpu = make_bpu(predictor, "xor_bp", seed=7)
+        first = bpu.direction.exec_kernel(0)
+        assert bpu.direction.exec_kernel(0) is first
+        assert bpu.direction.exec_kernel(1) is not first
+
+
+@pytest.mark.parametrize("predictor", ["tage", "gshare", "tournament",
+                                       "ltage", "tage_sc_l"])
+@pytest.mark.parametrize("drop", ["flush", "flush_thread", "reset_stats",
+                                  "invalidate_kernel_masks", "rekey"])
+def test_state_changes_drop_kernels(predictor, drop):
+    bpu = make_bpu(predictor, "noisy_xor_bp", seed=3)
+    direction = bpu.direction
+    before = direction.exec_kernel(0)
+    before(0x4000, True)
+    if drop == "flush_thread":
+        direction.flush_thread(0)
+    elif drop == "rekey":
+        bpu.notify_context_switch(0)
+    else:
+        getattr(direction, drop)()
+    assert direction.exec_kernel(0) is not before
+    tage = getattr(direction, "tage", None)
+    if tage is not None and drop != "rekey":
+        # Forwarded to the TAGE component, whose own kernels go as well.
+        assert 0 not in tage._exec_fns
+
+
+def _unit(preset, overrides, generic):
+    bpu = make_bpu("bimodal", preset, seed=7, config_overrides=overrides,
+                   predictor_kwargs={"n_entries": 256})
+    if generic:
+        bpu.force_generic_dispatch()
+    return bpu
+
+
+def _state(predictor):
+    table = predictor.pht.word_table
+    return (list(table.rows()),
+            [table.owner_of(row) for row in range(len(table))],
+            {thread: (s.lookups, s.mispredictions)
+             for thread, s in sorted(predictor._stats.items())})
+
+
+def test_execute_stamps_the_owner_under_precise_flush():
+    predictor = _unit("precise_flush", None, False).direction
+    table = predictor.pht.word_table
+    predictor.execute(0x4000, True, 1)
+    row = (0x4000 >> 2) // predictor.pht.counters_per_word
+    assert table.owner_of(row) == 1
+    predictor.flush_thread(1)
+    assert table.owner_of(row) == -1
+
+
+def _globals(kernel):
+    """A kernel's bound globals, storage lists compared by value (the BTB
+    kernel's back-reference to its own unit is left out)."""
+    return {name: list(value) if isinstance(value, list) else value
+            for name, value in kernel.__globals__.items()
+            if name not in ("__builtins__", "btb")}
+
+
+@pytest.mark.parametrize("preset", ["xor_bp", "noisy_xor_bp",
+                                    "xor_pht_simple"])
+@pytest.mark.parametrize("structure", ["bimodal", "btb"])
+def test_rekeyed_kernel_keeps_identity_and_matches_a_fresh_one(structure,
+                                                               preset):
+    """After N rekeys the same kernel object is returned, with the new
+    masks bound; a twin unit that rebuilds its kernel from scratch after
+    every rekey sees the same predictions and ends in the same state."""
+    kept_bpu = _unit(preset, None, False)
+    fresh_bpu = _unit(preset, None, False)
+
+    def fetch(bpu, thread):
+        if structure == "btb":
+            return bpu.btb.exec_conditional_kernel(thread)
+        return bpu.direction.exec_kernel(thread)
+
+    def drop(bpu):
+        if structure == "btb":
+            bpu.btb.invalidate_kernels()
+        else:
+            bpu.direction.invalidate_kernel_masks()
+
+    # Same first fetches on both twins: a thread's key is drawn on first use.
+    first = {thread: fetch(kept_bpu, thread) for thread in (0, 1)}
+    for thread in (0, 1):
+        fetch(fresh_bpu, thread)
+    rng = random.Random(5)
+    for rekey in range(40):
+        thread = rng.randrange(2)
+        for bpu in (kept_bpu, fresh_bpu):
+            if rekey % 3:
+                bpu.notify_context_switch(thread)
+            else:
+                bpu.notify_privilege_switch(thread, Privilege.KERNEL)
+        drop(fresh_bpu)
+        kept = fetch(kept_bpu, thread)
+        fresh = fetch(fresh_bpu, thread)
+        assert kept is first[thread]
+        assert fresh is not kept
+        assert _globals(kept) == _globals(fresh)
+        for _ in range(20):
+            pc = 0x4000 + 4 * rng.randrange(64)
+            taken = rng.random() < 0.5
+            if structure == "btb":
+                args = (pc, pc + 0x100, taken)
+            else:
+                args = (pc, taken)
+            assert kept(*args) == fresh(*args)
+    assert _state(kept_bpu.direction) == _state(fresh_bpu.direction)
+    assert kept_bpu.btb.snapshot() == fresh_bpu.btb.snapshot()

@@ -321,3 +321,14 @@ class TestComposites:
         predictor.predict_and_update(0x4000, True, thread_id=1)
         predictor.flush_thread(1)
         assert predictor.tage.global_history.value(1) == 0
+
+
+@pytest.mark.parametrize("cls", [LTagePredictor, TageScLPredictor])
+def test_composite_stats_stay_on_the_composite(cls):
+    predictor = cls()
+    kernel = predictor.exec_kernel(0)
+    for i in range(200):
+        kernel(0x4000 + 4 * (i % 7), i % 3 != 0)
+    assert predictor.stats(0).lookups == 200
+    # As on the scalar path, the TAGE component records nothing.
+    assert predictor.tage._stats == {}

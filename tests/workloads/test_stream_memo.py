@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.cpu.config import fpga_prototype
-from repro.cpu.core import SingleThreadCore, record_batch_stream
+from repro.cpu.core import SingleThreadCore
 from repro.experiments.executor import RunResultCache, SweepExecutor
 from repro.experiments.manifest import build_manifest
 from repro.experiments.runner import build_bpu
@@ -193,8 +193,8 @@ def test_trace_workloads_bypass_the_memo(tmp_path, monkeypatch):
     _streams.clear()
     monkeypatch.setenv(TRACE_DIR_VAR, str(corpus))
     workload, = make_pair_workloads(BenchmarkPair("case-t", ("trace:alpha",)))
-    first = _take(record_batch_stream(workload, 256), 4)
-    assert _take(record_batch_stream(workload, 256), 4) == first
+    first = _take(workload.record_batches(256), 4)
+    assert _take(workload.record_batches(256), 4) == first
     assert not _streams
 
 

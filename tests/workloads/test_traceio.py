@@ -233,3 +233,22 @@ class TestTraceReplayOnCore:
         assert stats.branches == 1_500
         assert stats.cycles > 0
         assert 0.0 <= stats.direction_accuracy <= 1.0
+
+    def test_marker_free_trace_stays_marker_free(self, tmp_path):
+        # A trace without markers (and the 0.0 syscall rate every trace
+        # profile carries) must never synthesise privilege switches.
+        from repro.core import make_bpu
+        from repro.cpu import SingleThreadCore, fpga_prototype
+
+        path = str(tmp_path / "plain.trace.gz")
+        write_trace(make_workload("gcc", seed=3).segment(1_200), path)
+        trace = TraceWorkload.from_file(path)
+        config = fpga_prototype("gshare")
+        for engine in ("scalar", "batched"):
+            bpu = make_bpu("gshare", "noisy_xor_bp", seed=11,
+                           btb_sets=config.btb_sets, btb_ways=config.btb_ways)
+            core = SingleThreadCore(config, bpu, [trace], time_scale=200.0)
+            result = core.run(target_branches=900, warmup_branches=200,
+                              mechanism_name="noisy_xor_bp", engine=engine)
+            assert result.privilege_switches == 0
+            assert result.thread(trace.name).syscalls == 0

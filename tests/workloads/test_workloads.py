@@ -191,3 +191,24 @@ class TestGenerator:
             assert isinstance(record.taken, bool)
             assert record.gap >= 0
             assert isinstance(record.branch_type, BranchType)
+
+
+class TestRecordBatches:
+    def test_record_batches_match_records(self):
+        workload = make_workload("gcc", seed=5)
+        records = workload.segment(3_000, seed_offset=2)
+        flat = []
+        for batch in workload.record_batches(257, seed_offset=2):
+            flat.extend(batch)
+            if len(flat) >= 3_000:
+                break
+        for record, row in zip(records, flat):
+            assert row == (record.pc, record.taken, record.target,
+                           record.branch_type, record.instructions,
+                           record.syscall_after)
+
+    def test_batch_sizes_respect_minimum(self):
+        workload = make_workload("milc", seed=1)
+        stream = workload.record_batches(100)
+        for _ in range(5):
+            assert len(next(stream)) >= 100

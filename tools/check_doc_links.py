@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Fail on references to repository Markdown files that do not exist.
+"""Fail on references to repository files that do not exist.
 
 Docstrings, comments, shipped notes and docs point readers at files such as
-``EXPERIMENTS.md`` or ``docs/knobs.md``; a reference to a file that was never
-written (or has since moved) is a dead end.  This tool scans ``src/``,
-``examples/``, ``benchmarks/``, ``docs/`` and ``README.md`` for every
-``*.md`` reference and checks that it resolves, either relative to the
-referencing file's directory or to the repository root.
+``EXPERIMENTS.md``, ``docs/knobs.md`` or ``tests/parity/test_parity.py``; a
+reference to a file that was never written (or has since moved or been
+deleted) is a dead end.  This tool scans ``src/``, ``examples/``,
+``benchmarks/``, ``docs/`` and ``README.md`` for every ``*.md`` reference
+and every path-qualified ``tests/**/*.py`` reference, and checks that it
+resolves, either relative to the referencing file's directory or to the
+repository root.  A bare test-module name (``test_parity.py``) is not
+checked: only a path says where the file should be.
 
 Output paths are not references: a name that follows an ``--out``/
 ``--output`` flag (``repro report --output results.md``) is what a command
@@ -28,8 +31,10 @@ from typing import Iterator, List, Tuple
 #: Where references are checked.
 SCANNED = ("src", "examples", "benchmarks", "docs", "README.md")
 
-#: A whitespace/quote/bracket-delimited token ending in ``.md``.
-REF_RE = re.compile(r"[^\s`'\"()<>\[\]{}|,;=*]+\.md\b")
+#: A whitespace/quote/bracket-delimited token ending in ``.md``, or a test
+#: module path starting at ``tests/`` (a ``::test`` suffix is not part of it).
+REF_RE = re.compile(r"[^\s`'\"()<>\[\]{}|,;=*]+\.md\b"
+                    r"|(?<![\w/.-])tests/[\w/.-]+\.py\b")
 OUTPUT_FLAG_RE = re.compile(r"--out(?:put)?[=\s]+$")
 
 
@@ -47,7 +52,7 @@ def scanned_files(root: str) -> Iterator[str]:
 
 
 def references(text: str) -> Iterator[Tuple[int, str]]:
-    """``(line number, target)`` for every ``*.md`` reference in ``text``."""
+    """``(line number, target)`` for every checked reference in ``text``."""
     for number, line in enumerate(text.splitlines(), start=1):
         for match in REF_RE.finditer(line):
             if "://" in match.group(0):
@@ -65,7 +70,8 @@ def resolves(root: str, referrer: str, target: str) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="check that referenced repository *.md files exist")
+        description="check that referenced repository *.md files and "
+                    "tests/**/*.py modules exist")
     parser.add_argument("--repo-root", default=None,
                         help="repository root (default: this script's "
                              "parent's parent)")
@@ -90,7 +96,7 @@ def main(argv=None) -> int:
         for error in errors:
             print(f"check_doc_links: {error}", file=sys.stderr)
         return 1
-    print(f"doc links OK: {checked} *.md reference(s) resolve")
+    print(f"doc links OK: {checked} reference(s) resolve")
     return 0
 
 
