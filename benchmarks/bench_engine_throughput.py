@@ -90,13 +90,11 @@ def assert_fast_path(core: SingleThreadCore, preset: str) -> None:
         raise AssertionError(
             f"{preset}: packed-BTB probe kernel runs the {btb_arm!r} arm, "
             f"expected {want_btb!r}")
-    exec_kernel = getattr(bpu.direction, "exec_kernel", None)
-    if exec_kernel is not None:
-        dir_arm = getattr(exec_kernel(0), "arm", None)
-        if dir_arm != want_pht:
-            raise AssertionError(
-                f"{preset}: {bpu.direction.name} kernel runs the "
-                f"{dir_arm!r} arm, expected {want_pht!r}")
+    dir_arm = getattr(bpu.direction.exec_kernel(0), "arm", None)
+    if dir_arm != want_pht:
+        raise AssertionError(
+            f"{preset}: {bpu.direction.name} kernel runs the "
+            f"{dir_arm!r} arm, expected {want_pht!r}")
 
 
 def run_smoke(preset: str, repeats: int, predictor: str = "tage") -> None:

@@ -10,7 +10,7 @@ Exposes the package's main entry points without writing any Python::
     python -m repro merge --out merged out/shard-*.json  # assemble the fleet
     python -m repro plan --hash                  # manifest digest (CI cache key)
     python -m repro store export --out store.json    # publish cached results
-    python -m repro store ingest shard-*.json        # reuse another machine's
+    python -m repro store ingest store.json          # reuse another machine's
     python -m repro serve --dir store/ --port 8378   # simulation service
     python -m repro submit --experiments figure1     # -> job id on stdout
     python -m repro watch job-0001-ab12cd34          # stream to completion
@@ -86,9 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "failure manifest (exit 3) instead of aborting")
 
     merge = subparsers.add_parser(
-        "merge", help="merge 'run all --shard' artifacts into final "
-                      "figures/tables, asserting every planned case was "
-                      "executed exactly once across the shards")
+        "merge", help="merge 'run all --shard' receipts into final "
+                      "figures/tables from the result store (REPRO_STORE_DIR, "
+                      "else store/ beside the first receipt), asserting "
+                      "every planned case was executed exactly once")
     merge.add_argument("artifacts", nargs="+", metavar="SHARD_JSON",
                        help="shard artifact files written by run all --shard")
     merge.add_argument("--out", default=None, metavar="DIR",
@@ -121,13 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="store_command", metavar="operation")
     store_dir_help = ("store directory (default from REPRO_STORE_DIR)")
     ingest = store_sub.add_parser(
-        "ingest", help="import case results from shard artifacts, store "
-                       "exports, or remote store URLs (same-engine only, "
-                       "digest-checked)")
-    ingest.add_argument("artifacts", nargs="+", metavar="ARTIFACT",
-                        help="files written by 'run all --shard' / 'store "
-                             "export', or http(s) URLs of a remote "
-                             "service's /v1/store/export endpoint")
+        "ingest", help="import case results from store exports or remote "
+                       "store URLs (same-engine only, digest-checked)")
+    ingest.add_argument("artifacts", nargs="+", metavar="EXPORT",
+                        help="files written by 'store export', or http(s) "
+                             "URLs of a remote service's /v1/store/export "
+                             "endpoint")
     ingest.add_argument("--dir", default=None, metavar="DIR",
                         help=store_dir_help)
     export = store_sub.add_parser(

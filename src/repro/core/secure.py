@@ -266,9 +266,7 @@ class BranchPredictionUnit:
         piling up for the cyclic collector; the next fetch simply rebuilds.
         """
         self.btb.invalidate_kernels()
-        invalidate = getattr(self.direction, "invalidate_kernel_masks", None)
-        if invalidate is not None:
-            invalidate()
+        self.direction.invalidate_kernel_masks()
 
     def flush(self) -> None:
         """Flush every structure (used by tests and manual experiments)."""

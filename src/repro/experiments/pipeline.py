@@ -6,24 +6,23 @@ into finished figures/tables in three composable steps:
 * :func:`execute_shard` — run the cases (and caseless experiments) owned by
   one shard over the process pool, publishing each finished case to a
   result store (so a killed shard resumes by rerunning it), and write a
-  self-describing **shard artifact** (JSON: engine version, manifest hash,
-  scale, executed case results keyed by cache key, and any whole experiment
-  results);
-* :func:`merge_artifacts` — validate a set of shard artifacts (same engine /
+  **shard artifact**, a receipt (engine version, manifest hash, scale, the
+  store digest of every executed case by cache key, and the caseless
+  experiments' results, which are not store cases);
+* :func:`merge_artifacts` — validate a set of receipts (same engine /
   manifest / scale; shards disjoint; **every planned case executed exactly
-  once across the union**), pre-populate a
-  :class:`~repro.experiments.executor.RunResultCache` from them, and
-  re-assemble every experiment through a *replay-only*
-  :class:`~repro.experiments.executor.SweepExecutor` — so the merge simulates
-  nothing and fails loudly if any plan was incomplete;
+  once across the union**), load exactly the receipt keys from the result
+  store (digest-checked), and re-assemble every experiment through a
+  *replay-only* :class:`~repro.experiments.executor.SweepExecutor` — so the
+  merge simulates nothing and fails loudly if any plan was incomplete;
 * :func:`run_serial` — the degenerate single-machine path (one implicit
   shard, assembly in-process).
 
 Because a case's :class:`~repro.cpu.stats.RunResult` serialises through JSON
-with exact float round-tripping (the same mechanism the on-disk result cache
-uses), a sharded run merged from artifacts is **bit-identical** to a serial
-run of the same manifest; ``tests/experiments/test_pipeline.py`` pins that
-against the committed golden traces.
+with exact float round-tripping (the store's entry format), a sharded run
+merged from the store is **bit-identical** to a serial run of the same
+manifest; ``tests/experiments/test_pipeline.py`` pins that against the
+committed golden traces.
 """
 
 from __future__ import annotations
@@ -31,12 +30,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.export import result_from_dict, result_to_dict
 from ..analysis.stats import fold_experiment_results
-from ..cpu.stats import run_result_from_dict, run_result_to_dict
+from ..cpu.stats import run_result_to_dict
 from .base import ExperimentResult
 from .executor import (
     ENGINE_VERSION,
@@ -46,7 +46,7 @@ from .executor import (
     atomic_write_json,
 )
 from .manifest import ExperimentDef, ExperimentManifest, ShardSpec
-from .store import ResultStore
+from .store import ResultStore, result_digest
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -66,9 +66,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Shard-artifact schema revision (bumped on incompatible layout changes).
-#: 2: artifacts carry the manifest's ``repetitions`` so a merge re-plans the
-#: exact repetition family the shards executed.
-ARTIFACT_SCHEMA = 2
+#: 3: ``cases`` maps each executed cache key to its store digest; the
+#: results themselves live only in the result store.
+ARTIFACT_SCHEMA = 3
 
 #: Failure-manifest schema revision (the machine-readable ``--keep-going``
 #: failure report).
@@ -150,7 +150,7 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
                   out_dir: str, *, jobs: Optional[int] = None,
                   cache: Optional[RunResultCache] = None,
                   keep_going: bool = False) -> str:
-    """Execute one shard of a manifest and write its artifact.
+    """Execute one shard of a manifest and write its receipt artifact.
 
     Every completed case is published to a result store the moment it
     finishes: the cache's store when it has one (``REPRO_STORE_DIR`` for the
@@ -186,7 +186,7 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
     executor = SweepExecutor(jobs=jobs, cache=cache, keep_going=keep_going)
     results = executor.run_specs(list(owned.values()))
 
-    cases = {key: run_result_to_dict(result)
+    cases = {key: result_digest(run_result_to_dict(result))
              for key, result in zip(owned, results) if result is not None}
     experiment_results: Dict[str, dict] = {}
     failed_experiments: Dict[str, str] = {}
@@ -235,7 +235,8 @@ def load_artifact(path: str) -> dict:
     if schema != ARTIFACT_SCHEMA:
         raise ValueError(
             f"{path}: unsupported shard-artifact schema {schema!r} "
-            f"(expected {ARTIFACT_SCHEMA})")
+            f"(expected {ARTIFACT_SCHEMA}: receipts whose results live in "
+            "the result store); rerun the shards with this build")
     return payload
 
 
@@ -269,7 +270,10 @@ def _validate_artifacts(manifest: ExperimentManifest,
                 f"{path}: shard {shard['index']} already provided by "
                 f"{seen_shards[shard['index']]}")
         seen_shards[shard["index"]] = path
-        for key in payload["cases"]:
+        for key, digest in payload["cases"].items():
+            if not re.fullmatch(r"[0-9a-f]{64}", str(digest)):
+                raise ValueError(f"{path}: receipt for case {key} is not a "
+                                 "64-hex store digest")
             executed.setdefault(key, []).append(path)
         for key in payload["experiment_results"]:
             caseless_seen.setdefault(key, []).append(path)
@@ -354,13 +358,16 @@ def assemble_experiment(definition: ExperimentDef,
 def merge_artifacts(paths: Iterable[str], manifest: ExperimentManifest,
                     *, out_dir: Optional[str] = None
                     ) -> Dict[str, ExperimentResult]:
-    """Merge shard artifacts into final figures/tables.
+    """Merge shard receipts into final figures/tables.
 
-    Validates that the artifacts cover the manifest exactly once, then
-    re-assembles every case-based experiment through a **replay-only**
-    executor over the merged results, and loads the caseless experiments'
-    results straight from the artifacts.  Any union of shard outputs that
-    passes validation produces output bit-identical to a serial run.
+    Validates that the receipts cover the manifest exactly once, replays
+    exactly their keys from the result store (``REPRO_STORE_DIR``, else the
+    ``store/`` beside the first artifact, where :func:`execute_shard`
+    publishes by default) after checking each entry's digest against its
+    receipt, re-assembles every case-based experiment through a
+    **replay-only** executor, and loads the caseless experiments' results
+    straight from the artifacts.  Any union of shard outputs that passes
+    validation produces output bit-identical to a serial run.
 
     Args:
         paths: shard artifact files (any order).
@@ -377,14 +384,24 @@ def merge_artifacts(paths: Iterable[str], manifest: ExperimentManifest,
         raise ValueError("no shard artifacts to merge")
     _validate_artifacts(manifest, artifacts)
 
-    # store=False: the replay must be a pure function of the artifacts — a
-    # configured REPRO_STORE_DIR could otherwise serve cases no shard
-    # executed (voiding the exactly-once proof), and the artifact loading
-    # would silently write through into the user's store.
+    # Memory-only, holding exactly the receipt keys: a store entry no shard
+    # executed can never rescue an incomplete plan() (voiding the
+    # exactly-once proof), and the merge writes to no store.
+    store = ResultStore(os.environ.get("REPRO_STORE_DIR") or os.path.join(
+        os.path.dirname(artifacts[0][0]), "store"))
     cache = RunResultCache(store=False)
-    for _path, payload in artifacts:
-        for key, data in payload["cases"].items():
-            cache.put(key, run_result_from_dict(data))
+    for path, payload in artifacts:
+        for key, digest in payload["cases"].items():
+            result = store.get(key)
+            if result is None or \
+                    result_digest(run_result_to_dict(result)) != digest:
+                problem = "is missing from" if result is None \
+                    else "has another digest in"
+                raise ValueError(
+                    f"{path}: case {key} {problem} the result store "
+                    f"{store.directory}; 'repro store ingest' the shards' "
+                    "exports there, or set REPRO_STORE_DIR to their store")
+            cache.put(key, result)
     replay = SweepExecutor(jobs=1, cache=cache, allow_simulation=False)
 
     caseless: Dict[str, ExperimentResult] = {}

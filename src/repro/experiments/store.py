@@ -1,9 +1,8 @@
 """Content-addressed, engine-versioned result store.
 
-The PR 4 sharding pipeline made the shard artifact — a JSON mapping of
-``CaseSpec`` cache keys to serialised :class:`~repro.cpu.stats.RunResult`
-payloads — the unit of exchange between machines.  This module gives those
-results a durable, cross-machine home:
+The store is the one on-disk home for finished case results; a shard
+artifact is only a receipt naming the cache keys (and digests) a shard
+executed, and ``repro merge`` replays those keys from a store:
 
 * entries are **content-addressed** by the existing ``CaseSpec.cache_key()``
   (which already folds in :data:`~repro.experiments.executor.ENGINE_VERSION`,
@@ -12,10 +11,9 @@ results a durable, cross-machine home:
 * every entry embeds a SHA-256 digest of its canonical result payload, so
   bit-rot, truncated writes and hand-edits are detected instead of silently
   merged into figures;
-* :meth:`ResultStore.ingest` / :meth:`ResultStore.export` exchange entries
-  through the shard-artifact ``cases`` format (``repro run all --shard``
-  output and ``repro store export`` output are both ingestable), refusing
-  cross-engine imports;
+* :meth:`ResultStore.export` / :meth:`ResultStore.ingest` exchange entries
+  through one format, the ``store-export`` payload (``repro store export``
+  output), refusing cross-engine imports;
 * :meth:`ResultStore.gc` drops entries from stale engine revisions (and,
   given manifest hashes, prunes superseded-manifest entries) and
   :meth:`ResultStore.verify` audits the whole store;
@@ -25,7 +23,7 @@ results a durable, cross-machine home:
   superseded manifests;
 * :meth:`ResultStore.ingest_url` federates stores: it pulls a remote
   service's ``/v1/store/export`` payload through the same digest-verified
-  :meth:`ResultStore.ingest` path used for local artifacts.
+  :meth:`ResultStore.ingest` path used for local exports.
 
 :class:`~repro.experiments.executor.RunResultCache` consults a store (from
 ``REPRO_STORE_DIR`` or an explicit instance) as its second level — memory
@@ -70,8 +68,8 @@ MANIFESTS_DIR = "manifests"
 MANIFEST_SCHEMA = 1
 
 #: Legitimate entry keys are ``CaseSpec.cache_key()`` SHA-256 hex digests.
-#: Ingest fullmatches every artifact key against this before building a
-#: path from it: artifacts are a cross-machine exchange format, and a
+#: Ingest fullmatches every export key against this before building a
+#: path from it: exports are a cross-machine exchange format, and a
 #: crafted key like ``../../x`` (or one with a trailing newline, which a
 #: ``$``-anchored match would accept) must never reach the filesystem.
 _KEY_RE = re.compile(r"[0-9a-f]{64}")
@@ -465,11 +463,10 @@ class ResultStore:
 
     # -- exchange ---------------------------------------------------------------
     def ingest_url(self, url: str) -> Tuple[int, int]:
-        """Federate: ingest a remote store export (or shard artifact) by URL.
+        """Federate: ingest a remote store export by URL.
 
-        Downloads to a temporary file and reuses the digest-verified
-        :meth:`ingest` path, so a remote service's ``/v1/store/export``
-        payload passes exactly the checks a local artifact does.
+        A remote service's ``/v1/store/export`` payload passes exactly the
+        digest-verified checks :meth:`ingest` applies to a local export.
 
         Returns:
             ``(added, skipped)`` entry counts.
@@ -478,7 +475,6 @@ class ResultStore:
             ValueError: non-HTTP(S) URL, download failure, or any
                 :meth:`ingest` rejection.
         """
-        import tempfile
         import urllib.error
         import urllib.request
 
@@ -486,46 +482,31 @@ class ResultStore:
         if scheme not in ("http", "https"):
             raise ValueError(
                 f"store ingest URLs must be http(s), got {url!r}")
-        tmp = tempfile.NamedTemporaryFile(mode="wb", suffix=".json",
-                                          prefix="repro-ingest-",
-                                          delete=False)
         try:
-            try:
-                with urllib.request.urlopen(url, timeout=60.0) as response:
-                    shutil.copyfileobj(response, tmp)
-                tmp.close()
-            except (urllib.error.URLError, OSError) as exc:
-                raise ValueError(f"{url}: download failed ({exc})") from None
-            try:
-                return self.ingest(tmp.name)
-            except ValueError as exc:
-                # The ingest error names the temp file; name the URL instead.
-                raise ValueError(
-                    str(exc).replace(tmp.name, url)) from None
-        finally:
-            tmp.close()
-            try:
-                os.remove(tmp.name)
-            except OSError:
-                pass
+            with urllib.request.urlopen(url, timeout=60.0) as response:
+                payload = json.load(response)
+        except (urllib.error.URLError, OSError) as exc:
+            raise ValueError(f"{url}: download failed ({exc})") from None
+        except ValueError:
+            raise ValueError(f"{url}: not valid JSON") from None
+        return self._ingest_export(url, payload)
 
     def ingest(self, path: str) -> Tuple[int, int]:
-        """Import every case result from a shard artifact or store export.
+        """Import every case result from a ``repro store export`` file.
 
-        Accepts any JSON object carrying ``engine`` and a ``cases`` mapping —
-        the ``repro run all --shard`` artifact and the ``repro store export``
-        payload share that exchange shape.  Entries already present with an
-        identical digest are skipped; a same-key entry with a *different*
-        digest is a determinism violation (the key is content-addressed) and
-        aborts the ingest.
+        The store export is the one exchange format; a shard artifact is a
+        receipt without results and is refused.  Entries already present
+        with an identical digest are skipped; a same-key entry with a
+        *different* digest is a determinism violation (the key is
+        content-addressed) and aborts the ingest.
 
         Returns:
             ``(added, skipped)`` entry counts.
 
         Raises:
-            ValueError: unreadable/ill-formed file, engine mismatch, a case
-                payload that does not parse as a RunResult, or a digest
-                conflict with an existing entry.
+            ValueError: unreadable file, not a store export, engine
+                mismatch, a case payload that does not parse as a RunResult,
+                or a digest conflict with an existing entry.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -534,25 +515,21 @@ class ResultStore:
             raise ValueError(f"{path}: {exc}") from None
         except ValueError:
             raise ValueError(f"{path}: not valid JSON") from None
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("cases"), dict) or \
-                "engine" not in payload:
-            raise ValueError(
-                f"{path}: not a shard artifact or store export "
-                "(expected an object with 'engine' and 'cases')")
-        if payload.get("kind") == "store-export":
-            expected_schema = STORE_SCHEMA
-        else:
-            # Imported lazily (pipeline imports manifest/executor, not this
-            # module, but keeping the edge one-directional at import time).
-            from .pipeline import ARTIFACT_SCHEMA
+        return self._ingest_export(path, payload)
 
-            expected_schema = ARTIFACT_SCHEMA
-        if payload.get("schema") != expected_schema:
+    def _ingest_export(self, path: str, payload: object) -> Tuple[int, int]:
+        if not isinstance(payload, dict) \
+                or payload.get("kind") != "store-export" \
+                or not isinstance(payload.get("cases"), dict) \
+                or "engine" not in payload:
             raise ValueError(
-                f"{path}: unsupported artifact schema "
+                f"{path}: not a store export (shard artifacts are receipts "
+                "without results); write one with 'repro store export'")
+        if payload.get("schema") != STORE_SCHEMA:
+            raise ValueError(
+                f"{path}: unsupported store-export schema "
                 f"{payload.get('schema')!r} (this build reads "
-                f"{expected_schema}); was it produced by an incompatible "
+                f"{STORE_SCHEMA}); was it produced by an incompatible "
                 "revision?")
         engine = payload["engine"]
         if engine != ENGINE_VERSION:
@@ -573,7 +550,7 @@ class ResultStore:
             except (KeyError, TypeError, ValueError, AttributeError):
                 raise ValueError(
                     f"{path}: case {key[:12]}… does not parse as a "
-                    "RunResult; refusing to ingest a corrupt artifact"
+                    "RunResult; refusing to ingest a corrupt export"
                 ) from None
             digest = result_digest(data)
             entry_path = self.entry_path(key)
@@ -594,12 +571,12 @@ class ResultStore:
 
     def export(self, path: str,
                manifest_hashes: Optional[List[str]] = None) -> Tuple[str, int]:
-        """Write current-engine entries as one exchange artifact.
+        """Write current-engine entries as one ``store-export`` payload.
 
-        The payload carries the same ``cases`` mapping as a shard artifact,
-        so the receiving side uses the one :meth:`ingest` path for both.
-        Corrupt entries fail the export loudly (run :meth:`verify` / ``gc``)
-        rather than silently exporting damaged results.
+        The payload maps each cache key to its result in ``cases``; it is
+        the one format :meth:`ingest` reads, locally or by URL.  Corrupt
+        entries fail the export loudly (run :meth:`verify` / ``gc``) rather
+        than silently exporting damaged results.
 
         Args:
             path: output artifact path.

@@ -163,6 +163,9 @@ class DirectionPredictor(Flushable):
 
         return kernel
 
+    def invalidate_kernel_masks(self) -> None:
+        """Drop cached generated kernels (the default kernel caches none)."""
+
     # -- structure access -----------------------------------------------------
     @property
     def isolation(self) -> Optional[TableIsolation]:

@@ -492,6 +492,10 @@ class BranchTargetBuffer:
         self.lookups += 1
         self._clock += 1
         set_index = self.set_of(pc, thread_id)
+        if self._isolation.supports_fused_xor:
+            # Draw the thread's key at its first access, as the fused-XOR
+            # kernel does when it is fetched.
+            self._isolation.fused_content_key(thread_id, self._tag_bits, self)
         lookup_tag = self.tag_of(pc)
         base = set_index * self._n_ways
         tracks_owner = self._isolation.tracks_owner

@@ -23,9 +23,18 @@ from repro.experiments.executor import (
     SweepExecutor,
 )
 from repro.experiments.manifest import ExperimentDef, build_manifest
-from repro.experiments.pipeline import execute_shard, shard_artifact_path
+from repro.experiments.pipeline import (
+    execute_shard,
+    load_artifact,
+    merge_artifacts,
+)
 from repro.experiments.scaling import ExperimentScale
-from repro.experiments.store import STORE_SCHEMA, ResultStore, env_store
+from repro.experiments.store import (
+    STORE_SCHEMA,
+    ResultStore,
+    env_store,
+    result_digest,
+)
 from repro.experiments.runner import build_bpu
 from repro.workloads import make_pair_workloads
 from repro.workloads.pairs import SINGLE_THREAD_PAIRS, SMT2_PAIRS
@@ -44,6 +53,14 @@ def _spec(preset="baseline", **overrides):
                     preset=preset, scale=TINY)
     defaults.update(overrides)
     return CaseSpec(**defaults)
+
+
+def _probe_registry():
+    """One experiment planning (and assembling from) the one ``_spec()``."""
+    return {"probe": ExperimentDef(
+        "probe",
+        plan=lambda scale: [_spec()],
+        assemble=lambda scale, executor: executor.run_specs([_spec()]))}
 
 
 @pytest.fixture(scope="module")
@@ -236,22 +253,6 @@ class TestExchange:
         assert target.ingest(path) == (0, 1)
         assert target.verify()["corrupt"] == []
 
-    def test_ingests_shard_artifacts_directly(self, tmp_path, simulated):
-        # The `run all --shard` artifact and the store export share the
-        # `cases` exchange shape; one ingest path covers both.
-        registry = {"probe": ExperimentDef(
-            "probe",
-            plan=lambda scale: [_spec()],
-            assemble=lambda scale, executor: None)}
-        manifest = build_manifest(scale=TINY, experiments=registry)
-        execute_shard(manifest, None, str(tmp_path / "shards"), jobs=1,
-                      cache=RunResultCache(store=False))
-        artifact = shard_artifact_path(str(tmp_path / "shards"), None)
-        store = ResultStore(str(tmp_path / "store"))
-        added, skipped = store.ingest(artifact)
-        assert (added, skipped) == (1, 0)
-        assert store.keys() == [_spec().cache_key()]
-
     def test_cross_engine_ingest_rejected(self, tmp_path, simulated):
         key, result = simulated
         source = ResultStore(str(tmp_path / "a"))
@@ -296,19 +297,27 @@ class TestExchange:
         # Artifacts cross machine boundaries; a crafted key must never
         # become a filesystem path outside the store.
         evil = tmp_path / "evil.json"
-        from repro.experiments.executor import ENGINE_VERSION
-
-        from repro.experiments.pipeline import ARTIFACT_SCHEMA
-
         store = ResultStore(str(tmp_path / "store"))
         for bad_key in ("../../../escape", "a" * 64 + "\n", "A" * 64, "42"):
             evil.write_text(json.dumps({
-                "schema": ARTIFACT_SCHEMA,
+                "schema": STORE_SCHEMA,
+                "kind": "store-export",
                 "engine": ENGINE_VERSION,
                 "cases": {bad_key: {"cycles": 1}}}))
             with pytest.raises(ValueError, match="SHA-256 cache key"):
                 store.ingest(str(evil))
         assert not (tmp_path / "escape.json").exists()
+        assert len(store) == 0
+
+    def test_shard_receipts_are_not_ingested(self, tmp_path):
+        # A shard artifact lists digests, not results: the store export is
+        # the one exchange format.
+        manifest = build_manifest(scale=TINY, experiments=_probe_registry())
+        receipt = execute_shard(manifest, None, str(tmp_path / "shards"),
+                                jobs=1, cache=RunResultCache(store=False))
+        store = ResultStore(str(tmp_path / "store"))
+        with pytest.raises(ValueError, match="repro store export"):
+            store.ingest(receipt)
         assert len(store) == 0
 
     def test_unknown_schema_rejected(self, tmp_path, simulated):
@@ -326,7 +335,7 @@ class TestExchange:
     def test_non_artifact_file_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps({"hello": "world"}))
-        with pytest.raises(ValueError, match="shard artifact or store export"):
+        with pytest.raises(ValueError, match="not a store export"):
             ResultStore(str(tmp_path / "store")).ingest(str(bogus))
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
@@ -452,20 +461,77 @@ class TestCacheWiring:
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         assert RunResultCache(store=False).store is None
 
-    def test_merge_replay_ignores_the_env_store(self, tmp_path, simulated,
-                                                monkeypatch):
-        # The merge's replay-only executor must be a pure function of the
-        # artifacts: a configured REPRO_STORE_DIR holding a case that no
-        # shard executed must NOT rescue an incomplete plan()/assemble()
-        # pair, and the artifact cases must not leak into the user's store.
-        from repro.experiments.pipeline import merge_artifacts
 
+class TestReceiptMerge:
+    """``merge_artifacts`` replays exactly the receipt keys from the store."""
+
+    @staticmethod
+    def _shard(tmp_path):
+        manifest = build_manifest(scale=TINY, experiments=_probe_registry())
+        out = tmp_path / "shards"
+        receipt = execute_shard(manifest, None, str(out), jobs=1,
+                                cache=RunResultCache(store=False))
+        return manifest, receipt, ResultStore(str(out / "store"))
+
+    def test_receipt_holds_digests_and_merge_reads_the_store(self, tmp_path,
+                                                             simulated):
         key, result = simulated
-        env_store_dir = tmp_path / "env-store"
+        manifest, receipt, _store = self._shard(tmp_path)
+        assert load_artifact(receipt)["cases"] == {
+            key: result_digest(run_result_to_dict(result))}
+        merged = merge_artifacts([receipt], manifest)
+        assert merged["probe"][0].cycles == result.cycles
+
+    def test_digest_mismatch_refused(self, tmp_path, simulated):
+        key, result = simulated
+        manifest, receipt, store = self._shard(tmp_path)
+        # A self-consistent entry (its own digest checks out) holding a
+        # different result than the shard executed.
+        tampered = run_result_to_dict(result)
+        tampered["cycles"] += 1
+        store._write(key, tampered)
+        with pytest.raises(ValueError,
+                           match=f"{key} has another digest.*store ingest"):
+            merge_artifacts([receipt], manifest)
+
+    def test_missing_store_entry_refused(self, tmp_path, monkeypatch):
+        manifest, receipt, store = self._shard(tmp_path)
+        key = store.keys()[0]
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "elsewhere"))
+        with pytest.raises(ValueError,
+                           match=f"{key} is missing from the result store.*"
+                                 "REPRO_STORE_DIR"):
+            merge_artifacts([receipt], manifest)
+        monkeypatch.delenv("REPRO_STORE_DIR")
+        os.remove(store.entry_path(key))
+        with pytest.raises(ValueError, match=f"{key}.*store ingest"):
+            merge_artifacts([receipt], manifest)
+
+    def test_malformed_receipt_refused(self, tmp_path):
+        manifest, receipt, _store = self._shard(tmp_path)
+        payload = load_artifact(receipt)
+        key = next(iter(payload["cases"]))
+        payload["cases"][key] = {"cycles": 1}  # a result, not a digest
+        with open(receipt, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match=f"{key} is not a 64-hex"):
+            merge_artifacts([receipt], manifest)
+        payload["schema"] = 2
+        with open(receipt, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match="schema 2.*result store"):
+            merge_artifacts([receipt], manifest)
+
+    def test_unexecuted_store_entry_is_never_served(self, tmp_path,
+                                                    simulated, monkeypatch):
+        # The merge store (here REPRO_STORE_DIR, which the shard published
+        # to) also holds a case no shard executed: it must NOT rescue an
+        # incomplete plan()/assemble() pair, and the merge adds no entry.
+        key, result = simulated
+        store = ResultStore(str(tmp_path / "env-store"))
         hidden = _spec(preset="complete_flush")
-        executor = SweepExecutor(jobs=1, cache=RunResultCache(
-            store=ResultStore(str(env_store_dir))))
-        executor.run_spec(hidden)
+        SweepExecutor(jobs=1, cache=RunResultCache(store=store)).run_spec(
+            hidden)
 
         # plan() misses the complete_flush case its assemble() reads.
         registry = {"broken": ExperimentDef(
@@ -473,15 +539,18 @@ class TestCacheWiring:
             plan=lambda scale: [_spec()],
             assemble=lambda scale, ex: ex.run_specs([_spec(), hidden]))}
         manifest = build_manifest(scale=TINY, experiments=registry)
-        execute_shard(manifest, None, str(tmp_path / "shards"), jobs=1,
-                      cache=RunResultCache(store=False))
-        artifact = shard_artifact_path(str(tmp_path / "shards"), None)
+        receipt = execute_shard(manifest, None, str(tmp_path / "shards"),
+                                jobs=1, cache=RunResultCache(store=store))
+        assert load_artifact(receipt)["cases"] == {
+            key: result_digest(run_result_to_dict(result))}
+        before = store.keys()
+        assert before == sorted([key, hidden.cache_key()])
 
-        monkeypatch.setenv("REPRO_STORE_DIR", str(env_store_dir))
+        monkeypatch.setenv("REPRO_STORE_DIR", store.directory)
         with pytest.raises(RuntimeError, match="replay-only"):
-            merge_artifacts([artifact], manifest)
-        # And nothing from the artifacts was written through to the store.
-        assert ResultStore(str(env_store_dir)).get(key) is None
+            merge_artifacts([receipt], manifest)
+        assert store.keys() == before
+        assert not (tmp_path / "shards" / "store").exists()
 
 
 class TestManifestScope:

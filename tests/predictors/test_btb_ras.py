@@ -151,6 +151,26 @@ class TestBtbWithIsolation:
         assert not btb.lookup(0x4000, thread_id=0).hit
         assert btb.lookup(0x4000, thread_id=1).hit
 
+    @pytest.mark.parametrize("overrides", [None, {"row_diversified": False}],
+                             ids=["xor_btb", "xor_btb_flat"])
+    def test_scalar_and_kernel_paths_draw_the_same_thread_keys(self,
+                                                               overrides):
+        # No draw_keys: thread 0's first branch misses and is not taken
+        # (nothing to decode, nothing to install) before thread 1 installs
+        # one, so each thread's key is drawn at its first BTB access only if
+        # the scalar path draws where the fused-XOR kernel does.
+        script = [(0x4000, False, 0x5000, 0), (0x8000, True, 0x9000, 1),
+                  (0x4000, True, 0x5000, 0)]
+        masters = {}
+        for path in ("execute_branch", "execute_branch_fast"):
+            bpu = make_bpu("bimodal", "xor_btb", config_overrides=overrides)
+            for pc, taken, target, thread in script:
+                getattr(bpu, path)(pc, taken, target, BranchType.CONDITIONAL,
+                                   thread)
+            keys = bpu.isolation.key_manager
+            masters[path] = [keys.master_key(thread) for thread in (0, 1)]
+        assert masters["execute_branch"] == masters["execute_branch_fast"]
+
 
 class TestRas:
     def test_push_pop_lifo(self):
