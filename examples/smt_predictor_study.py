@@ -18,8 +18,8 @@ from repro.experiments import quick_scale, run_smt_case
 from repro.experiments.sensitivity import smt4_noisy_xor
 from repro.workloads import get_pair
 
-#: SMT-2 cases to include (a subset keeps the example fast; use all twelve
-#: cases via the full Figure 10 benchmark: pytest benchmarks/bench_fig10_smt_predictors.py).
+#: SMT-2 cases to include (a subset keeps the example fast; all twelve cases
+#: run in the full Figure 10 driver: ``python -m repro run figure10``).
 CASES = ("case1", "case5", "case8", "case11")
 PREDICTORS = ("gshare", "tage_sc_l")
 MECHANISMS = ("complete_flush", "precise_flush", "noisy_xor_bp")

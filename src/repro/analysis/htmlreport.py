@@ -27,7 +27,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .figures import FigureSeries, format_value
-from .report import PAPER_EXPECTATIONS, summarise_overhead_figure
+from .report import PAPER_EXPECTATIONS, evaluate
 from .significance import SignificanceMatrix, significance_matrix, suffix_groups
 
 __all__ = [
@@ -391,19 +391,17 @@ def _experiment_section(key: str, result) -> str:
 
 
 def _expectations_table(results: Mapping[str, object]) -> str:
-    headers = ["Artefact", "Paper reports", "Measured here"]
+    headers = ["Artefact", "Paper reports", "Measured here", "Verdict"]
     rows: List[List[str]] = []
     for key, expectation in PAPER_EXPECTATIONS.items():
         result = results.get(key)
         if result is None:
-            measured = "(not run)"
-        elif getattr(result, "figure", None) is not None:
-            measured = summarise_overhead_figure(result)
-        elif getattr(result, "rows", None):
-            measured = f"{len(result.rows)} rows reproduced"
-        else:
-            measured = "(empty result)"
-        rows.append([expectation.artefact, expectation.claim, measured])
+            rows.append([expectation.artefact, expectation.claim, "(not run)",
+                         "—"])
+            continue
+        measured, verdict = evaluate(key, result)
+        rows.append([expectation.artefact, expectation.claim, measured,
+                     f"{verdict.label}: {verdict.detail}"])
     return _table_html(headers, rows)
 
 

@@ -807,7 +807,7 @@ _DEFAULT_REPORT_EXPERIMENTS = ["table2", "table3", "table5", "poc_attacks",
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import PAPER_EXPECTATIONS, ReproductionReport
+    from .analysis.report import ReproductionReport
     from .experiments import EXPERIMENTS
 
     if _env_exec_error():
@@ -832,12 +832,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = ReproductionReport(title="Reproduction report")
     for key in keys:
         result = EXPERIMENTS[key](scale)
-        if key in PAPER_EXPECTATIONS:
-            report.add_result(key, result)
+        report.add_result(key, result)
         print(result.render())
         print()
-    markdown = report.to_markdown()
-    print(markdown)
+    print(report.to_markdown())
     if args.output:
         report.save(args.output)
         print(f"Markdown report written to {args.output}")
@@ -870,6 +868,7 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
     block into one HTML file with no external fetches.
     """
     from .analysis.htmlreport import build_html_report
+    from .analysis.report import evaluate, verdict_line
     from .experiments.executor import (
         ExecutionError,
         RunResultCache,
@@ -916,6 +915,8 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(document)
     print(f"HTML report written to {out_path}")
+    print(verdict_line([evaluate(key, result)[1]
+                        for key, result in ordered.items()]))
     return 0
 
 

@@ -1,9 +1,10 @@
 """Experiment drivers: one module per paper table/figure, plus ablations.
 
 Every module exposes a ``run(scale=None, ...)`` function returning an
-:class:`repro.experiments.base.ExperimentResult`; the benchmark harness under
-``benchmarks/`` regenerates each table and figure by calling these, and the
-examples print them.
+:class:`repro.experiments.base.ExperimentResult`; :data:`EXPERIMENTS` maps
+each registered experiment to it.  The manifest pipeline (``repro run``)
+plans and runs the same cases, :data:`repro.analysis.report.PAPER_EXPECTATIONS`
+checks each result against the paper's claim, and the examples print them.
 """
 
 from . import (
@@ -57,8 +58,6 @@ from .runner import (
     overhead_figure_smt,
     run_single_thread_case,
     run_smt_case,
-    sweep_single_thread,
-    sweep_smt,
 )
 from .scaling import (ExperimentScale, default_scale, env_scale_factor,
                       parse_scale_factor, quick_scale)
@@ -119,8 +118,6 @@ __all__ = [
     "build_bpu",
     "run_single_thread_case",
     "run_smt_case",
-    "sweep_single_thread",
-    "sweep_smt",
     "overhead_figure_single_thread",
     "overhead_figure_smt",
     "fig1_flush_single",

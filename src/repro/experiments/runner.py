@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import make_bpu
 from ..core.secure import BranchPredictionUnit
@@ -15,7 +15,6 @@ from .executor import CaseSpec, SweepExecutor, default_executor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = ["build_bpu", "run_single_thread_case", "run_smt_case",
-           "sweep_single_thread", "sweep_smt",
            "plan_overhead_single_thread", "assemble_overhead_single_thread",
            "plan_overhead_smt", "assemble_overhead_smt",
            "overhead_figure_single_thread", "overhead_figure_smt"]
@@ -84,80 +83,6 @@ def run_smt_case(pair: BenchmarkPair, config: CoreConfig, preset: str,
                         mechanism_name=preset)
     finally:
         bpu.release_kernels()
-
-
-def sweep_single_thread(pairs: Iterable[BenchmarkPair], config: CoreConfig,
-                        presets: Iterable[str], scale: Optional[ExperimentScale] = None,
-                        *, switch_intervals: Optional[Dict[str, int]] = None,
-                        executor: Optional[SweepExecutor] = None
-                        ) -> Dict[Tuple[str, str], RunResult]:
-    """Run every (pair, preset) combination on the single-threaded core.
-
-    All cases go through a :class:`repro.experiments.executor.SweepExecutor`:
-    the per-pair baseline is simulated exactly once per (pair, config, scale)
-    no matter how often it is requested, cached results are reused across
-    sweeps and figure drivers, and independent cases fan out over worker
-    processes when ``REPRO_JOBS > 1``.
-
-    Args:
-        pairs: benchmark pairs to run.
-        config: core configuration.
-        presets: protection presets; ``baseline`` is always run once per pair.
-        scale: experiment scale (default scale when omitted).
-        switch_intervals: optional per-preset context-switch period override
-            (used for the ``-4M/-8M/-12M`` sweeps; keys are preset labels in
-            the returned dictionary).
-        executor: sweep executor; the shared process-wide default when
-            omitted.
-
-    Returns:
-        Results keyed by ``(case, preset_label)``.
-    """
-    scale = scale or default_scale()
-    executor = executor or default_executor()
-    specs: List[CaseSpec] = []
-    keys: List[Tuple[str, str]] = []
-    for pair in pairs:
-        specs.append(CaseSpec("single", pair, config, "baseline", scale,
-                              label="baseline"))
-        keys.append((pair.case, "baseline"))
-        for label in presets:
-            if label == "baseline":
-                continue
-            preset = label
-            interval = None
-            if switch_intervals and label in switch_intervals:
-                interval = switch_intervals[label]
-                preset = label.rsplit("-", 1)[0]
-            specs.append(CaseSpec("single", pair, config, preset, scale,
-                                  switch_interval=interval, label=label))
-            keys.append((pair.case, label))
-    results = executor.run_specs(specs)
-    return dict(zip(keys, results))
-
-
-def sweep_smt(pairs: Iterable[BenchmarkPair], config: CoreConfig,
-              presets: Iterable[str], scale: Optional[ExperimentScale] = None,
-              *, executor: Optional[SweepExecutor] = None
-              ) -> Dict[Tuple[str, str], RunResult]:
-    """Run every (pair, preset) combination on the SMT core.
-
-    Like :func:`sweep_single_thread`, the cases run through a
-    :class:`repro.experiments.executor.SweepExecutor`, so a per-pair
-    ``baseline`` appearing in ``presets`` (or already simulated by another
-    sweep or figure driver sharing the executor's cache) is not re-simulated.
-    """
-    scale = scale or default_scale()
-    executor = executor or default_executor()
-    specs: List[CaseSpec] = []
-    keys: List[Tuple[str, str]] = []
-    for pair in pairs:
-        for preset in presets:
-            specs.append(CaseSpec("smt", pair, config, preset, scale,
-                                  label=preset))
-            keys.append((pair.case, preset))
-    results = executor.run_specs(specs)
-    return dict(zip(keys, results))
 
 
 def plan_overhead_single_thread(mechanisms: "Sequence[Tuple[str, str, Optional[int]]]",

@@ -226,7 +226,8 @@ class BranchTargetBuffer:
     # -- fused-XOR mask maintenance -------------------------------------------
     def _row_diversifier_keys(self) -> None:
         """Bind the per-set row-diffusion vectors (thread-independent,
-        shared by every BTB of the same geometry)."""
+        shared by every BTB of the same geometry).  A flat policy gets
+        all-zero vectors, so one fused-XOR kernel serves both policies."""
         if self._tag_row_keys is not None:
             return
         diversified = getattr(self._isolation, "_row_diversified", False)
@@ -335,8 +336,6 @@ class BranchTargetBuffer:
 
             conditional.arm = indirect.arm = arm
             return conditional, indirect
-        diversified = arm == "fused-xor" and bool(
-            getattr(self._isolation, "_row_diversified", False))
         namespace = {
             "valid": self._valid, "tags": self._tags,
             "targets": self._targets, "types": self._types,
@@ -345,21 +344,19 @@ class BranchTargetBuffer:
         }
         if arm == "fused-xor":
             self._bind_masks(namespace, thread_id)
-            if diversified:
-                namespace["TRK"] = self._tag_row_keys
-                namespace["GRK"] = self._target_row_keys
+            namespace["TRK"] = self._tag_row_keys
+            namespace["GRK"] = self._target_row_keys
 
         def kernel(conditional: bool):
-            key = ("btb" if conditional else "btb-indirect", arm, diversified)
+            key = ("btb" if conditional else "btb-indirect", arm)
             return make_kernel(
                 self._kernel_code, key,
-                lambda: self._cond_kernel_source(arm, diversified, conditional),
+                lambda: self._cond_kernel_source(arm, conditional),
                 namespace, arm)
 
         return kernel(True), kernel(False)
 
-    def _cond_kernel_source(self, arm: str, diversified: bool,
-                            conditional: bool = True) -> str:
+    def _cond_kernel_source(self, arm: str, conditional: bool = True) -> str:
         """Generate the source of one probe kernel arm.
 
         The conditional kernel ``fn(pc, target, taken)`` updates only taken
@@ -388,14 +385,10 @@ class BranchTargetBuffer:
         emit("    clock = btb._clock + 1")
         if encoded:
             emit(f"    set_index = ((pc >> 2) ^ IK) & {self._index_mask}")
-            if diversified:
-                emit("    dec_tag = TK ^ TRK[set_index]")
-                emit("    dec_target = GK ^ GRK[set_index]")
-                emit(f"    enc_tag = ((pc >> {self._tag_shift})"
-                     f" & {self._tag_mask}) ^ dec_tag")
-            else:
-                emit(f"    enc_tag = ((pc >> {self._tag_shift})"
-                     f" & {self._tag_mask}) ^ TK")
+            emit("    dec_tag = TK ^ TRK[set_index]")
+            emit("    dec_target = GK ^ GRK[set_index]")
+            emit(f"    enc_tag = ((pc >> {self._tag_shift})"
+                 f" & {self._tag_mask}) ^ dec_tag")
         else:
             emit(f"    set_index = (pc >> 2) & {self._index_mask}")
             emit(f"    enc_tag = (pc >> {self._tag_shift}) & {self._tag_mask}")
@@ -403,12 +396,9 @@ class BranchTargetBuffer:
              else "    i0 = set_index")
         for w in range(1, ways):
             emit(f"    i{w} = i0 + {w}")
-        if encoded and diversified:
+        if encoded:
             read = "(targets[{i}] ^ dec_target) & " + str(self._target_mask)
             write = f"(target & {self._target_mask}) ^ dec_target"
-        elif encoded:
-            read = "(targets[{i}] ^ GK) & " + str(self._target_mask)
-            write = f"(target & {self._target_mask}) ^ GK"
         else:
             read = "targets[{i}] & " + str(self._target_mask)
             write = f"target & {self._target_mask}"

@@ -125,6 +125,15 @@ class TestRenderReport:
         for expectation in PAPER_EXPECTATIONS.values():
             assert expectation.artefact in html
 
+    def test_expectations_carry_a_verdict_column(self):
+        html = render_html_report(_results(), _PROVENANCE)
+        assert "<th>Verdict</th>" in html
+        # Figure 3's fixture keeps 0 < PF < CF; the one-column Table 5
+        # fixture lacks the area cells its check reads.
+        assert "<td>holds: PF +1.10% &lt; CF +3.80%; PF +1.10% &gt; 0</td>" \
+            in html
+        assert "<td>diverges: the result lacks what the check reads" in html
+
     def test_expectations_mark_empty_results(self):
         results = {"figure1": ExperimentResult(name="Figure 1",
                                                description="empty")}

@@ -492,9 +492,12 @@ class TestReportCommand:
                      "--output", output_path]) == 0
         output = capsys.readouterr().out
         assert "Paper reports" in output
+        assert "\nverdicts: 1 hold, 1 known divergence(s), 0 diverge\n" \
+            in output
         with open(output_path, "r", encoding="utf-8") as handle:
             markdown = handle.read()
         assert "Table 5" in markdown
+        assert "known (hwcost-small-btb-area)" in markdown
 
     @pytest.mark.parametrize("flags", [["--out", "x.html"],
                                        ["--repetitions", "2"],
@@ -519,8 +522,11 @@ class TestReportCommand:
         output = capsys.readouterr().out
         assert "cases: 0 unique, 0 simulated, 0 store hit(s)" in output
         assert f"HTML report written to {output_path}" in output
+        assert "\nverdicts: 1 hold, 1 known divergence(s), 0 diverge\n" \
+            in output
         with open(output_path, "r", encoding="utf-8") as handle:
             html = handle.read()
+        assert "<th>Verdict</th>" in html
         # Provenance pins the manifest the same keys would plan.
         manifest = build_manifest(keys=["table2", "table5"])
         assert manifest.manifest_hash() in html

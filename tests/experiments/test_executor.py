@@ -14,8 +14,8 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import (
     overhead_figure_single_thread,
-    sweep_single_thread,
-    sweep_smt,
+    plan_overhead_single_thread,
+    plan_overhead_smt,
 )
 from repro.experiments.scaling import ExperimentScale
 from repro.experiments.store import ResultStore
@@ -195,33 +195,35 @@ class TestSweepExecutor:
 
 
 class TestSweepIntegration:
-    def test_single_thread_sweep_runs_baseline_once_per_pair(self):
+    def test_single_thread_plan_runs_baseline_once_per_pair(self):
         executor = SweepExecutor(jobs=1, cache=RunResultCache())
         pairs = SINGLE_THREAD_PAIRS[:2]
-        results = sweep_single_thread(pairs, CONFIG,
-                                      ["baseline", "complete_flush"],
-                                      TINY, executor=executor)
+        # A series that names the baseline again must reuse the pair's
+        # baseline run rather than simulate it twice.
+        specs = plan_overhead_single_thread(
+            [("baseline", "baseline", None),
+             ("complete_flush", "complete_flush", None)], pairs, CONFIG, TINY)
+        results = executor.run_specs(specs)
         # 2 pairs x (baseline + complete_flush) = 4 simulations, no dupes.
         assert executor.simulated == 4
-        assert set(results) == {(p.case, preset) for p in pairs
-                                for preset in ("baseline", "complete_flush")}
+        assert len(results) == len(specs) == 6
+        assert results[0] == results[2] and results[1] == results[3]
 
-    def test_smt_sweep_dedupes_baseline(self):
+    def test_smt_plan_dedupes_baseline(self):
         executor = SweepExecutor(jobs=1, cache=RunResultCache())
         pair = SMT2_PAIRS[0]
-        sweep_smt([pair], SMT_CONFIG, ["baseline", "complete_flush"], TINY,
-                  executor=executor)
+        executor.run_specs(plan_overhead_smt(
+            [("complete_flush", "complete_flush")], [pair], SMT_CONFIG, TINY))
         simulated_after_first = executor.simulated
         assert simulated_after_first == 2
         # A second sweep naming baseline again must not re-simulate it.
-        sweep_smt([pair], SMT_CONFIG, ["baseline"], TINY, executor=executor)
+        executor.run_specs(plan_overhead_smt([], [pair], SMT_CONFIG, TINY))
         assert executor.simulated == simulated_after_first
 
     def test_figure_driver_shares_baselines_with_sweeps(self):
         executor = SweepExecutor(jobs=1, cache=RunResultCache())
         pairs = SINGLE_THREAD_PAIRS[:2]
-        sweep_single_thread(pairs, CONFIG, ["baseline"], TINY,
-                            executor=executor)
+        executor.run_specs(plan_overhead_single_thread([], pairs, CONFIG, TINY))
         baseline_runs = executor.simulated
         figure, baselines = overhead_figure_single_thread(
             "fig", "test figure", [("CF", "complete_flush", None)], list(pairs),
@@ -232,12 +234,10 @@ class TestSweepIntegration:
         assert "CF" in figure.series
 
     def test_parallel_sweep_matches_serial(self):
-        pairs = SINGLE_THREAD_PAIRS[:2]
-        serial = sweep_single_thread(
-            pairs, CONFIG, ["baseline"], TINY,
-            executor=SweepExecutor(jobs=1, cache=RunResultCache()))
-        parallel = sweep_single_thread(
-            pairs, CONFIG, ["baseline"], TINY,
-            executor=SweepExecutor(jobs=2, cache=RunResultCache()))
-        assert {k: v.cycles for k, v in serial.items()} \
-            == {k: v.cycles for k, v in parallel.items()}
+        specs = plan_overhead_single_thread([], SINGLE_THREAD_PAIRS[:2],
+                                            CONFIG, TINY)
+        serial = SweepExecutor(jobs=1, cache=RunResultCache()).run_specs(specs)
+        parallel = SweepExecutor(jobs=2,
+                                 cache=RunResultCache()).run_specs(specs)
+        assert [result.cycles for result in serial] \
+            == [result.cycles for result in parallel]

@@ -6,7 +6,8 @@ CLI produces it: every experiment's JSON result and ``summary.json`` of
 ``repro run all --scale 0.05``, compared as bytes.  Any change to the
 engine, the workload streams, the executor's scheduling or the assembly
 that moves a single output byte fails here; on a mismatch the parsed JSON
-is compared first, so the failure shows a readable diff.
+is compared first, so the failure shows a readable diff.  The same run
+also pins every expectation's verdict (:data:`VERDICTS`).
 
 Regenerating (only legitimate after an *intentional* statistics change —
 bump ``ENGINE_VERSION`` in the same commit)::
@@ -24,6 +25,8 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, os.pardir, "src"))
 
+from repro.analysis.export import load_result_json  # noqa: E402
+from repro.analysis.report import evaluate  # noqa: E402
 from repro.experiments.executor import RunResultCache  # noqa: E402
 from repro.experiments.manifest import build_manifest  # noqa: E402
 from repro.experiments.pipeline import run_serial  # noqa: E402
@@ -37,29 +40,64 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SCALE = ExperimentScale().scaled_by(0.05)
 
 
+#: Every expectation's verdict on the scale-0.05 run.  At this smoke scale
+#: the short traces also leave Figure 2's SMT-2 flush cost and the PoC's
+#: protected BTB rate (2.00%) short of the paper; EXPERIMENTS.md records the
+#: verdicts at scale 0.25, where only Figure 10 (LTAGE) diverges.
+VERDICTS = {
+    "figure1": "holds",
+    "figure2": "diverges",
+    "figure3": "known (tournament-pf-inversion)",
+    "figure7": "known (worst-case-shift)",
+    "figure8": "known (scaled-magnitudes, worst-case-shift)",
+    "figure9": "known (scaled-magnitudes, worst-case-shift)",
+    "figure10": "diverges",
+    "table1": "holds",
+    "table2": "holds",
+    "table3": "holds",
+    "table4": "known (short-trace-zero-rates)",
+    "table5": "known (hwcost-small-btb-area)",
+    "poc_attacks": "diverges",
+    "ablation_encoder": "holds",
+    "ablation_key_refresh": "holds",
+    "ablation_pht_granularity": "holds",
+    "ablation_switch_interval": "holds",
+    "ablation_penalty": "holds",
+    "smt4_noisy_xor": "known (history-aliasing)",
+}
+
+
 def _run_all(out_dir):
-    """Run the full manifest serially, in memory, into ``out_dir``."""
-    run_serial(build_manifest(scale=SCALE), jobs=1,
-               cache=RunResultCache(store=False),
-               out_dir=out_dir)
-    return sorted(name for name in os.listdir(out_dir)
+    """Run the full manifest serially, in memory, into ``out_dir``; returns
+    the experiment results by key."""
+    return run_serial(build_manifest(scale=SCALE), jobs=1,
+                      cache=RunResultCache(store=False), out_dir=out_dir)
+
+
+def _json_names(directory):
+    return sorted(name for name in os.listdir(directory)
                   if name.endswith(".json"))
 
 
 @pytest.fixture(scope="module")
-def outputs():
+def run_all():
+    """``(results by key, output bytes by file name)`` of one run."""
     with tempfile.TemporaryDirectory() as out_dir:
-        names = _run_all(out_dir)
+        results = _run_all(out_dir)
         contents = {}
-        for name in names:
+        for name in _json_names(out_dir):
             with open(os.path.join(out_dir, name), "rb") as handle:
                 contents[name] = handle.read()
-        yield contents
+        yield results, contents
+
+
+@pytest.fixture(scope="module")
+def outputs(run_all):
+    return run_all[1]
 
 
 def _golden_names():
-    return sorted(name for name in os.listdir(GOLDEN_DIR)
-                  if name.endswith(".json"))
+    return _json_names(GOLDEN_DIR)
 
 
 def test_every_output_is_pinned(outputs):
@@ -77,12 +115,26 @@ def test_output_matches_golden(outputs, name):
     assert actual == expected
 
 
+def test_verdicts_are_pinned(run_all):
+    results, _ = run_all
+    assert {key: evaluate(key, result)[1].label
+            for key, result in results.items()} == VERDICTS
+
+
+def test_verdicts_survive_the_json_round_trip():
+    # The service renders its report from the written JSON files.
+    assert {key: evaluate(key, load_result_json(
+        os.path.join(GOLDEN_DIR, f"{key}.json")))[1].label
+        for key in VERDICTS} == VERDICTS
+
+
 def _regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in _golden_names():
         os.remove(os.path.join(GOLDEN_DIR, name))
     with tempfile.TemporaryDirectory() as out_dir:
-        for name in _run_all(out_dir):
+        _run_all(out_dir)
+        for name in _json_names(out_dir):
             with open(os.path.join(out_dir, name), "rb") as src, \
                     open(os.path.join(GOLDEN_DIR, name), "wb") as dst:
                 dst.write(src.read())

@@ -113,7 +113,7 @@ class TestBtbWithIsolation:
             for seed in (4, 5))
         for btb in (first, second):
             assert btb.exec_conditional_kernel(0).arm == "fused-xor"
-        key = ("btb", "fused-xor", True)
+        key = ("btb", "fused-xor")
         # One compile per distinct kernel source and process.
         assert first._kernel_code[key] is second._kernel_code[key]
         assert first._tag_row_keys is second._tag_row_keys
