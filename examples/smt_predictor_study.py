@@ -14,7 +14,7 @@ Run:  python examples/smt_predictor_study.py
 
 from repro.analysis import percent, render_table
 from repro.cpu import sunny_cove_smt
-from repro.experiments import quick_scale, run_smt_case
+from repro.experiments import SweepExecutor, quick_scale, run_smt_case
 from repro.experiments.sensitivity import smt4_noisy_xor
 from repro.workloads import get_pair
 
@@ -51,7 +51,10 @@ def smt2_study() -> None:
 
 def smt4_study() -> None:
     """The SMT-4 extension: Noisy-XOR-BP vs the flush mechanisms."""
-    result = smt4_noisy_xor(quick_scale(), max_quads=2)
+    # The sweep executor deduplicates the cases, fans them out over
+    # REPRO_JOBS workers and reuses REPRO_STORE_DIR results when set.
+    result = smt4_noisy_xor(quick_scale(), max_quads=2,
+                            executor=SweepExecutor())
     print(result.render())
 
 

@@ -1,6 +1,6 @@
 """Self-contained HTML reproduction report (inline CSS + inline SVG).
 
-``repro report --html`` renders every reproduced figure and table, the
+``repro report`` renders every reproduced figure and table, the
 mechanism significance matrices, the security/overhead/hw-cost Pareto table,
 the paper-vs-measured expectations and the run's provenance into **one**
 HTML file with zero external fetches and zero JavaScript — pure stdlib, in

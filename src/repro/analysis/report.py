@@ -8,13 +8,14 @@ expectation per registered experiment, each with the claim it tests and a
 ``known`` (every failing sub-claim is excused by an id of
 :data:`KNOWN_DIVERGENCES`, each explained in EXPERIMENTS.md) or
 ``diverges``.  :func:`evaluate` is the one evaluation path: both the
-Markdown report (``python -m repro report``) and the HTML report call it.
+Markdown report (:func:`markdown_report`) and the HTML report of
+``python -m repro report`` call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .metrics import arithmetic_mean, percent
 
@@ -26,7 +27,7 @@ __all__ = [
     "evaluate",
     "verdict_line",
     "summarise_overhead_figure",
-    "ReproductionReport",
+    "markdown_report",
 ]
 
 #: Divergences from the paper that a check may excuse, keyed by the reason
@@ -114,7 +115,8 @@ class PaperExpectation:
 
     Attributes:
         experiment: experiment key as used in
-            :data:`repro.experiments.EXPERIMENTS` (``"figure7"``, ``"table5"``).
+            :func:`repro.experiments.manifest.experiment_registry`
+            (``"figure7"``, ``"table5"``).
         artefact: how the paper labels it (``"Figure 7"``).
         claim: the claim the check tests, quoted or paraphrased from the
             paper (extensions say the paper has no number).
@@ -545,59 +547,27 @@ def verdict_line(verdicts: Sequence[Verdict]) -> str:
             f"divergence(s), {counts[DIVERGES]} diverge")
 
 
-@dataclass
-class ReportEntry:
-    """One experiment's entry in the reproduction report."""
+def markdown_report(results: Mapping[str, object]) -> str:
+    """The paper-vs-measured Markdown table of ``results`` and its verdict line.
 
-    expectation: PaperExpectation
-    measured: str
-    verdict: Verdict
-
-
-@dataclass
-class ReproductionReport:
-    """Collects per-experiment verdicts and renders Markdown.
-
-    Typical use::
-
-        report = ReproductionReport()
-        report.add_result("figure7", EXPERIMENTS["figure7"]())
-        print(report.to_markdown())
+    One row per result whose key has a :data:`PAPER_EXPECTATIONS` entry, in
+    ``results`` order; keys without one (``bench:<selector>``) make no paper
+    claim and are neither listed nor counted.
     """
-
-    title: str = "Reproduction results"
-    entries: List[ReportEntry] = field(default_factory=list)
-
-    def add_result(self, experiment: str, result) -> ReportEntry:
-        """Add an experiment result with its :func:`evaluate` summary and verdict.
-
-        Raises:
-            KeyError: for an experiment without an expectation.
-        """
-        measured, verdict = evaluate(experiment, result)
-        entry = ReportEntry(PAPER_EXPECTATIONS[experiment], measured, verdict)
-        self.entries.append(entry)
-        return entry
-
-    def to_markdown(self) -> str:
-        """Render the report as a Markdown document."""
-        lines = [f"# {self.title}", ""]
-        lines.append("| Artefact | Paper reports | Measured here | Shape holds |")
-        lines.append("|---|---|---|---|")
-        for entry in self.entries:
-            label = entry.verdict.label
-            if entry.verdict.outcome == DIVERGES:
-                label = f"**{label}**"
-            lines.append(
-                f"| {entry.expectation.artefact} | {entry.expectation.claim} "
-                f"| {entry.measured} | {label}: {entry.verdict.detail} |")
-        lines.append("")
-        lines.append(verdict_line([entry.verdict for entry in self.entries]))
-        lines.append("")
-        return "\n".join(lines)
-
-    def save(self, path: str) -> str:
-        """Write the Markdown report to a file; returns the path."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_markdown())
-        return path
+    lines = ["# Reproduction report", "",
+             "| Artefact | Paper reports | Measured here | Shape holds |",
+             "|---|---|---|---|"]
+    verdicts = []
+    for key, result in results.items():
+        expectation = PAPER_EXPECTATIONS.get(key)
+        if expectation is None:
+            continue
+        measured, verdict = evaluate(key, result)
+        verdicts.append(verdict)
+        label = verdict.label
+        if verdict.outcome == DIVERGES:
+            label = f"**{label}**"
+        lines.append(f"| {expectation.artefact} | {expectation.claim} "
+                     f"| {measured} | {label}: {verdict.detail} |")
+    lines += ["", verdict_line(verdicts), ""]
+    return "\n".join(lines)

@@ -3,8 +3,8 @@
 Exposes the package's main entry points without writing any Python::
 
     python -m repro list                         # what can be reproduced
-    python -m repro run figure7 --json out.json  # regenerate one artefact
-    python -m repro run all --jobs 4 --out out/  # the whole paper, one pipeline
+    python -m repro run figure7 --out out/       # regenerate one artefact
+    python -m repro run all --jobs 4 --out out/  # the whole paper, same pipeline
     python -m repro run all --repetitions 3 --out out/  # mean ± CI over 3 seeds
     python -m repro run all --shard 0/4 --out out/   # one shard of a fleet
     python -m repro merge --out merged out/shard-*.json  # assemble the fleet
@@ -18,7 +18,7 @@ Exposes the package's main entry points without writing any Python::
     python -m repro attack branchscope --mechanism noisy_xor_bp
     python -m repro leakage --mechanisms baseline noisy_xor_bp
     python -m repro hwcost --btb 256 --ways 2 --pht 4096
-    python -m repro report --output results.md   # paper-vs-measured summary
+    python -m repro report --out report.html     # paper vs measured (+ .md)
 
 Every subcommand prints human-readable text to stdout; ``run``, ``merge`` and
 ``report`` can additionally write machine-readable artefacts.
@@ -46,16 +46,19 @@ def build_parser() -> argparse.ArgumentParser:
                                        "and protection presets")
 
     run = subparsers.add_parser(
-        "run", help="run one experiment (table/figure), or 'all' for the "
-                    "whole sharded reproduction pipeline")
+        "run", help="run one experiment (table/figure), or 'all', through the "
+                    "manifest pipeline ('run KEY' is 'run all --experiments "
+                    "KEY')")
     run.add_argument("experiment", help="experiment key (e.g. figure7, table5) "
                                         "or 'all' for the full manifest")
     run.add_argument("--scale", type=float, default=None,
                      help="trace-length scale factor (default from REPRO_SCALE)")
     run.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the result as JSON")
+                     help="also write the result as JSON (one-experiment "
+                          "unsharded runs)")
     run.add_argument("--csv", default=None, metavar="PATH",
-                     help="also write the figure series as CSV")
+                     help="also write the figure series as CSV (one-experiment "
+                          "unsharded runs)")
     run.add_argument("--experiments", nargs="+", default=None, metavar="KEY",
                      help="with 'all': subset of experiment keys to plan")
     run.add_argument("--bench-set", nargs="+", default=None, metavar="SELECTOR",
@@ -67,21 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trace-corpus directory registered as trace:* "
                           "workloads (default from REPRO_TRACE_DIR)")
     run.add_argument("--shard", default=None, metavar="I/N",
-                     help="with 'all': execute only this shard of the global "
+                     help="execute only this shard of the global "
                           "case manifest (0-based, e.g. 0/4; default from "
                           "REPRO_SHARD) and write a shard artifact")
     run.add_argument("--jobs", default=None, metavar="N",
                      help="worker processes (default from REPRO_JOBS)")
     run.add_argument("--repetitions", default=None, metavar="N",
-                     help="with 'all': run every planned case N times under "
+                     help="run every planned case N times under "
                           "shifted seeds and fold figures into mean ± 95%% CI "
                           "(default 1: single-trajectory, bit-identical to "
                           "the historical pipeline)")
     run.add_argument("--out", default=None, metavar="DIR",
-                     help="with 'all': output directory (shard artifact, or "
+                     help="output directory (shard artifact, or "
                           "merged figures/tables for unsharded runs)")
     run.add_argument("--keep-going", action="store_true",
-                     help="with 'all': when cases fail permanently, finish "
+                     help="when cases fail permanently, finish "
                           "every healthy case and write a machine-readable "
                           "failure manifest (exit 3) instead of aborting")
 
@@ -256,30 +259,26 @@ def build_parser() -> argparse.ArgumentParser:
     hwcost.add_argument("--tables", type=int, default=6,
                         help="number of TAGE tables (default: 6)")
 
-    report = subparsers.add_parser("report", help="run the headline experiments "
-                                                  "and write a paper-vs-measured "
-                                                  "Markdown or HTML report")
+    report = subparsers.add_parser(
+        "report", help="run the manifest and write the paper-vs-measured "
+                       "report: self-contained HTML (figures with CI error "
+                       "bars, significance matrices, Pareto table, "
+                       "provenance) plus its Markdown verdict table")
     report.add_argument("--experiments", nargs="+", default=None,
-                        help="experiment keys to include (default: the quick "
-                             "set; with --html, the full registry)")
+                        help="experiment keys to include (default: the full "
+                             "registry)")
     report.add_argument("--scale", type=float, default=None,
                         help="trace-length scale factor")
-    report.add_argument("--output", default=None, metavar="PATH",
-                        help="write the Markdown report to this file")
-    report.add_argument("--html", action="store_true",
-                        help="render the self-contained HTML report (figures "
-                             "with CI error bars, significance matrices, "
-                             "Pareto table, provenance) instead of Markdown")
     report.add_argument("--out", default=None, metavar="PATH",
-                        help="HTML output path (default: report.html; "
-                             "requires --html)")
+                        help="HTML output path (default: report.html); the "
+                             "Markdown goes to the same path with a .md "
+                             "suffix")
     report.add_argument("--repetitions", default=None, metavar="N",
                         help="repeat every case under N shifted seeds and "
                              "report mean ± 95%% CI plus per-seed "
-                             "significance tests (requires --html)")
+                             "significance tests")
     report.add_argument("--jobs", default=None, metavar="N",
-                        help="worker processes for the simulation batch "
-                             "(requires --html)")
+                        help="worker processes for the simulation batch")
 
     return parser
 
@@ -287,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_list() -> int:
     from .attacks import ALL_ATTACKS
     from .core import preset_names
-    from .experiments import EXPERIMENTS
+    from .experiments.manifest import experiment_registry
     from .predictors import DIRECTION_PREDICTORS
 
     print("Experiments (python -m repro run <key>):")
-    for key in sorted(EXPERIMENTS):
+    for key in sorted(experiment_registry()):
         print(f"  {key}")
     print("\nAttacks (python -m repro attack <name>):")
     for name in sorted(ALL_ATTACKS):
@@ -315,60 +314,27 @@ def _resolve_scale(factor: Optional[float]):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .analysis.export import save_figure_csv, save_result_json
-    from .experiments import EXPERIMENTS
-
     if _apply_trace_dir_flag(args.trace_dir):
         return 2
-    if args.experiment == "all":
-        return _cmd_run_all(args)
-    # 'all'-only flags must never be silently dropped: a user asking for a
-    # 3-seed mean must not publish a single-trajectory estimate, and a user
-    # asking for a shard/fan-out must not get a serial full run.
-    all_only = [name for name, value in (
-        ("--repetitions", args.repetitions), ("--shard", args.shard),
-        ("--jobs", args.jobs), ("--out", args.out),
-        ("--experiments", args.experiments),
-        ("--bench-set", args.bench_set),
-        ("--keep-going", args.keep_going or None)) if value is not None]
-    if all_only:
-        print(f"{', '.join(all_only)} appl"
-              f"{'y' if len(all_only) > 1 else 'ies'} to 'run all' only "
-              "(single-experiment runs are serial and single-trajectory; "
-              "REPRO_JOBS still controls their worker pool)",
-              file=sys.stderr)
-        return 2
-    if _env_exec_error():
-        return 2
-    if args.experiment not in EXPERIMENTS:
-        print(f"unknown experiment {args.experiment!r}; "
-              f"try: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
-        return 2
-    try:
-        scale = _resolve_scale(args.scale)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result = EXPERIMENTS[args.experiment](scale)
-    print(result.render())
-    if args.json:
-        path = save_result_json(result, args.json)
-        print(f"\nJSON written to {path}")
-    if args.csv:
-        path = save_figure_csv(result, args.csv)
-        if path is None:
-            print("\n(no figure series to export as CSV)")
-        else:
-            print(f"\nCSV written to {path}")
-    return 0
+    if args.experiment != "all":
+        selectors = [flag for flag, value in (
+            ("--experiments", args.experiments),
+            ("--bench-set", args.bench_set)) if value is not None]
+        if selectors:
+            print(f"'run {args.experiment}' already names its experiment; "
+                  f"pass {', '.join(selectors)} to 'run all' instead",
+                  file=sys.stderr)
+            return 2
+        args.experiments = [args.experiment]
+    return _cmd_run_all(args)
 
 
 def _env_exec_error() -> bool:
     """Surface a malformed execution-layer environment knob as a clean error.
 
-    Any command that ends up in :func:`default_executor` would otherwise die
-    with an uncaught traceback from deep inside the executor (or worker)
-    setup.  Covers ``REPRO_JOBS``, ``REPRO_SCALE``, ``REPRO_CASE_TIMEOUT``,
+    Any command that builds an executor would otherwise die with an
+    uncaught traceback from deep inside the executor (or worker) setup.
+    Covers ``REPRO_JOBS``, ``REPRO_SCALE``, ``REPRO_CASE_TIMEOUT``,
     ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF`` and ``REPRO_FAULT_SPEC``.
     """
     from .experiments.executor import (
@@ -454,47 +420,21 @@ def _print_failures(failures) -> None:
               f"{failure['message']}", file=sys.stderr)
 
 
-def _cmd_run_all(args: argparse.Namespace) -> int:
-    import json as _json
-    import os
+def _build_manifest(args: argparse.Namespace, keys):
+    """Plan ``keys`` at the ``--scale``/``--repetitions`` of ``args``.
 
-    from .experiments.executor import (
-        ExecutionError,
-        RunResultCache,
-        SweepExecutor,
-    )
-    from .experiments.manifest import (
-        build_manifest,
-        env_shard,
-        parse_repetitions,
-        parse_shard,
-    )
-    from .experiments.pipeline import (
-        execute_shard,
-        failure_manifest_path,
-        run_serial,
-        write_failure_manifest,
-    )
+    Raises:
+        ValueError: naming a malformed flag, environment knob or key.
+    """
+    from .experiments.manifest import build_manifest, parse_repetitions
 
-    if args.json or args.csv:
-        print("--json/--csv apply to single experiments; 'run all' writes "
-              "per-experiment JSON and text under --out DIR", file=sys.stderr)
-        return 2
-    if _env_exec_error():
-        return 2
-    try:
-        jobs = _resolve_jobs(args.jobs)
-        shard = (parse_shard(args.shard, source="--shard")
-                 if args.shard is not None else env_shard())
-        repetitions = (parse_repetitions(args.repetitions)
-                       if args.repetitions is not None else 1)
-        manifest = build_manifest(keys=_manifest_keys(args.experiments,
-                                                      args.bench_set),
-                                  scale=_resolve_scale(args.scale),
-                                  repetitions=repetitions)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    repetitions = (parse_repetitions(args.repetitions)
+                   if args.repetitions is not None else 1)
+    return build_manifest(keys=keys, scale=_resolve_scale(args.scale),
+                          repetitions=repetitions)
+
+
+def _print_manifest(manifest) -> None:
     summary = manifest.describe()
     print(f"manifest {summary['manifest_hash'][:12]}… "
           f"({summary['unique_cases']} unique cases from "
@@ -502,6 +442,66 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
           f"{len(summary['experiments'])} experiments, "
           f"{summary['repetitions']} repetition(s), "
           f"{summary['deduped_cases']} deduped)")
+
+
+def _execute(manifest, jobs: int, *, out_dir=None, keep_going=False):
+    """Run a whole manifest in-process: ``(exit code, executor, results)``.
+
+    The exit code is ``None`` when the run finished (with ``keep_going``
+    its executor may still hold failures), else ``1`` for a case that
+    failed permanently and ``2`` for a store tripwire, the error printed.
+    """
+    from .experiments.executor import (
+        ExecutionError,
+        RunResultCache,
+        SweepExecutor,
+    )
+    from .experiments.pipeline import run_serial
+
+    executor = SweepExecutor(jobs=jobs, cache=RunResultCache(),
+                             keep_going=keep_going)
+    try:
+        results = run_serial(manifest, out_dir=out_dir, executor=executor)
+    except ExecutionError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1, executor, {}
+    except (OSError, ValueError) as exc:
+        # e.g. a store digest conflict (results changed without an
+        # ENGINE_VERSION bump) — a designed tripwire, not a crash.
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 2, executor, {}
+    return None, executor, results
+
+
+def _cmd_run_all(args: argparse.Namespace) -> int:
+    import json as _json
+
+    from .analysis.export import save_figure_csv, save_result_json
+    from .experiments.executor import ExecutionError, RunResultCache
+    from .experiments.manifest import env_shard, parse_shard
+    from .experiments.pipeline import (
+        execute_shard,
+        failure_manifest_path,
+        write_failure_manifest,
+    )
+
+    if _env_exec_error():
+        return 2
+    try:
+        jobs = _resolve_jobs(args.jobs)
+        shard = (parse_shard(args.shard, source="--shard")
+                 if args.shard is not None else env_shard())
+        manifest = _build_manifest(args, _manifest_keys(args.experiments,
+                                                        args.bench_set))
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if (args.json or args.csv) and (len(manifest.keys) != 1
+                                    or shard is not None):
+        print("--json/--csv export the result of an unsharded one-experiment "
+              "run; write a whole manifest under --out DIR", file=sys.stderr)
+        return 2
+    _print_manifest(manifest)
 
     if shard is not None:
         out_dir = args.out or "repro-out"
@@ -519,8 +519,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                   "rerun the same command to continue", file=sys.stderr)
             return 1
         except (OSError, ValueError) as exc:
-            # e.g. a store digest conflict (results changed without an
-            # ENGINE_VERSION bump) — a designed tripwire, not a crash.
             print(f"run failed: {exc}", file=sys.stderr)
             return 2
         print(f"shard cache: {cache.hits} hit(s), "
@@ -539,16 +537,10 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             return 3
         return 0
 
-    executor = SweepExecutor(jobs=jobs, cache=RunResultCache(),
-                             keep_going=args.keep_going)
-    try:
-        results = run_serial(manifest, out_dir=args.out, executor=executor)
-    except ExecutionError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 2
+    code, executor, results = _execute(manifest, jobs, out_dir=args.out,
+                                       keep_going=args.keep_going)
+    if code is not None:
+        return code
     if executor.failures:
         # keep-going: every healthy case finished (and is cached for a
         # rerun), but figures cannot assemble around the holes.
@@ -567,6 +559,13 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     print(_stats_line(manifest, executor))
     if args.out:
         print(f"figures/tables written to {args.out}")
+    if args.json:
+        print(f"JSON written to "
+              f"{save_result_json(results[manifest.keys[0]], args.json)}")
+    if args.csv:
+        path = save_figure_csv(results[manifest.keys[0]], args.csv)
+        print("(no figure series to export as CSV)" if path is None
+              else f"CSV written to {path}")
     return 0
 
 
@@ -599,17 +598,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     import json as _json
 
     from .analysis import render_table
-    from .experiments.manifest import build_manifest, parse_repetitions
 
     if _apply_trace_dir_flag(args.trace_dir):
         return 2
     try:
-        repetitions = (parse_repetitions(args.repetitions)
-                       if args.repetitions is not None else 1)
-        manifest = build_manifest(keys=_manifest_keys(args.experiments,
-                                                      args.bench_set),
-                                  scale=_resolve_scale(args.scale),
-                                  repetitions=repetitions)
+        manifest = _build_manifest(args, _manifest_keys(args.experiments,
+                                                        args.bench_set))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -801,47 +795,6 @@ def _cmd_hwcost(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Experiments included in the default ``report`` run: the cheap, headline set.
-_DEFAULT_REPORT_EXPERIMENTS = ["table2", "table3", "table5", "poc_attacks",
-                               "figure7", "figure8", "figure9"]
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import ReproductionReport
-    from .experiments import EXPERIMENTS
-
-    if _env_exec_error():
-        return 2
-    if args.html:
-        return _cmd_report_html(args)
-    html_only = [name for name, value in (
-        ("--out", args.out), ("--repetitions", args.repetitions),
-        ("--jobs", args.jobs)) if value is not None]
-    if html_only:
-        print(f"{', '.join(html_only)} appl"
-              f"{'y' if len(html_only) > 1 else 'ies'} to --html reports "
-              "only (the Markdown report is a quick single-seed pass; use "
-              "--output PATH for its file)", file=sys.stderr)
-        return 2
-    keys = args.experiments if args.experiments else list(_DEFAULT_REPORT_EXPERIMENTS)
-    unknown = [key for key in keys if key not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    scale = _resolve_scale(args.scale)
-    report = ReproductionReport(title="Reproduction report")
-    for key in keys:
-        result = EXPERIMENTS[key](scale)
-        report.add_result(key, result)
-        print(result.render())
-        print()
-    print(report.to_markdown())
-    if args.output:
-        report.save(args.output)
-        print(f"Markdown report written to {args.output}")
-    return 0
-
-
 def _report_provenance(manifest, stats_line: str) -> "Dict[str, str]":
     """The provenance block embedded at the top of the HTML report."""
     summary = manifest.describe()
@@ -857,66 +810,50 @@ def _report_provenance(manifest, stats_line: str) -> "Dict[str, str]":
     }
 
 
-def _cmd_report_html(args: argparse.Namespace) -> int:
-    """``repro report --html``: the decision-grade self-contained report.
+def _cmd_report(args: argparse.Namespace) -> int:
+    """``repro report``: the paper-vs-measured report of one manifest run.
 
     Runs the requested experiments (the **full** registry by default, so the
     embedded manifest hash matches a ``repro run all`` of the same settings)
     through the ordinary manifest/executor pipeline — store-warm runs
-    simulate nothing — then renders every figure with CI error bars,
-    mechanism significance matrices, the Pareto table and the provenance
-    block into one HTML file with no external fetches.
+    simulate nothing — then writes the self-contained HTML report (every
+    figure with CI error bars, mechanism significance matrices, the Pareto
+    table and the provenance block, no external fetches) to ``--out`` and
+    the Markdown verdict table beside it with a ``.md`` suffix.
     """
     from .analysis.htmlreport import build_html_report
-    from .analysis.report import evaluate, verdict_line
-    from .experiments.executor import (
-        ExecutionError,
-        RunResultCache,
-        SweepExecutor,
-    )
-    from .experiments.manifest import build_manifest, parse_repetitions
-    from .experiments.pipeline import run_serial
+    from .analysis.report import markdown_report
 
-    if args.output:
-        print("--output writes the Markdown report; use --out PATH for the "
-              "HTML report", file=sys.stderr)
+    html_path = args.out or "report.html"
+    markdown_path = os.path.splitext(html_path)[0] + ".md"
+    if markdown_path == html_path:
+        print(f"--out {html_path!r} is where the Markdown report goes; "
+              "name the HTML report (e.g. report.html)", file=sys.stderr)
+        return 2
+    if _env_exec_error():
         return 2
     try:
         jobs = _resolve_jobs(args.jobs)
-        repetitions = (parse_repetitions(args.repetitions)
-                       if args.repetitions is not None else 1)
-        manifest = build_manifest(keys=args.experiments,
-                                  scale=_resolve_scale(args.scale),
-                                  repetitions=repetitions)
-    except (KeyError, ValueError) as exc:
+        manifest = _build_manifest(args, args.experiments)
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    summary = manifest.describe()
-    print(f"manifest {summary['manifest_hash'][:12]}… "
-          f"({summary['unique_cases']} unique cases, "
-          f"{summary['repetitions']} repetition(s))")
-    executor = SweepExecutor(jobs=jobs, cache=RunResultCache())
-    try:
-        results = run_serial(manifest, executor=executor)
-    except ExecutionError as exc:
-        print(f"report run failed: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"report run failed: {exc}", file=sys.stderr)
-        return 2
+    _print_manifest(manifest)
+    code, executor, results = _execute(manifest, jobs)
+    if code is not None:
+        return code
     stats = _stats_line(manifest, executor)
     print(stats)
-    ordered = {key: results[key] for key in manifest.keys}
-    document = build_html_report(ordered,
-                                 _report_provenance(manifest, stats))
-    out_path = args.out or "report.html"
-    parent = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(parent, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(document)
-    print(f"HTML report written to {out_path}")
-    print(verdict_line([evaluate(key, result)[1]
-                        for key, result in ordered.items()]))
+    markdown = markdown_report(results)
+    os.makedirs(os.path.dirname(os.path.abspath(html_path)), exist_ok=True)
+    with open(html_path, "w", encoding="utf-8") as handle:
+        handle.write(build_html_report(results,
+                                       _report_provenance(manifest, stats)))
+    with open(markdown_path, "w", encoding="utf-8") as handle:
+        handle.write(markdown)
+    print(markdown)
+    print(f"HTML report written to {html_path}")
+    print(f"Markdown report written to {markdown_path}")
     return 0
 
 

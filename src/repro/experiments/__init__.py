@@ -1,10 +1,12 @@
 """Experiment drivers: one module per paper table/figure, plus ablations.
 
-Every module exposes a ``run(scale=None, ...)`` function returning an
-:class:`repro.experiments.base.ExperimentResult`; :data:`EXPERIMENTS` maps
-each registered experiment to it.  The manifest pipeline (``repro run``)
-plans and runs the same cases, :data:`repro.analysis.report.PAPER_EXPECTATIONS`
-checks each result against the paper's claim, and the examples print them.
+Every module exposes a ``run(scale=None, ..., executor=...)`` function
+returning an :class:`repro.experiments.base.ExperimentResult`;
+:func:`experiment_registry` maps each registered experiment to its plan and
+assembly.  The manifest pipeline (``repro run``, ``repro report``) plans and
+runs every case through one executor,
+:data:`repro.analysis.report.PAPER_EXPECTATIONS` checks each result against
+the paper's claim, and the examples print them.
 """
 
 from . import (
@@ -31,7 +33,6 @@ from .executor import (
     RepetitionExecutor,
     RunResultCache,
     SweepExecutor,
-    default_executor,
     env_jobs,
     parse_jobs,
 )
@@ -62,29 +63,6 @@ from .runner import (
 from .scaling import (ExperimentScale, default_scale, env_scale_factor,
                       parse_scale_factor, quick_scale)
 
-#: Registry of experiments keyed by the paper artefact they reproduce.
-EXPERIMENTS = {
-    "figure1": fig1_flush_single.run,
-    "figure2": fig2_flush_smt.run,
-    "figure3": fig3_precise_flush.run,
-    "figure7": fig7_xor_btb.run,
-    "figure8": fig8_xor_pht.run,
-    "figure9": fig9_xor_bp.run,
-    "figure10": fig10_smt_predictors.run,
-    "table1": table1_security.run,
-    "table2": table2_configs.run,
-    "table3": table3_benchmarks.run,
-    "table4": table4_privilege.run,
-    "table5": table5_hwcost.run,
-    "poc_attacks": poc_attacks.run,
-    "ablation_encoder": ablations.encoder_ablation,
-    "ablation_key_refresh": ablations.key_refresh_ablation,
-    "ablation_pht_granularity": ablations.pht_granularity_ablation,
-    "ablation_switch_interval": sensitivity.switch_interval_sensitivity,
-    "ablation_penalty": sensitivity.mispredict_penalty_sensitivity,
-    "smt4_noisy_xor": sensitivity.smt4_noisy_xor,
-}
-
 __all__ = [
     "ExperimentResult",
     "ExperimentScale",
@@ -92,12 +70,10 @@ __all__ = [
     "quick_scale",
     "env_scale_factor",
     "parse_scale_factor",
-    "EXPERIMENTS",
     "ENGINE_VERSION",
     "CaseSpec",
     "RunResultCache",
     "SweepExecutor",
-    "default_executor",
     "env_jobs",
     "parse_jobs",
     "ExperimentDef",

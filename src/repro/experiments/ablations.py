@@ -30,7 +30,7 @@ from ..cpu.config import fpga_prototype
 from ..types import BranchType, Privilege
 from ..workloads.pairs import get_pair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = ["encoder_ablation", "plan_encoder_ablation",
@@ -57,10 +57,9 @@ def plan_encoder_ablation(scale: Optional[ExperimentScale] = None,
 
 def encoder_ablation(scale: Optional[ExperimentScale] = None,
                      case: str = "case6",
-                     executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+                     *, executor: SweepExecutor) -> ExperimentResult:
     """Compare the XOR, shift-XOR and S-box content encoders."""
     scale = scale or default_scale()
-    executor = executor or default_executor()
     pair = get_pair(case, "single")
     results = executor.run_specs(plan_encoder_ablation(scale, case))
     baseline = results[0]
@@ -130,10 +129,9 @@ def plan_key_refresh_ablation(scale: Optional[ExperimentScale] = None,
 
 def key_refresh_ablation(scale: Optional[ExperimentScale] = None,
                          case: str = "case1",
-                         executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+                         *, executor: SweepExecutor) -> ExperimentResult:
     """Refresh keys on privilege switches (paper design) vs context switches only."""
     scale = scale or default_scale()
-    executor = executor or default_executor()
     pair = get_pair(case, "single")
     results = executor.run_specs(plan_key_refresh_ablation(scale, case))
     baseline = results[0]

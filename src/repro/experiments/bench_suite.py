@@ -26,7 +26,7 @@ from ..cpu.config import fpga_prototype
 from ..workloads.pairs import BenchmarkPair
 from ..workloads.registry import WorkloadEntry, get_registry
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .runner import (assemble_overhead_single_thread,
                      plan_overhead_single_thread)
 from .scaling import ExperimentScale, default_scale
@@ -99,15 +99,15 @@ def _summary_rows(figure, registry, entries: Sequence[WorkloadEntry]):
 
 
 def run(selector: str, scale: Optional[ExperimentScale] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Run one benchmark-set selector and assemble its geomean summary.
 
     Args:
         selector: benchmark-set selector (see
             :meth:`repro.workloads.registry.WorkloadRegistry.select`).
         scale: experiment scale (default honours ``REPRO_SCALE``).
-        executor: sweep executor (the shared default when omitted; the merge
-            step of the sharded pipeline passes a replay-only executor).
+        executor: sweep executor (the merge step of the sharded
+            pipeline passes a replay-only executor).
 
     Returns:
         An :class:`~repro.experiments.base.ExperimentResult` whose figure
@@ -115,7 +115,6 @@ def run(selector: str, scale: Optional[ExperimentScale] = None,
         geomean summaries.
     """
     scale, registry, entries, pairs = _setup(selector, scale)
-    executor = executor or default_executor()
     results = executor.run_specs(plan(selector, scale))
     figure, _ = assemble_overhead_single_thread(
         f"Benchmark suite [{selector}]",

@@ -74,7 +74,6 @@ __all__ = [
     "RepetitionExecutor",
     "RunResultCache",
     "SweepExecutor",
-    "default_executor",
     "env_case_timeout",
     "env_jobs",
     "env_retries",
@@ -934,19 +933,3 @@ class RepetitionExecutor:
     def run_spec(self, spec: CaseSpec) -> RunResult:
         """Run (or fetch from cache) a single case at this repetition."""
         return self.run_specs([spec])[0]
-
-
-_DEFAULT_EXECUTOR: Optional[SweepExecutor] = None
-
-
-def default_executor() -> SweepExecutor:
-    """Process-wide shared executor.
-
-    Sharing one executor (and therefore one cache) across all sweep and
-    figure drivers is what lets a baseline simulated for Figure 1 be reused
-    by Figure 7 in the same process without re-simulation.
-    """
-    global _DEFAULT_EXECUTOR
-    if _DEFAULT_EXECUTOR is None:
-        _DEFAULT_EXECUTOR = SweepExecutor()
-    return _DEFAULT_EXECUTOR

@@ -22,7 +22,7 @@ from ..analysis.metrics import arithmetic_mean
 from ..cpu.config import sunny_cove_smt
 from ..workloads.pairs import SMT2_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = ["run", "plan", "PREDICTORS", "MECHANISMS", "PAPER_BASELINE_MPKI"]
@@ -70,7 +70,7 @@ def plan(scale: Optional[ExperimentScale] = None,
 def run(scale: Optional[ExperimentScale] = None,
         predictors: Optional[Sequence[str]] = None,
         pairs: Optional[Sequence[BenchmarkPair]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Figure 10.
 
     Args:
@@ -78,10 +78,9 @@ def run(scale: Optional[ExperimentScale] = None,
         predictors: subset of :data:`PREDICTORS` (all four by default; this
             is the most expensive experiment in the suite).
         pairs: subset of the SMT-2 pairs (all 12 by default).
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale, predictors, pairs = _setup(scale, predictors, pairs)
-    executor = executor or default_executor()
     results = executor.run_specs(plan(scale, predictors, pairs))
 
     figure = FigureSeries(

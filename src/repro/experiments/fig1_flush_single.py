@@ -43,14 +43,14 @@ def plan(scale: Optional[ExperimentScale] = None,
 
 def run(scale: Optional[ExperimentScale] = None,
         pairs: Optional[Sequence[BenchmarkPair]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Figure 1.
 
     Args:
         scale: experiment scale (default honours ``REPRO_SCALE``).
         pairs: subset of the Table 3 single-thread pairs (all 12 by default).
-        executor: sweep executor (the shared default when omitted; the merge
-            step of the sharded pipeline passes a replay-only executor).
+        executor: sweep executor (the merge step of the sharded
+            pipeline passes a replay-only executor).
 
     Returns:
         An :class:`repro.experiments.base.ExperimentResult` whose figure holds

@@ -14,7 +14,7 @@ from ..analysis.metrics import arithmetic_mean
 from ..cpu.config import sunny_cove_smt
 from ..workloads.pairs import SMT2_PAIRS, SMT4_QUADS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = ["run", "plan"]
@@ -59,7 +59,7 @@ def _assemble_overheads(results: Sequence) -> tuple:
 def run(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
         smt2_pairs: Optional[Sequence[BenchmarkPair]] = None,
         smt4_quads: Optional[Sequence[BenchmarkPair]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Figure 2.
 
     Args:
@@ -69,10 +69,9 @@ def run(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
             the run time moderate and the conclusion is predictor-independent).
         smt2_pairs: subset of the SMT-2 pairs (all 12 by default).
         smt4_quads: subset of the SMT-4 quads (all 6 by default).
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale, smt2, smt4 = _setup(scale, smt2_pairs, smt4_quads)
-    executor = executor or default_executor()
     specs = plan(scale, predictor, smt2, smt4)
     results = executor.run_specs(specs)
 

@@ -38,14 +38,14 @@ def plan(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
 
 def run(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
         pairs: Optional[Sequence[BenchmarkPair]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Figure 3.
 
     Args:
         scale: experiment scale.
         predictor: direction predictor of the SMT core.
         pairs: subset of the SMT-2 pairs (all 12 by default).
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale, config, pairs = _setup(scale, predictor, pairs)
     figure, _ = overhead_figure_smt(

@@ -60,7 +60,7 @@ def plan(scale: Optional[ExperimentScale] = None,
 def run(scale: Optional[ExperimentScale] = None,
         pairs: Optional[Sequence[BenchmarkPair]] = None,
         intervals: Optional[Sequence[str]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Figure 7.
 
     Args:
@@ -68,7 +68,7 @@ def run(scale: Optional[ExperimentScale] = None,
         pairs: subset of the single-thread pairs (all 12 by default).
         intervals: subset of the switch-period labels (``"4M"``, ``"8M"``,
             ``"12M"``); all three by default.
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals, _PRESETS)
     figure, _ = overhead_figure_single_thread(

@@ -37,7 +37,7 @@ def plan(scale: Optional[ExperimentScale] = None,
 def run(scale: Optional[ExperimentScale] = None,
         pairs: Optional[Sequence[BenchmarkPair]] = None,
         intervals: Optional[Sequence[str]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Figure 8 (same knobs as Figure 7)."""
     scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals, _PRESETS)
     figure, _ = overhead_figure_single_thread(

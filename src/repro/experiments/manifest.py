@@ -238,7 +238,8 @@ _REGISTRY_CACHE: "Optional[Dict[str, ExperimentDef]]" = None
 
 
 def experiment_registry() -> "Dict[str, ExperimentDef]":
-    """The full experiment registry, keyed and ordered like ``EXPERIMENTS``."""
+    """The full experiment registry, keyed and ordered like the paper's
+    artefacts (figures, tables, then the ablations)."""
     global _REGISTRY_CACHE
     if _REGISTRY_CACHE is None:
         _REGISTRY_CACHE = _registry()

@@ -34,7 +34,8 @@ import re
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.export import result_from_dict, result_to_dict
+from ..analysis.export import (result_from_dict, result_to_dict,
+                               save_result_json)
 from ..analysis.stats import fold_experiment_results
 from ..cpu.stats import run_result_to_dict
 from .base import ExperimentResult
@@ -463,15 +464,14 @@ def write_outputs(results: Dict[str, ExperimentResult],
     """Write per-experiment JSON + rendered text and a run summary.
 
     The JSON artifacts are serialised deterministically (sorted keys, exact
-    floats), so two runs of the same manifest can be compared with ``diff``.
+    floats), so two runs of the same manifest can be compared with ``diff``;
+    they are the bytes ``repro run KEY --json PATH`` writes.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
     for key, result in results.items():
-        json_path = os.path.join(out_dir, f"{key}.json")
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(result_to_dict(result), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        json_path = save_result_json(result,
+                                     os.path.join(out_dir, f"{key}.json"))
         text_path = os.path.join(out_dir, f"{key}.txt")
         with open(text_path, "w", encoding="utf-8") as handle:
             handle.write(result.render())

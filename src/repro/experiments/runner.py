@@ -11,7 +11,7 @@ from ..cpu.core import SingleThreadCore
 from ..cpu.smt import SmtCore
 from ..cpu.stats import RunResult
 from ..workloads.pairs import BenchmarkPair, make_pair_workloads
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = ["build_bpu", "run_single_thread_case", "run_smt_case",
@@ -132,7 +132,7 @@ def overhead_figure_single_thread(name: str, description: str,
                                   pairs: List[BenchmarkPair],
                                   config: Optional[CoreConfig] = None,
                                   scale: Optional[ExperimentScale] = None,
-                                  executor: Optional[SweepExecutor] = None):
+                                  *, executor: SweepExecutor):
     """Build a per-case overhead figure on the single-threaded core.
 
     All cases — the per-pair baselines and every mechanism series — are
@@ -150,8 +150,7 @@ def overhead_figure_single_thread(name: str, description: str,
         pairs: benchmark pairs (x-axis categories).
         config: core configuration; the FPGA prototype by default.
         scale: experiment scale.
-        executor: sweep executor; the shared process-wide default when
-            omitted.
+        executor: sweep executor.
 
     Returns:
         A tuple ``(figure, baselines)`` where ``figure`` is the populated
@@ -161,7 +160,6 @@ def overhead_figure_single_thread(name: str, description: str,
     """
     scale = scale or default_scale()
     config = config or fpga_prototype()
-    executor = executor or default_executor()
     specs = plan_overhead_single_thread(mechanisms, pairs, config, scale)
     results = executor.run_specs(specs)
     return assemble_overhead_single_thread(name, description, mechanisms,
@@ -209,7 +207,7 @@ def overhead_figure_smt(name: str, description: str,
                         pairs: List[BenchmarkPair],
                         config: Optional[CoreConfig] = None,
                         scale: Optional[ExperimentScale] = None,
-                        executor: Optional[SweepExecutor] = None):
+                        *, executor: SweepExecutor):
     """Build a per-case overhead figure on the SMT core.
 
     Args:
@@ -219,8 +217,7 @@ def overhead_figure_smt(name: str, description: str,
         pairs: benchmark pairs or quads (must match the core's thread count).
         config: core configuration; the Sunny-Cove-like SMT-2 core by default.
         scale: experiment scale.
-        executor: sweep executor; the shared process-wide default when
-            omitted.
+        executor: sweep executor.
 
     Returns:
         ``(figure, baselines)`` as for :func:`overhead_figure_single_thread`,
@@ -228,7 +225,6 @@ def overhead_figure_smt(name: str, description: str,
     """
     scale = scale or default_scale()
     config = config or sunny_cove_smt()
-    executor = executor or default_executor()
     specs = plan_overhead_smt(mechanisms, pairs, config, scale)
     results = executor.run_specs(specs)
     return assemble_overhead_smt(name, description, mechanisms, pairs, results)

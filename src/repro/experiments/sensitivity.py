@@ -14,7 +14,7 @@ the evaluation along the axes DESIGN.md calls out:
   SMT-4 core, completing the comparison the paper only shows for flushes.
 
 Each driver returns an :class:`repro.experiments.base.ExperimentResult` and
-is registered in :data:`repro.experiments.EXPERIMENTS`.
+is registered in :func:`repro.experiments.manifest.experiment_registry`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..analysis.metrics import arithmetic_mean, percent
 from ..cpu.config import fpga_prototype, sunny_cove_smt
 from ..workloads.pairs import case_names, get_pair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = [
@@ -73,7 +73,7 @@ def switch_interval_sensitivity(scale: Optional[ExperimentScale] = None, *,
                                 cases: Sequence[str] = ("case1", "case6", "case7"),
                                 intervals_m: Sequence[int] = (2, 4, 8, 12, 24),
                                 predictor: str = "tage",
-                                executor: Optional[SweepExecutor] = None
+                                executor: SweepExecutor
                                 ) -> ExperimentResult:
     """Noisy-XOR-BP overhead versus context-switch interval (single-thread).
 
@@ -87,14 +87,13 @@ def switch_interval_sensitivity(scale: Optional[ExperimentScale] = None, *,
         cases: Table 3 single-thread cases to include.
         intervals_m: timer periods in millions of cycles.
         predictor: direction predictor of the core.
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
 
     Returns:
         An :class:`ExperimentResult` whose figure has one series per case
         (plus the per-interval mean row in the table).
     """
     scale = scale or default_scale()
-    executor = executor or default_executor()
     results = executor.run_specs(plan_switch_interval_sensitivity(
         scale, preset=preset, cases=cases, intervals_m=intervals_m,
         predictor=predictor))
@@ -160,7 +159,7 @@ def mispredict_penalty_sensitivity(scale: Optional[ExperimentScale] = None, *,
                                    case: str = "case1",
                                    penalties: Sequence[int] = (8, 11, 17, 24),
                                    predictor: str = "tage",
-                                   executor: Optional[SweepExecutor] = None
+                                   executor: SweepExecutor
                                    ) -> ExperimentResult:
     """Isolation overhead versus the core's misprediction penalty.
 
@@ -176,10 +175,9 @@ def mispredict_penalty_sensitivity(scale: Optional[ExperimentScale] = None, *,
         case: Table 3 single-thread case to run.
         penalties: redirect penalties (cycles) to sweep.
         predictor: direction predictor of the core.
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale = scale or default_scale()
-    executor = executor or default_executor()
     results = executor.run_specs(plan_mispredict_penalty_sensitivity(
         scale, preset=preset, case=case, penalties=penalties,
         predictor=predictor))
@@ -236,7 +234,7 @@ def smt4_noisy_xor(scale: Optional[ExperimentScale] = None, *,
                    presets: Tuple[str, ...] = ("complete_flush", "precise_flush",
                                                "noisy_xor_bp"),
                    max_quads: int = 4,
-                   executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+                   executor: SweepExecutor) -> ExperimentResult:
     """Noisy-XOR-BP versus flush mechanisms on an SMT-4 core.
 
     Figure 2 shows that Complete Flush degrades further from SMT-2 to SMT-4
@@ -248,10 +246,9 @@ def smt4_noisy_xor(scale: Optional[ExperimentScale] = None, *,
         predictor: shared direction predictor of the SMT core.
         presets: protection presets to compare (baseline is always run).
         max_quads: number of SMT-4 quads to include.
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale = scale or default_scale()
-    executor = executor or default_executor()
     results = executor.run_specs(plan_smt4_noisy_xor(
         scale, predictor=predictor, presets=presets, max_quads=max_quads))
     quads = case_names("smt4")[:max_quads]

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 from ..cpu.config import fpga_prototype
 from ..workloads.pairs import SINGLE_THREAD_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor, default_executor
+from .executor import CaseSpec, SweepExecutor
 from .scaling import ExperimentScale, default_scale
 
 __all__ = ["run", "plan", "PAPER_PRIVILEGE_SWITCH_RATES"]
@@ -45,16 +45,15 @@ def plan(scale: Optional[ExperimentScale] = None,
 
 def run(scale: Optional[ExperimentScale] = None,
         pairs: Optional[Sequence[BenchmarkPair]] = None,
-        executor: Optional[SweepExecutor] = None) -> ExperimentResult:
+        *, executor: SweepExecutor) -> ExperimentResult:
     """Reproduce Table 4.
 
     Args:
         scale: experiment scale.
         pairs: subset of the single-thread pairs (all 12 by default).
-        executor: sweep executor (the shared default when omitted).
+        executor: sweep executor.
     """
     scale, pairs = _setup(scale, pairs)
-    executor = executor or default_executor()
     results = executor.run_specs(plan(scale, pairs))
     rows = []
     for pair, result in zip(pairs, results):

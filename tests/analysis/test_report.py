@@ -10,9 +10,9 @@ from repro.analysis import (
     PAPER_EXPECTATIONS,
     FigureSeries,
     PaperExpectation,
-    ReproductionReport,
     Verdict,
     evaluate,
+    markdown_report,
     summarise_overhead_figure,
     verdict_line,
 )
@@ -332,29 +332,25 @@ class TestEvaluate:
             "verdicts: 2 hold, 2 known divergence(s), 0 diverge"
 
 
-class TestReproductionReport:
-    def test_add_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            ReproductionReport().add_result("figure99", _table2())
-
+class TestMarkdownReport:
     def test_markdown_shows_every_verdict(self):
-        report = ReproductionReport(title="My run")
-        report.add_result("table2", _table2())
-        report.add_result("table5", _table5("0.29%"))
-        report.add_result("table3", _table3(n_cases=11))
-        markdown = report.to_markdown()
-        assert markdown.startswith("# My run")
+        markdown = markdown_report({"table2": _table2(),
+                                    "table5": _table5("0.29%"),
+                                    "table3": _table3(n_cases=11)})
+        assert markdown.startswith("# Reproduction report\n")
         assert "| holds: Issue width 4/8" in markdown
         assert "| known (hwcost-small-btb-area): ✗ area BTB 2w128" in markdown
         assert "| **diverges**: ✗ 11 distinct cases" in markdown
         assert "| — |" not in markdown
-        assert markdown.rstrip().endswith(
-            "verdicts: 1 hold, 1 known divergence(s), 1 diverge")
+        assert markdown.endswith(
+            "\nverdicts: 1 hold, 1 known divergence(s), 1 diverge\n")
 
-    def test_save_writes_markdown(self, tmp_path):
-        report = ReproductionReport()
-        report.add_result("table2", _table2())
-        path = str(tmp_path / "report.md")
-        assert report.save(path) == path
-        with open(path, "r", encoding="utf-8") as handle:
-            assert "Table 2" in handle.read()
+    def test_keys_without_a_paper_claim_are_left_out(self):
+        # ``bench:<selector>`` results carry no paper claim: no row, and no
+        # verdict counted.
+        markdown = markdown_report({"bench:int": _table2(),
+                                    "table2": _table2()})
+        assert markdown.count("| Table 2 |") == 1
+        assert "bench:int" not in markdown
+        assert "verdicts: 1 hold, 0 known divergence(s), 0 diverge" \
+            in markdown

@@ -81,6 +81,47 @@ class TestRunCommand:
         assert main(["run", "table2"]) == 0
         assert "Table 2" in capsys.readouterr().out
 
+    def test_run_key_writes_out_dir_like_run_all(self, tmp_path, capsys):
+        # `run KEY` is `run all --experiments KEY`: --out takes effect.
+        out = tmp_path / "out"
+        assert main(["run", "table5", "--out", str(out)]) == 0
+        assert "cases: 0 unique" in capsys.readouterr().out
+        with open(out / "table5.json", encoding="utf-8") as handle:
+            assert json.load(handle)["name"].startswith("Table 5")
+        assert sorted(os.listdir(out)) == \
+            ["summary.json", "table5.json", "table5.txt"]
+
+    def test_run_key_folds_repetitions(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "figure1", "--scale", "0.05", "--repetitions",
+                     "2", "--out", str(out)]) == 0
+        assert "cases: 96 unique" in capsys.readouterr().out
+        with open(out / "figure1.json", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert len(payload["replicates"]) == 2
+        assert set(payload["figure"]["errors"]) == \
+            {"flush-4M", "flush-8M", "flush-12M"}
+        with open(out / "figure1.txt", encoding="utf-8") as handle:
+            assert "±" in handle.read()
+
+    @pytest.mark.parametrize("flag", ["--experiments", "--bench-set"])
+    def test_run_key_rejects_experiment_selectors(self, flag, capsys):
+        assert main(["run", "figure1", flag, "int"]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_json_export_needs_exactly_one_experiment(self, tmp_path,
+                                                      capsys):
+        assert main(["run", "all", "--experiments", "table2", "table5",
+                     "--json", str(tmp_path / "x.json")]) == 2
+        assert "--json/--csv" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("argv", [["report", "--scale", "-1"],
+                                      ["run", "figure1", "--scale", "nan"]])
+    def test_bad_scale_exits_2_naming_the_flag(self, argv, capsys):
+        assert main(argv) == 2
+        assert "--scale" in capsys.readouterr().err
+
 
 class TestPlanCommand:
     def test_plan_prints_manifest_table(self, capsys):
@@ -126,10 +167,6 @@ class TestPlanCommand:
         assert main(["plan", "--bench-set", "traces",
                      "--trace-dir", missing]) == 2
         assert "trace" in capsys.readouterr().err.lower()
-
-    def test_run_single_experiment_rejects_bench_set(self, capsys):
-        assert main(["run", "figure1", "--bench-set", "int"]) == 2
-        assert "--bench-set" in capsys.readouterr().err
 
 
 class TestRunAllCommand:
@@ -276,24 +313,6 @@ class TestRepetitionsOption:
         assert main(["run", "all", "--repetitions", "0",
                      "--experiments", "table5"]) == 2
         assert "--repetitions" in capsys.readouterr().err
-
-    def test_repetitions_rejected_for_single_experiments(self, capsys):
-        # Never silently dropped: a user asking for a 3-seed mean must not
-        # get (and publish) a single-trajectory estimate.
-        assert main(["run", "table5", "--repetitions", "3"]) == 2
-        assert "--repetitions" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [["--jobs", "8"], ["--shard", "0/4"],
-                                       ["--out", "x"],
-                                       ["--experiments", "figure1"],
-                                       ["--keep-going"]])
-    def test_all_only_flags_rejected_for_single_experiments(self, flags,
-                                                            capsys):
-        # Same rule for every 'all'-only flag: `run figure1 --jobs 8` must
-        # not silently run serially, `--shard 0/4` must not silently run
-        # every case.
-        assert main(["run", "table5"] + flags) == 2
-        assert flags[0] in capsys.readouterr().err
 
     def test_plan_hash_is_repetition_aware(self, capsys):
         assert main(["plan", "--hash", "--experiments", "figure1"]) == 0
@@ -486,38 +505,41 @@ class TestReportCommand:
         assert main(["report", "--experiments", "figure99"]) == 2
         assert "unknown experiments" in capsys.readouterr().err
 
-    def test_report_on_cheap_experiments(self, tmp_path, capsys):
-        output_path = str(tmp_path / "report.md")
+    def test_report_writes_markdown_beside_html(self, tmp_path, capsys):
         assert main(["report", "--experiments", "table2", "table5",
-                     "--output", output_path]) == 0
+                     "--out", str(tmp_path / "r.html")]) == 0
         output = capsys.readouterr().out
         assert "Paper reports" in output
         assert "\nverdicts: 1 hold, 1 known divergence(s), 0 diverge\n" \
             in output
-        with open(output_path, "r", encoding="utf-8") as handle:
+        with open(tmp_path / "r.md", "r", encoding="utf-8") as handle:
             markdown = handle.read()
         assert "Table 5" in markdown
         assert "known (hwcost-small-btb-area)" in markdown
+        assert "\nverdicts: 1 hold, 1 known divergence(s), 0 diverge\n" \
+            in markdown
 
-    @pytest.mark.parametrize("flags", [["--out", "x.html"],
-                                       ["--repetitions", "2"],
-                                       ["--jobs", "2"]])
-    def test_html_only_flags_rejected_without_html(self, flags, capsys):
-        assert main(["report", "--experiments", "table5"] + flags) == 2
-        err = capsys.readouterr().err
-        assert flags[0] in err
-        assert "--html reports only" in err
+    def test_markdown_path_as_out_rejected(self, tmp_path, capsys):
+        assert main(["report", "--experiments", "table5",
+                     "--out", str(tmp_path / "r.md")]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "r.md").exists()
 
-    def test_markdown_output_flag_rejected_with_html(self, capsys):
-        assert main(["report", "--html", "--output", "report.md"]) == 2
-        assert "--output" in capsys.readouterr().err
+    def test_bench_set_report_counts_no_verdict(self, tmp_path, capsys):
+        # bench:<selector> experiments make no paper claim: the report
+        # renders them but neither lists nor counts a verdict for them.
+        assert main(["report", "--experiments", "bench:int", "--scale",
+                     "0.05", "--out", str(tmp_path / "r.html")]) == 0
+        assert "\nverdicts: 0 hold, 0 known divergence(s), 0 diverge\n" \
+            in capsys.readouterr().out
+        assert (tmp_path / "r.html").exists()
 
     def test_html_report_end_to_end(self, tmp_path, capsys):
         from repro.experiments.executor import ENGINE_VERSION
         from repro.experiments.manifest import build_manifest
 
         output_path = str(tmp_path / "sub" / "report.html")
-        assert main(["report", "--html", "--experiments", "table2", "table5",
+        assert main(["report", "--experiments", "table2", "table5",
                      "--out", output_path]) == 0
         output = capsys.readouterr().out
         assert "cases: 0 unique, 0 simulated, 0 store hit(s)" in output

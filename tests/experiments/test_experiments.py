@@ -8,7 +8,6 @@ the plumbing, the result structure and the cheap experiments' correctness.
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     ExperimentResult,
     ExperimentScale,
     default_scale,
@@ -26,6 +25,8 @@ from repro.experiments import (
     table4_privilege,
     table5_hwcost,
 )
+from repro.experiments.executor import RunResultCache, SweepExecutor
+from repro.experiments.manifest import experiment_registry
 from repro.workloads import SINGLE_THREAD_PAIRS, SMT2_PAIRS
 
 #: A deliberately tiny scale so driver tests stay fast.
@@ -34,6 +35,12 @@ TINY = ExperimentScale(
     st_target_branches=4_000, st_warmup_branches=1_000,
     smt_instructions=30_000, smt_warmup_instructions=8_000,
     poc_iterations=200, table1_iterations=40, seed=7)
+
+
+@pytest.fixture(scope="module")
+def executor():
+    """One executor for the module, so shared baselines simulate once."""
+    return SweepExecutor(jobs=1, cache=RunResultCache(store=False))
 
 
 class TestScaling:
@@ -69,7 +76,7 @@ class TestRegistry:
                     "figure9", "figure10", "table1", "table2", "table3",
                     "table4", "table5", "poc_attacks", "ablation_encoder",
                     "ablation_key_refresh", "ablation_pht_granularity"}
-        assert expected <= set(EXPERIMENTS)
+        assert expected <= set(experiment_registry())
 
 
 class TestCheapExperiments:
@@ -106,33 +113,37 @@ class TestCheapExperiments:
 
 
 class TestFigureDrivers:
-    def test_fig1_structure_on_reduced_problem(self):
-        result = fig1_flush_single.run(TINY, pairs=SINGLE_THREAD_PAIRS[:2])
+    def test_fig1_structure_on_reduced_problem(self, executor):
+        result = fig1_flush_single.run(TINY, pairs=SINGLE_THREAD_PAIRS[:2],
+                                       executor=executor)
         assert result.figure is not None
         assert result.figure.categories == ["case1", "case2"]
         assert set(result.figure.series) == {"flush-4M", "flush-8M", "flush-12M"}
 
-    def test_fig7_honours_interval_subset(self):
+    def test_fig7_honours_interval_subset(self, executor):
         result = fig7_xor_btb.run(TINY, pairs=SINGLE_THREAD_PAIRS[5:6],
-                                  intervals=["8M"])
+                                  intervals=["8M"], executor=executor)
         assert set(result.figure.series) == {"XOR-BTB-8M", "Noisy-XOR-BTB-8M"}
         assert result.figure.categories == ["case6"]
 
-    def test_fig10_reduced_run_reports_mpki_ordering(self):
+    def test_fig10_reduced_run_reports_mpki_ordering(self, executor):
         result = fig10_smt_predictors.run(TINY, predictors=["gshare", "tage"],
-                                          pairs=SMT2_PAIRS[7:9])
+                                          pairs=SMT2_PAIRS[7:9],
+                                          executor=executor)
         mpki = {row[0]: float(row[1]) for row in result.rows[:2]}
         assert mpki["gshare"] > mpki["tage"]
         assert len(result.figure.series) == 2 * 3
 
 
 class TestAblations:
-    def test_encoder_ablation_runs(self):
-        result = ablations.encoder_ablation(TINY, case="case6")
+    def test_encoder_ablation_runs(self, executor):
+        result = ablations.encoder_ablation(TINY, case="case6",
+                                            executor=executor)
         assert [row[0] for row in result.rows] == ["xor", "shift_xor", "sbox"]
 
-    def test_key_refresh_ablation_shows_security_gap(self):
-        result = ablations.key_refresh_ablation(TINY, case="case5")
+    def test_key_refresh_ablation_shows_security_gap(self, executor):
+        result = ablations.key_refresh_ablation(TINY, case="case5",
+                                                executor=executor)
         by_policy = {row[0]: row for row in result.rows}
         paper_policy = by_policy["context + privilege switches (paper)"]
         weak_policy = by_policy["context switches only"]

@@ -48,7 +48,7 @@ def test_dangling_reference_fails(tool, tmp_path, capsys):
 
 def test_output_paths_and_urls_are_not_references(tool, tmp_path):
     root = _repo(tmp_path, {
-        "README.md": ("repro report --output results.md\n"
+        "README.md": ("repro run all --out results.md\n"
                       "repro report --out=summary.md\n"
                       "https://example.org/upstream/README.md\n"),
     })

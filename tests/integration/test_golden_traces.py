@@ -38,6 +38,7 @@ from repro.experiments import (ablations, fig1_flush_single, fig2_flush_smt,
                                fig3_precise_flush, fig8_xor_pht,
                                fig10_smt_predictors, poc_attacks, sensitivity,
                                table1_security)
+from repro.experiments.executor import RunResultCache, SweepExecutor
 from repro.experiments.scaling import ExperimentScale
 from repro.security.analysis import build_security_table
 from repro.security.leakage import leakage_report
@@ -80,36 +81,47 @@ def _snapshot(result):
     }
 
 
-def _fig1():
+def _executor():
+    """One in-memory executor for every figure fixture, so the baselines
+    the figures share are simulated once."""
+    return SweepExecutor(jobs=1, cache=RunResultCache(store=False))
+
+
+def _fig1(executor):
     return fig1_flush_single.run(scale=GOLDEN_SCALE,
-                                 pairs=SINGLE_THREAD_PAIRS[:2])
+                                 pairs=SINGLE_THREAD_PAIRS[:2],
+                                 executor=executor)
 
 
-def _fig2():
+def _fig2(executor):
     return fig2_flush_smt.run(scale=GOLDEN_SCALE,
                               smt2_pairs=SMT2_PAIRS[:1],
-                              smt4_quads=SMT4_QUADS[:1])
+                              smt4_quads=SMT4_QUADS[:1],
+                              executor=executor)
 
 
-def _fig3():
+def _fig3(executor):
     # Tournament under Complete and Precise Flush on SMT-2.
-    return fig3_precise_flush.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:3])
+    return fig3_precise_flush.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:3],
+                                  executor=executor)
 
 
-def _fig8():
+def _fig8(executor):
     return fig8_xor_pht.run(scale=GOLDEN_SCALE,
                             pairs=SINGLE_THREAD_PAIRS[:2],
-                            intervals=["8M"])
+                            intervals=["8M"], executor=executor)
 
 
-def _fig10():
+def _fig10(executor):
     # All four SMT predictors x {baseline, CF, PF, Noisy-XOR-BP}.
-    return fig10_smt_predictors.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:2])
+    return fig10_smt_predictors.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:2],
+                                    executor=executor)
 
 
-def _smt4():
+def _smt4(executor):
     # Complete Flush, Precise Flush and Noisy-XOR-BP on one SMT-4 quad.
-    return sensitivity.smt4_noisy_xor(scale=GOLDEN_SCALE, max_quads=1)
+    return sensitivity.smt4_noisy_xor(scale=GOLDEN_SCALE, max_quads=1,
+                                      executor=executor)
 
 
 def _rows(result):
@@ -154,11 +166,16 @@ def _golden_path(name):
     return os.path.join(GOLDEN_DIR, f"{name}.json")
 
 
+@pytest.fixture(scope="module")
+def executor():
+    return _executor()
+
+
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_figure_matches_golden_trace(name):
+def test_figure_matches_golden_trace(name, executor):
     with open(_golden_path(name), "r", encoding="utf-8") as handle:
         expected = json.load(handle)
-    actual = _snapshot(RUNNERS[name]())
+    actual = _snapshot(RUNNERS[name](executor))
     assert actual == expected, (
         f"{name} drifted from its golden trace; if the statistics change is "
         "intentional, bump ENGINE_VERSION and regenerate with "
@@ -178,7 +195,8 @@ def test_attack_studies_match_golden_trace(name):
 
 def _regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    snapshots = {name: (lambda runner=runner: _snapshot(runner()))
+    executor = _executor()
+    snapshots = {name: (lambda runner=runner: _snapshot(runner(executor)))
                  for name, runner in RUNNERS.items()}
     snapshots.update(SNAPSHOT_RUNNERS)
     for name, snapshot in sorted(snapshots.items()):

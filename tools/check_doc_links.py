@@ -11,9 +11,9 @@ resolves, either relative to the referencing file's directory or to the
 repository root.  A bare test-module name (``test_parity.py``) is not
 checked: only a path says where the file should be.
 
-Output paths are not references: a name that follows an ``--out``/
-``--output`` flag (``repro report --output results.md``) is what a command
-writes, so it is skipped, as is anything inside a URL.
+Output paths are not references: a name that follows an ``--out`` flag
+(``repro run all --out results.md``) is what a command writes, so it is
+skipped, as is anything inside a URL.
 
 Usage::
 
@@ -35,7 +35,7 @@ SCANNED = ("src", "examples", "benchmarks", "docs", "README.md")
 #: module path starting at ``tests/`` (a ``::test`` suffix is not part of it).
 REF_RE = re.compile(r"[^\s`'\"()<>\[\]{}|,;=*]+\.md\b"
                     r"|(?<![\w/.-])tests/[\w/.-]+\.py\b")
-OUTPUT_FLAG_RE = re.compile(r"--out(?:put)?[=\s]+$")
+OUTPUT_FLAG_RE = re.compile(r"--out[=\s]+$")
 
 
 def scanned_files(root: str) -> Iterator[str]:
