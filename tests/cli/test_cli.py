@@ -104,6 +104,45 @@ class TestRunCommand:
         with open(out / "figure1.txt", encoding="utf-8") as handle:
             assert "±" in handle.read()
 
+    def test_run_key_shards_and_merges_like_run_all(self, tmp_path, capsys):
+        # --shard on `run KEY` writes a receipt instead of running the
+        # whole experiment; the merged output is the unsharded run's bytes.
+        out = tmp_path / "shards"
+        for index in range(2):
+            assert main(["run", "table5", "--shard", f"{index}/2",
+                         "--out", str(out)]) == 0
+        assert "shard artifact written" in capsys.readouterr().out
+        merged, serial = tmp_path / "merged", tmp_path / "serial"
+        assert main(["merge", "--out", str(merged),
+                     str(out / "shard-0-of-2.json"),
+                     str(out / "shard-1-of-2.json")]) == 0
+        assert main(["run", "table5", "--out", str(serial)]) == 0
+        assert (merged / "table5.json").read_bytes() == \
+            (serial / "table5.json").read_bytes()
+
+    def test_run_key_validates_jobs(self, capsys):
+        # --jobs is read, not dropped: a malformed value is exit 2.
+        assert main(["run", "table5", "--jobs", "0"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep_going, code", [(False, 1), (True, 3)])
+    def test_run_key_honours_keep_going(self, keep_going, code, tmp_path,
+                                        capsys, monkeypatch):
+        # One figure1 case fails permanently: without --keep-going the run
+        # stops (exit 1); with it every other case finishes and a failure
+        # manifest is written (exit 3).
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "crash:case_idx=0;attempts=99")
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        out = tmp_path / "out"
+        assert main(["run", "figure1", "--scale", "0.05", "--out", str(out)]
+                    + (["--keep-going"] if keep_going else [])) == code
+        err = capsys.readouterr().err
+        assert "InjectedCrash" in err
+        assert (out / "failures-0-of-1.json").exists() == keep_going
+        assert not (out / "figure1.json").exists()
+
     @pytest.mark.parametrize("flag", ["--experiments", "--bench-set"])
     def test_run_key_rejects_experiment_selectors(self, flag, capsys):
         assert main(["run", "figure1", flag, "int"]) == 2
