@@ -15,7 +15,8 @@ Run:  python examples/smt_predictor_study.py
 from repro.analysis import percent, render_table
 from repro.cpu import sunny_cove_smt
 from repro.experiments import SweepExecutor, quick_scale, run_smt_case
-from repro.experiments.sensitivity import smt4_noisy_xor
+from repro.experiments.sensitivity import (assemble_smt4_noisy_xor,
+                                           plan_smt4_noisy_xor)
 from repro.workloads import get_pair
 
 #: SMT-2 cases to include (a subset keeps the example fast; all twelve cases
@@ -51,11 +52,13 @@ def smt2_study() -> None:
 
 def smt4_study() -> None:
     """The SMT-4 extension: Noisy-XOR-BP vs the flush mechanisms."""
-    # The sweep executor deduplicates the cases, fans them out over
-    # REPRO_JOBS workers and reuses REPRO_STORE_DIR results when set.
-    result = smt4_noisy_xor(quick_scale(), max_quads=2,
-                            executor=SweepExecutor())
-    print(result.render())
+    # The sweep executor deduplicates the planned cases, fans them out over
+    # REPRO_JOBS workers and reuses REPRO_STORE_DIR results when set; the
+    # assembly reads their results in plan order.
+    scale = quick_scale()
+    results = SweepExecutor().run_specs(plan_smt4_noisy_xor(scale,
+                                                            max_quads=2))
+    print(assemble_smt4_noisy_xor(scale, results, max_quads=2).render())
 
 
 def main() -> None:

@@ -1,7 +1,9 @@
 """Experiment drivers: one module per paper table/figure, plus ablations.
 
-Every module exposes a ``run(scale=None, ..., executor=...)`` function
-returning an :class:`repro.experiments.base.ExperimentResult`;
+A case-based driver is a ``plan(scale, ...)`` that lists its simulation
+cases and an ``assemble(scale, results, ...)`` that builds an
+:class:`repro.experiments.base.ExperimentResult` from those cases' results
+in plan order; a caseless one is a ``run(scale)``.
 :func:`experiment_registry` maps each registered experiment to its plan and
 assembly.  The manifest pipeline (``repro run``, ``repro report``) plans and
 runs every case through one executor,
@@ -30,7 +32,6 @@ from .base import ExperimentResult
 from .executor import (
     ENGINE_VERSION,
     CaseSpec,
-    RepetitionExecutor,
     RunResultCache,
     SweepExecutor,
     env_jobs,
@@ -55,8 +56,6 @@ from .pipeline import (
 from .store import ResultStore, env_store
 from .runner import (
     build_bpu,
-    overhead_figure_single_thread,
-    overhead_figure_smt,
     run_single_thread_case,
     run_smt_case,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "parse_jobs",
     "ExperimentDef",
     "ExperimentManifest",
-    "RepetitionExecutor",
     "ResultStore",
     "ShardSpec",
     "build_manifest",
@@ -94,8 +92,6 @@ __all__ = [
     "build_bpu",
     "run_single_thread_case",
     "run_smt_case",
-    "overhead_figure_single_thread",
-    "overhead_figure_smt",
     "fig1_flush_single",
     "fig2_flush_smt",
     "fig3_precise_flush",

@@ -2,16 +2,17 @@
 
 Three ablations are provided:
 
-* :func:`encoder_ablation` — Section 5.4 notes that XOR "can be exchanged for
-  stronger isolation" (shift/scramble stages, small lookup tables).  The
-  ablation confirms the performance cost is identical across encoders — the
-  encoding only changes what stale entries decode to, never their accuracy
-  for the owning thread.
-* :func:`key_refresh_ablation` — Section 5.4 requires key regeneration on
-  privilege switches.  The ablation quantifies the (small) performance that
-  could be saved by refreshing only at context switches, and demonstrates the
-  security consequence: a user-mode attacker can then steer a kernel-mode
-  victim branch because both run under the same key.
+* encoder (:func:`assemble_encoder_ablation`) — Section 5.4 notes that XOR
+  "can be exchanged for stronger isolation" (shift/scramble stages, small
+  lookup tables).  The ablation confirms the performance cost is identical
+  across encoders — the encoding only changes what stale entries decode to,
+  never their accuracy for the owning thread.
+* key refresh (:func:`assemble_key_refresh_ablation`) — Section 5.4 requires
+  key regeneration on privilege switches.  The ablation quantifies the
+  (small) performance that could be saved by refreshing only at context
+  switches, and demonstrates the security consequence: a user-mode attacker
+  can then steer a kernel-mode victim branch because both run under the
+  same key.
 * :func:`pht_granularity_ablation` — simple 2-bit XOR-PHT versus word-basis
   Enhanced-XOR-PHT (Section 5.2): equal performance, but the calibrated
   BranchScope attack recovers the victim direction through the naive scheme's
@@ -20,30 +21,32 @@ Three ablations are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..attacks.harness import run_attack
 from ..attacks.primitives import AttackEnvironment
 from ..attacks.spectre_v2 import LEGITIMATE_TARGET, MALICIOUS_TARGET, SHARED_CALL_PC
 from ..core.registry import make_bpu
 from ..cpu.config import fpga_prototype
+from ..cpu.stats import RunResult
 from ..types import BranchType, Privilege
 from ..workloads.pairs import get_pair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["encoder_ablation", "plan_encoder_ablation",
-           "key_refresh_ablation", "plan_key_refresh_ablation",
+__all__ = ["plan_encoder_ablation", "assemble_encoder_ablation",
+           "plan_key_refresh_ablation", "assemble_key_refresh_ablation",
            "pht_granularity_ablation"]
 
-#: Content encoders compared by :func:`encoder_ablation`.
+#: Content encoders compared by :func:`assemble_encoder_ablation`.
 _ENCODERS = ("xor", "shift_xor", "sbox")
 
 
 def plan_encoder_ablation(scale: Optional[ExperimentScale] = None,
                           case: str = "case6") -> List[CaseSpec]:
-    """Cases for :func:`encoder_ablation`: baseline, then one per encoder."""
+    """Cases for :func:`assemble_encoder_ablation`: baseline, then one per
+    encoder."""
     scale = scale or default_scale()
     pair = get_pair(case, "single")
     config = fpga_prototype()
@@ -55,13 +58,12 @@ def plan_encoder_ablation(scale: Optional[ExperimentScale] = None,
     return specs
 
 
-def encoder_ablation(scale: Optional[ExperimentScale] = None,
-                     case: str = "case6",
-                     *, executor: SweepExecutor) -> ExperimentResult:
-    """Compare the XOR, shift-XOR and S-box content encoders."""
-    scale = scale or default_scale()
+def assemble_encoder_ablation(scale: ExperimentScale,
+                              results: Sequence[RunResult],
+                              case: str = "case6") -> ExperimentResult:
+    """Compare the XOR, shift-XOR and S-box content encoders (from the
+    results of :func:`plan_encoder_ablation`, same knobs)."""
     pair = get_pair(case, "single")
-    results = executor.run_specs(plan_encoder_ablation(scale, case))
     baseline = results[0]
     rows: List[List] = []
     for encoder, encoded in zip(_ENCODERS, results[1:]):
@@ -106,14 +108,15 @@ def _cross_privilege_training_rate(rotate_on_privilege: bool,
     return successes / iterations
 
 
-#: Key-refresh policies compared by :func:`key_refresh_ablation`.
+#: Key-refresh policies compared by :func:`assemble_key_refresh_ablation`.
 _REFRESH_POLICIES = ((True, "context + privilege switches (paper)"),
                      (False, "context switches only"))
 
 
 def plan_key_refresh_ablation(scale: Optional[ExperimentScale] = None,
                               case: str = "case1") -> List[CaseSpec]:
-    """Cases for :func:`key_refresh_ablation`: baseline, then one per policy."""
+    """Cases for :func:`assemble_key_refresh_ablation`: baseline, then one
+    per policy."""
     scale = scale or default_scale()
     pair = get_pair(case, "single")
     config = fpga_prototype()
@@ -127,13 +130,13 @@ def plan_key_refresh_ablation(scale: Optional[ExperimentScale] = None,
     return specs
 
 
-def key_refresh_ablation(scale: Optional[ExperimentScale] = None,
-                         case: str = "case1",
-                         *, executor: SweepExecutor) -> ExperimentResult:
-    """Refresh keys on privilege switches (paper design) vs context switches only."""
-    scale = scale or default_scale()
+def assemble_key_refresh_ablation(scale: ExperimentScale,
+                                  results: Sequence[RunResult],
+                                  case: str = "case1") -> ExperimentResult:
+    """Refresh keys on privilege switches (paper design) vs context switches
+    only (from the results of :func:`plan_key_refresh_ablation`, same
+    knobs)."""
     pair = get_pair(case, "single")
-    results = executor.run_specs(plan_key_refresh_ablation(scale, case))
     baseline = results[0]
     rows: List[List] = []
     for (rotate, label), result in zip(_REFRESH_POLICIES, results[1:]):

@@ -23,15 +23,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import geometric_mean
 from ..cpu.config import fpga_prototype
+from ..cpu.stats import RunResult
 from ..workloads.pairs import BenchmarkPair
 from ..workloads.registry import WorkloadEntry, get_registry
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .runner import (assemble_overhead_single_thread,
                      plan_overhead_single_thread)
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["MECHANISMS", "plan", "run", "experiment_def"]
+__all__ = ["MECHANISMS", "plan", "assemble", "experiment_def"]
 
 #: The two headline mechanisms the suite compares (series label, preset,
 #: switch-interval override).
@@ -57,7 +58,7 @@ def plan(selector: str,
          scale: Optional[ExperimentScale] = None) -> List[CaseSpec]:
     """Enumerate the cases of one benchmark-set selector.
 
-    Same order contract as
+    Same order as
     :func:`repro.experiments.runner.plan_overhead_single_thread`; trace-backed
     specs additionally carry the corpus file's content digest in
     ``workload_digest`` (a replayed trace's behaviour is the file contents,
@@ -98,25 +99,24 @@ def _summary_rows(figure, registry, entries: Sequence[WorkloadEntry]):
     return rows
 
 
-def run(selector: str, scale: Optional[ExperimentScale] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Run one benchmark-set selector and assemble its geomean summary.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             selector: str) -> ExperimentResult:
+    """Assemble one benchmark-set selector's geomean summary from the
+    results of :func:`plan` (same selector).
 
     Args:
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         selector: benchmark-set selector (see
             :meth:`repro.workloads.registry.WorkloadRegistry.select`).
-        scale: experiment scale (default honours ``REPRO_SCALE``).
-        executor: sweep executor (the merge step of the sharded
-            pipeline passes a replay-only executor).
 
     Returns:
         An :class:`~repro.experiments.base.ExperimentResult` whose figure
         holds the per-benchmark overheads and whose rows are the per-set
         geomean summaries.
     """
-    scale, registry, entries, pairs = _setup(selector, scale)
-    results = executor.run_specs(plan(selector, scale))
-    figure, _ = assemble_overhead_single_thread(
+    _scale, registry, entries, pairs = _setup(selector, scale)
+    figure = assemble_overhead_single_thread(
         f"Benchmark suite [{selector}]",
         "isolation overhead per benchmark, solo on the single-threaded core",
         MECHANISMS, pairs, results)
@@ -151,5 +151,4 @@ def experiment_def(selector: str):
     return ExperimentDef(
         key=f"bench:{selector}",
         plan=lambda scale: plan(selector, scale),
-        assemble=lambda scale, executor: run(selector, scale,
-                                             executor=executor))
+        assemble=lambda scale, results: assemble(scale, results, selector))

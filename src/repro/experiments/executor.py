@@ -55,7 +55,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cpu.config import CoreConfig
@@ -71,7 +71,6 @@ __all__ = [
     "CaseTimeout",
     "ExecutionError",
     "atomic_write_json",
-    "RepetitionExecutor",
     "RunResultCache",
     "SweepExecutor",
     "env_case_timeout",
@@ -534,9 +533,9 @@ class SweepExecutor:
             omitted.
         allow_simulation: when ``False`` the executor only *replays* cached
             results and raises on any miss.  The sharded pipeline's merge step
-            uses this to prove that every case an experiment assembles from
-            was planned and executed by some shard — an incomplete ``plan()``
-            fails loudly instead of silently re-simulating at merge time.
+            uses this as the guard that a merge never simulates: a case the
+            receipts do not cover fails loudly instead of being silently
+            re-simulated at merge time.
         keep_going: when ``True``, a case that exhausts its retry budget is
             recorded in :attr:`failures` and replaced by ``None`` in the
             returned results instead of aborting the run — every healthy
@@ -622,8 +621,7 @@ class SweepExecutor:
                 for spec, key in zip(pending, pending_keys))
             raise RuntimeError(
                 f"replay-only executor has no cached result for "
-                f"{len(pending)} case(s): {missing}; the experiment plan() "
-                "is missing cases its assembly needs, or the shard artifacts "
+                f"{len(pending)} case(s): {missing}; the shard artifacts "
                 "are incomplete")
         if pending:
             # Stream order: cases that replay the same workload streams run
@@ -904,32 +902,3 @@ class SweepExecutor:
             # No-op after a clean shutdown; after an error or interrupt it
             # cancels everything still queued and abandons the workers.
             pool.shutdown(wait=False, cancel_futures=True)
-
-
-class RepetitionExecutor:
-    """Executor view that shifts every submitted case to one repetition.
-
-    Repetition-averaged runs execute each planned case N times under seed
-    offsets ``base..base+N-1``.  The figure/table drivers stay
-    repetition-blind: at assembly time each repetition r re-runs the driver's
-    ``assemble()`` against this view, which rewrites ``seed_offset`` before
-    delegating to the real executor — so the plan-order contract between a
-    driver's ``plan()`` and its assembly is untouched, and repetition 0 is
-    exactly the historical single-trajectory case family.
-    """
-
-    def __init__(self, base: SweepExecutor, repetition: int) -> None:
-        if repetition < 0:
-            raise ValueError(f"repetition must be >= 0, got {repetition}")
-        self.base = base
-        self.repetition = repetition
-
-    def run_specs(self, specs: Sequence[CaseSpec]) -> List[RunResult]:
-        """Run the given cases at this view's repetition."""
-        shifted = [replace(spec, seed_offset=spec.seed_offset + self.repetition)
-                   for spec in specs]
-        return self.base.run_specs(shifted)
-
-    def run_spec(self, spec: CaseSpec) -> RunResult:
-        """Run (or fetch from cache) a single case at this repetition."""
-        return self.run_specs([spec])[0]

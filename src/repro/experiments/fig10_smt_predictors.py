@@ -20,12 +20,13 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.figures import FigureSeries
 from ..analysis.metrics import arithmetic_mean
 from ..cpu.config import sunny_cove_smt
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SMT2_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["run", "plan", "PREDICTORS", "MECHANISMS", "PAPER_BASELINE_MPKI"]
+__all__ = ["plan", "assemble", "PREDICTORS", "MECHANISMS", "PAPER_BASELINE_MPKI"]
 
 #: Predictors evaluated in Figure 10, in the paper's accuracy order.
 PREDICTORS = ["gshare", "tournament", "ltage", "tage_sc_l"]
@@ -49,11 +50,8 @@ def _setup(scale, predictors, pairs):
 def plan(scale: Optional[ExperimentScale] = None,
          predictors: Optional[Sequence[str]] = None,
          pairs: Optional[Sequence[BenchmarkPair]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Figure 10 needs (same knobs as ``run``).
-
-    Order contract with ``run``: per predictor, one baseline per pair first,
-    then one block of pairs per mechanism.
-    """
+    """Enumerate every simulation case Figure 10 needs: per predictor, one
+    baseline per pair first, then one block of pairs per mechanism."""
     scale, predictors, pairs = _setup(scale, predictors, pairs)
     specs: List[CaseSpec] = []
     for predictor in predictors:
@@ -67,22 +65,20 @@ def plan(scale: Optional[ExperimentScale] = None,
     return specs
 
 
-def run(scale: Optional[ExperimentScale] = None,
-        predictors: Optional[Sequence[str]] = None,
-        pairs: Optional[Sequence[BenchmarkPair]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Figure 10.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             predictors: Optional[Sequence[str]] = None,
+             pairs: Optional[Sequence[BenchmarkPair]] = None
+             ) -> ExperimentResult:
+    """Reproduce Figure 10 from the results of :func:`plan` (same knobs).
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         predictors: subset of :data:`PREDICTORS` (all four by default; this
             is the most expensive experiment in the suite).
         pairs: subset of the SMT-2 pairs (all 12 by default).
-        executor: sweep executor.
     """
-    scale, predictors, pairs = _setup(scale, predictors, pairs)
-    results = executor.run_specs(plan(scale, predictors, pairs))
-
+    _scale, predictors, pairs = _setup(scale, predictors, pairs)
     figure = FigureSeries(
         name="Figure 10",
         description="Isolation overhead per predictor and mechanism on SMT-2",

@@ -12,13 +12,15 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..cpu.config import fpga_prototype
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SINGLE_THREAD_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
-from .runner import overhead_figure_single_thread, plan_overhead_single_thread
+from .executor import CaseSpec
+from .runner import (assemble_overhead_single_thread,
+                     plan_overhead_single_thread)
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["run", "plan", "FLUSH_INTERVALS"]
+__all__ = ["plan", "assemble", "FLUSH_INTERVALS"]
 
 #: Flush periods swept by the paper, in real cycles.
 FLUSH_INTERVALS = {"flush-4M": 4_000_000, "flush-8M": 8_000_000,
@@ -35,32 +37,31 @@ def _setup(scale, pairs):
 
 def plan(scale: Optional[ExperimentScale] = None,
          pairs: Optional[Sequence[BenchmarkPair]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Figure 1 needs (same knobs as ``run``)."""
+    """Enumerate every simulation case Figure 1 needs, in the order
+    :func:`assemble` reads them."""
     scale, pairs, mechanisms = _setup(scale, pairs)
     return plan_overhead_single_thread(mechanisms, pairs, fpga_prototype(),
                                        scale)
 
 
-def run(scale: Optional[ExperimentScale] = None,
-        pairs: Optional[Sequence[BenchmarkPair]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Figure 1.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             pairs: Optional[Sequence[BenchmarkPair]] = None
+             ) -> ExperimentResult:
+    """Reproduce Figure 1 from the results of :func:`plan` (same knobs).
 
     Args:
-        scale: experiment scale (default honours ``REPRO_SCALE``).
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         pairs: subset of the Table 3 single-thread pairs (all 12 by default).
-        executor: sweep executor (the merge step of the sharded
-            pipeline passes a replay-only executor).
 
     Returns:
         An :class:`repro.experiments.base.ExperimentResult` whose figure holds
         one overhead series per flush period.
     """
     scale, pairs, mechanisms = _setup(scale, pairs)
-    figure, _ = overhead_figure_single_thread(
+    figure = assemble_overhead_single_thread(
         "Figure 1", "Complete Flush overhead on a single-threaded core",
-        mechanisms, pairs, config=fpga_prototype(), scale=scale,
-        executor=executor)
+        mechanisms, pairs, results)
     averages = figure.averages()
     rows = [[label, f"{100 * value:+.2f}%"] for label, value in averages.items()]
     return ExperimentResult(

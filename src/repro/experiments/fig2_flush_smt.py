@@ -12,12 +12,13 @@ from typing import List, Optional, Sequence
 from ..analysis.figures import FigureSeries
 from ..analysis.metrics import arithmetic_mean
 from ..cpu.config import sunny_cove_smt
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SMT2_PAIRS, SMT4_QUADS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["run", "plan"]
+__all__ = ["plan", "assemble"]
 
 
 def _group_specs(pairs: Sequence[BenchmarkPair], smt_threads: int,
@@ -43,7 +44,8 @@ def _setup(scale, smt2_pairs, smt4_quads):
 def plan(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
          smt2_pairs: Optional[Sequence[BenchmarkPair]] = None,
          smt4_quads: Optional[Sequence[BenchmarkPair]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Figure 2 needs (same knobs as ``run``)."""
+    """Enumerate every simulation case Figure 2 needs: per SMT group, each
+    pair's baseline then its Complete-Flush case."""
     scale, smt2, smt4 = _setup(scale, smt2_pairs, smt4_quads)
     return (_group_specs(smt2, 2, predictor, scale)
             + _group_specs(smt4, 4, predictor, scale))
@@ -56,25 +58,23 @@ def _assemble_overheads(results: Sequence) -> tuple:
     return overheads, arithmetic_mean(overheads)
 
 
-def run(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
-        smt2_pairs: Optional[Sequence[BenchmarkPair]] = None,
-        smt4_quads: Optional[Sequence[BenchmarkPair]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Figure 2.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             predictor: str = "tournament",
+             smt2_pairs: Optional[Sequence[BenchmarkPair]] = None,
+             smt4_quads: Optional[Sequence[BenchmarkPair]] = None
+             ) -> ExperimentResult:
+    """Reproduce Figure 2 from the results of :func:`plan` (same knobs).
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         predictor: direction predictor of the SMT core (the paper does not
             name the one used for this figure; the Tournament predictor keeps
             the run time moderate and the conclusion is predictor-independent).
         smt2_pairs: subset of the SMT-2 pairs (all 12 by default).
         smt4_quads: subset of the SMT-4 quads (all 6 by default).
-        executor: sweep executor.
     """
     scale, smt2, smt4 = _setup(scale, smt2_pairs, smt4_quads)
-    specs = plan(scale, predictor, smt2, smt4)
-    results = executor.run_specs(specs)
-
     split = 2 * len(smt2)
     smt2_overheads, smt2_avg = _assemble_overheads(results[:split])
     smt4_overheads, smt4_avg = _assemble_overheads(results[split:])

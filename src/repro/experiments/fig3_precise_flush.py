@@ -11,13 +11,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..cpu.config import sunny_cove_smt
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SMT2_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
-from .runner import overhead_figure_smt, plan_overhead_smt
+from .executor import CaseSpec
+from .runner import assemble_overhead_smt, plan_overhead_smt
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["run", "plan"]
+__all__ = ["plan", "assemble"]
 
 _MECHANISMS = [("Complete Flush", "complete_flush"),
                ("Precise Flush", "precise_flush")]
@@ -31,27 +32,28 @@ def _setup(scale, predictor, pairs):
 
 def plan(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
          pairs: Optional[Sequence[BenchmarkPair]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Figure 3 needs (same knobs as ``run``)."""
+    """Enumerate every simulation case Figure 3 needs, in the order
+    :func:`assemble` reads them."""
     scale, config, pairs = _setup(scale, predictor, pairs)
     return plan_overhead_smt(_MECHANISMS, pairs, config, scale)
 
 
-def run(scale: Optional[ExperimentScale] = None, predictor: str = "tournament",
-        pairs: Optional[Sequence[BenchmarkPair]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Figure 3.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             predictor: str = "tournament",
+             pairs: Optional[Sequence[BenchmarkPair]] = None
+             ) -> ExperimentResult:
+    """Reproduce Figure 3 from the results of :func:`plan` (same knobs).
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         predictor: direction predictor of the SMT core.
         pairs: subset of the SMT-2 pairs (all 12 by default).
-        executor: sweep executor.
     """
-    scale, config, pairs = _setup(scale, predictor, pairs)
-    figure, _ = overhead_figure_smt(
+    _scale, _config, pairs = _setup(scale, predictor, pairs)
+    figure = assemble_overhead_smt(
         "Figure 3", "Complete Flush vs Precise Flush on the SMT-2 core",
-        list(_MECHANISMS), pairs, config=config, scale=scale,
-        executor=executor)
+        _MECHANISMS, pairs, results)
     rows = [[label, f"{100 * value:+.2f}%"] for label, value in figure.averages().items()]
     return ExperimentResult(
         name="Figure 3",

@@ -13,20 +13,22 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..cpu.config import fpga_prototype
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SINGLE_THREAD_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
-from .runner import overhead_figure_single_thread, plan_overhead_single_thread
+from .executor import CaseSpec
+from .runner import (assemble_overhead_single_thread,
+                     plan_overhead_single_thread)
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["run", "plan", "setup_interval_sweep", "SWITCH_INTERVALS"]
+__all__ = ["plan", "assemble", "setup_interval_sweep", "SWITCH_INTERVALS"]
 
 #: Context-switch periods swept by the paper, in real cycles.
 SWITCH_INTERVALS = {"4M": 4_000_000, "8M": 8_000_000, "12M": 12_000_000}
 
 
 def setup_interval_sweep(scale, pairs, intervals, prefix_presets):
-    """Shared plan/run setup for the Figure 7/8/9 interval-sweep drivers.
+    """Shared plan/assemble setup for the Figure 7/8/9 interval-sweep drivers.
 
     Resolves the scale/pair/interval defaults and expands ``prefix_presets``
     (``(series-label prefix, preset)`` pairs) into the ``(label, preset,
@@ -51,30 +53,30 @@ _PRESETS = [("XOR-BTB", "xor_btb"), ("Noisy-XOR-BTB", "noisy_xor_btb")]
 def plan(scale: Optional[ExperimentScale] = None,
          pairs: Optional[Sequence[BenchmarkPair]] = None,
          intervals: Optional[Sequence[str]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Figure 7 needs (same knobs as ``run``)."""
+    """Enumerate every simulation case Figure 7 needs, in the order
+    :func:`assemble` reads them."""
     scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals, _PRESETS)
     return plan_overhead_single_thread(mechanisms, pairs, fpga_prototype(),
                                        scale)
 
 
-def run(scale: Optional[ExperimentScale] = None,
-        pairs: Optional[Sequence[BenchmarkPair]] = None,
-        intervals: Optional[Sequence[str]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Figure 7.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             pairs: Optional[Sequence[BenchmarkPair]] = None,
+             intervals: Optional[Sequence[str]] = None) -> ExperimentResult:
+    """Reproduce Figure 7 from the results of :func:`plan` (same knobs).
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         pairs: subset of the single-thread pairs (all 12 by default).
         intervals: subset of the switch-period labels (``"4M"``, ``"8M"``,
             ``"12M"``); all three by default.
-        executor: sweep executor.
     """
-    scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals, _PRESETS)
-    figure, _ = overhead_figure_single_thread(
+    _scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals,
+                                                     _PRESETS)
+    figure = assemble_overhead_single_thread(
         "Figure 7", "XOR-BTB / Noisy-XOR-BTB overhead on the single-threaded core",
-        mechanisms, pairs, config=fpga_prototype(), scale=scale,
-        executor=executor)
+        mechanisms, pairs, results)
     rows = [[label, f"{100 * value:+.2f}%"] for label, value in figure.averages().items()]
     return ExperimentResult(
         name="Figure 7",

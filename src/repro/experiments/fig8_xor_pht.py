@@ -13,14 +13,16 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..cpu.config import fpga_prototype
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SINGLE_THREAD_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .fig7_xor_btb import setup_interval_sweep
-from .runner import overhead_figure_single_thread, plan_overhead_single_thread
+from .runner import (assemble_overhead_single_thread,
+                     plan_overhead_single_thread)
 from .scaling import ExperimentScale
 
-__all__ = ["run", "plan"]
+__all__ = ["plan", "assemble"]
 
 _PRESETS = [("XOR-PHT", "xor_pht"), ("Noisy-XOR-PHT", "noisy_xor_pht")]
 
@@ -28,22 +30,23 @@ _PRESETS = [("XOR-PHT", "xor_pht"), ("Noisy-XOR-PHT", "noisy_xor_pht")]
 def plan(scale: Optional[ExperimentScale] = None,
          pairs: Optional[Sequence[BenchmarkPair]] = None,
          intervals: Optional[Sequence[str]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Figure 8 needs (same knobs as ``run``)."""
+    """Enumerate every simulation case Figure 8 needs, in the order
+    :func:`assemble` reads them."""
     scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals, _PRESETS)
     return plan_overhead_single_thread(mechanisms, pairs, fpga_prototype(),
                                        scale)
 
 
-def run(scale: Optional[ExperimentScale] = None,
-        pairs: Optional[Sequence[BenchmarkPair]] = None,
-        intervals: Optional[Sequence[str]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Figure 8 (same knobs as Figure 7)."""
-    scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals, _PRESETS)
-    figure, _ = overhead_figure_single_thread(
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             pairs: Optional[Sequence[BenchmarkPair]] = None,
+             intervals: Optional[Sequence[str]] = None) -> ExperimentResult:
+    """Reproduce Figure 8 from the results of :func:`plan` (same knobs
+    as Figure 7)."""
+    _scale, pairs, mechanisms = setup_interval_sweep(scale, pairs, intervals,
+                                                     _PRESETS)
+    figure = assemble_overhead_single_thread(
         "Figure 8", "XOR-PHT / Noisy-XOR-PHT overhead on the single-threaded core",
-        mechanisms, pairs, config=fpga_prototype(), scale=scale,
-        executor=executor)
+        mechanisms, pairs, results)
     rows = [[label, f"{100 * value:+.2f}%"] for label, value in figure.averages().items()]
     return ExperimentResult(
         name="Figure 8",

@@ -5,10 +5,11 @@ imperatively, so a full-paper reproduction was a serial walk over drivers
 that re-planned overlapping baseline cases and could not be split across
 machines.  This module turns the drivers into *data*:
 
-* every driver exposes a ``plan()`` that enumerates its
-  :class:`~repro.experiments.executor.CaseSpec` list up front (the imperative
-  ``run()`` entry points remain, as thin wrappers over plan + execute +
-  assemble);
+* every case-based driver is a pair of functions: ``plan()`` enumerates its
+  :class:`~repro.experiments.executor.CaseSpec` list up front, and
+  ``assemble()`` builds the figure/table from the results of exactly those
+  cases, in plan order (it never sees an executor, so it can read no case
+  the plan did not list);
 * an :class:`ExperimentManifest` collects the plans of any set of experiments
   into one global case list, **deduplicated across experiments** by
   ``cache_key`` — a baseline pair shared by Figures 7, 8 and 9 appears once;
@@ -36,7 +37,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .base import ExperimentResult
-from .executor import ENGINE_VERSION, CaseSpec, SweepExecutor, parse_jobs
+from ..cpu.stats import RunResult
+from .executor import ENGINE_VERSION, CaseSpec, parse_jobs
 from .scaling import ExperimentScale, default_scale
 
 __all__ = [
@@ -126,10 +128,11 @@ class ExperimentDef:
             simulation case the experiment's assembly reads.  May return an
             empty list for experiments that simulate nothing through the
             executor (configuration tables, attack-based experiments).
-        assemble: callable ``assemble(scale, executor) -> ExperimentResult``
-            producing the final figure/table.  Case-based experiments fetch
-            every case through ``executor`` — at merge time that executor is
-            replay-only, which *proves* the plan covered the assembly.
+        assemble: callable ``assemble(scale, results) -> ExperimentResult``
+            producing the final figure/table from ``results``, the
+            plan-ordered :class:`~repro.cpu.stats.RunResult` of every planned
+            case at one repetition (``[]`` for a caseless experiment).  The
+            pipeline fetches the results; the assembly sees no executor.
         repeatable: whether the experiment's result can carry repetition
             statistics (figure experiments fold N seeds into mean ± CI
             series).  Figure-less tabular experiments set this ``False``:
@@ -143,25 +146,16 @@ class ExperimentDef:
 
     key: str
     plan: Callable[[ExperimentScale], List[CaseSpec]]
-    assemble: Callable[[ExperimentScale, SweepExecutor], ExperimentResult]
+    assemble: Callable[[ExperimentScale, List[RunResult]], ExperimentResult]
     repeatable: bool = True
     resimulates: bool = False
-
-
-def _case_based(key: str, plan_fn, run_fn, *,
-                repeatable: bool = True) -> ExperimentDef:
-    return ExperimentDef(
-        key=key,
-        plan=lambda scale: plan_fn(scale),
-        assemble=lambda scale, executor: run_fn(scale, executor=executor),
-        repeatable=repeatable)
 
 
 def _caseless(key: str, run_fn, *, resimulates: bool = False) -> ExperimentDef:
     return ExperimentDef(
         key=key,
         plan=lambda scale: [],
-        assemble=lambda scale, executor: run_fn(scale),
+        assemble=lambda scale, results: run_fn(scale),
         resimulates=resimulates)
 
 
@@ -199,37 +193,41 @@ def _registry() -> "Dict[str, ExperimentDef]":
     )
 
     defs = [
-        _case_based("figure1", fig1_flush_single.plan, fig1_flush_single.run),
-        _case_based("figure2", fig2_flush_smt.plan, fig2_flush_smt.run),
-        _case_based("figure3", fig3_precise_flush.plan, fig3_precise_flush.run),
-        _case_based("figure7", fig7_xor_btb.plan, fig7_xor_btb.run),
-        _case_based("figure8", fig8_xor_pht.plan, fig8_xor_pht.run),
-        _case_based("figure9", fig9_xor_bp.plan, fig9_xor_bp.run),
-        _case_based("figure10", fig10_smt_predictors.plan,
-                    fig10_smt_predictors.run),
+        ExperimentDef("figure1", fig1_flush_single.plan,
+                      fig1_flush_single.assemble),
+        ExperimentDef("figure2", fig2_flush_smt.plan, fig2_flush_smt.assemble),
+        ExperimentDef("figure3", fig3_precise_flush.plan,
+                      fig3_precise_flush.assemble),
+        ExperimentDef("figure7", fig7_xor_btb.plan, fig7_xor_btb.assemble),
+        ExperimentDef("figure8", fig8_xor_pht.plan, fig8_xor_pht.assemble),
+        ExperimentDef("figure9", fig9_xor_bp.plan, fig9_xor_bp.assemble),
+        ExperimentDef("figure10", fig10_smt_predictors.plan,
+                      fig10_smt_predictors.assemble),
         _caseless("table1", table1_security.run, resimulates=True),
         _caseless("table2", table2_configs.run),
         _caseless("table3", table3_benchmarks.run),
         # Figure-less tabular experiments: their rows cannot carry error
         # bars, so they stay single-trajectory under --repetitions N.
-        _case_based("table4", table4_privilege.plan, table4_privilege.run,
-                    repeatable=False),
+        ExperimentDef("table4", table4_privilege.plan,
+                      table4_privilege.assemble, repeatable=False),
         _caseless("table5", table5_hwcost.run),
         _caseless("poc_attacks", poc_attacks.run, resimulates=True),
-        _case_based("ablation_encoder", ablations.plan_encoder_ablation,
-                    ablations.encoder_ablation, repeatable=False),
-        _case_based("ablation_key_refresh", ablations.plan_key_refresh_ablation,
-                    ablations.key_refresh_ablation, repeatable=False),
+        ExperimentDef("ablation_encoder", ablations.plan_encoder_ablation,
+                      ablations.assemble_encoder_ablation, repeatable=False),
+        ExperimentDef("ablation_key_refresh",
+                      ablations.plan_key_refresh_ablation,
+                      ablations.assemble_key_refresh_ablation,
+                      repeatable=False),
         _caseless("ablation_pht_granularity",
                   ablations.pht_granularity_ablation, resimulates=True),
-        _case_based("ablation_switch_interval",
-                    sensitivity.plan_switch_interval_sensitivity,
-                    sensitivity.switch_interval_sensitivity),
-        _case_based("ablation_penalty",
-                    sensitivity.plan_mispredict_penalty_sensitivity,
-                    sensitivity.mispredict_penalty_sensitivity),
-        _case_based("smt4_noisy_xor", sensitivity.plan_smt4_noisy_xor,
-                    sensitivity.smt4_noisy_xor),
+        ExperimentDef("ablation_switch_interval",
+                      sensitivity.plan_switch_interval_sensitivity,
+                      sensitivity.assemble_switch_interval_sensitivity),
+        ExperimentDef("ablation_penalty",
+                      sensitivity.plan_mispredict_penalty_sensitivity,
+                      sensitivity.assemble_mispredict_penalty_sensitivity),
+        ExperimentDef("smt4_noisy_xor", sensitivity.plan_smt4_noisy_xor,
+                      sensitivity.assemble_smt4_noisy_xor),
     ]
     return {definition.key: definition for definition in defs}
 
@@ -278,17 +276,46 @@ class ExperimentManifest:
                 return definition
         raise KeyError(key)
 
-    def unique_cases(self) -> "Dict[str, CaseSpec]":
-        """Global case list: the N-seed expansion of every plan,
-        deduplicated by cache key across experiments and repetitions.
+    def repetitions_of(self, key: str) -> int:
+        """How many repetitions an experiment's assembly folds.
 
-        Each base case expands into ``repetitions`` variants whose seed
-        offsets are shifted by the repetition index — repetition 0 *is* the
-        base case, so a ``repetitions=1`` manifest and the cases a
-        ``repetitions=N`` manifest shares with it carry identical cache keys
-        (an N-seed run reuses a single-seed run's stored results).
-        Non-``repeatable`` experiments (figure-less tables, whose output
-        cannot carry error bars) contribute their base cases only.
+        ``repetitions`` for a ``repeatable`` experiment with cases; ``1``
+        for a figure-less table (its output cannot carry error bars) and
+        for a caseless experiment (it runs its own seeded harness).
+        """
+        if self.definition(key).repeatable and self.plans[key]:
+            return self.repetitions
+        return 1
+
+    def plan_at(self, key: str, repetition: int) -> List[CaseSpec]:
+        """An experiment's plan at one repetition: every base case with its
+        seed offset shifted by ``repetition``.
+
+        Repetition 0 *is* the base plan, so a ``repetitions=1`` manifest and
+        the cases a ``repetitions=N`` manifest shares with it carry identical
+        cache keys (an N-seed run reuses a single-seed run's stored
+        results).  Memoised per manifest: every call returns the same spec
+        instances, whose cache keys are memoised, so the assembly that reads
+        them back re-hashes nothing.
+        """
+        if not 0 <= repetition < self.repetitions_of(key):
+            raise ValueError(
+                f"{key} has repetitions 0..{self.repetitions_of(key) - 1}, "
+                f"got {repetition}")
+        if repetition == 0:
+            return self.plans[key]
+        memo = self.__dict__.setdefault("_plan_memo", {})
+        shifted = memo.get((key, repetition))
+        if shifted is None:
+            shifted = memo[key, repetition] = [
+                replace(spec, seed_offset=spec.seed_offset + repetition)
+                for spec in self.plans[key]]
+        return shifted
+
+    def unique_cases(self) -> "Dict[str, CaseSpec]":
+        """Global case list: the N-seed expansion of every plan
+        (:meth:`plan_at` each repetition), deduplicated by cache key across
+        experiments and repetitions.
 
         Insertion order is the first-appearance order, so iteration is
         deterministic for a given experiment selection; the *shard assignment*
@@ -296,7 +323,7 @@ class ExperimentManifest:
 
         Memoised per manifest (a ``run all`` reads this several times —
         describe, hash, shard split, execution — and each expansion would
-        otherwise rebuild and re-hash every repetition variant); the memo is
+        otherwise walk and re-key every repetition variant); the memo is
         keyed on the engine version and repetition count, and callers get a
         shallow copy so the cached mapping cannot be mutated from outside.
         """
@@ -305,13 +332,12 @@ class ExperimentManifest:
         if memo is not None and memo[0] == token:
             return dict(memo[1])
         unique: Dict[str, CaseSpec] = {}
-        for definition in self.definitions:
-            repetitions = self.repetitions if definition.repeatable else 1
-            for spec in self.plans[definition.key]:
-                for repetition in range(repetitions):
-                    expanded = spec if repetition == 0 else replace(
-                        spec, seed_offset=spec.seed_offset + repetition)
-                    unique.setdefault(expanded.cache_key(), expanded)
+        for key in self.keys:
+            # Each base case followed by its repetition variants.
+            for variants in zip(*(self.plan_at(key, repetition) for repetition
+                                  in range(self.repetitions_of(key)))):
+                for spec in variants:
+                    unique.setdefault(spec.cache_key(), spec)
         self._unique_memo = (token, unique)
         return dict(unique)
 
@@ -329,10 +355,8 @@ class ExperimentManifest:
 
     def total_planned(self) -> int:
         """Total case references (plans × repetitions) before dedupe."""
-        return sum(
-            len(self.plans[definition.key])
-            * (self.repetitions if definition.repeatable else 1)
-            for definition in self.definitions)
+        return sum(len(self.plans[key]) * self.repetitions_of(key)
+                   for key in self.keys)
 
     def manifest_hash(self) -> str:
         """Deterministic digest of the planned work.

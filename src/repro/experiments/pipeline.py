@@ -14,7 +14,7 @@ into finished figures/tables in three composable steps:
   once across the union**), load exactly the receipt keys from the result
   store (digest-checked), and re-assemble every experiment through a
   *replay-only* :class:`~repro.experiments.executor.SweepExecutor` — so the
-  merge simulates nothing and fails loudly if any plan was incomplete;
+  merge simulates nothing;
 * :func:`run_serial` — the degenerate single-machine path (one implicit
   shard, assembly in-process).
 
@@ -41,7 +41,6 @@ from ..cpu.stats import run_result_to_dict
 from .base import ExperimentResult
 from .executor import (
     ENGINE_VERSION,
-    RepetitionExecutor,
     RunResultCache,
     SweepExecutor,
     atomic_write_json,
@@ -102,7 +101,7 @@ def register_store_manifest(manifest: ExperimentManifest,
     finished — and a no-op without a store.  Returns whether an index is in
     place.
     """
-    store = getattr(cache, "store", None)
+    store = cache.store
     if store is None:
         return False
     try:
@@ -193,8 +192,8 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
     failed_experiments: Dict[str, str] = {}
     for key in manifest.shard_caseless(shard):
         try:
-            experiment_results[key] = result_to_dict(
-                manifest.definition(key).assemble(manifest.scale, executor))
+            experiment_results[key] = result_to_dict(assemble_experiment(
+                manifest.definition(key), manifest, executor))
         except Exception as exc:
             if not keep_going:
                 raise
@@ -229,15 +228,22 @@ def execute_shard(manifest: ExperimentManifest, shard: Optional[ShardSpec],
 
 
 def load_artifact(path: str) -> dict:
-    """Read one shard artifact, validating its schema marker."""
+    """Read one shard artifact, validating its shape and schema marker."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a shard artifact is a JSON object, "
+                         f"got {type(payload).__name__}")
     schema = payload.get("schema")
     if schema != ARTIFACT_SCHEMA:
         raise ValueError(
             f"{path}: unsupported shard-artifact schema {schema!r} "
             f"(expected {ARTIFACT_SCHEMA}: receipts whose results live in "
             "the result store); rerun the shards with this build")
+    for name in ("cases", "experiment_results"):
+        if not isinstance(payload.get(name), dict):
+            raise ValueError(f"{path}: shard-artifact field {name!r} must be "
+                             f"an object, got {type(payload.get(name)).__name__}")
     return payload
 
 
@@ -330,29 +336,27 @@ def _validate_artifacts(manifest: ExperimentManifest,
 def assemble_experiment(definition: ExperimentDef,
                         manifest: ExperimentManifest,
                         executor: SweepExecutor) -> ExperimentResult:
-    """Assemble one experiment, folding repetitions when the manifest has any.
+    """Assemble one experiment from its plan's results, folding repetitions.
 
-    Case-based experiments assemble once per repetition — each pass sees a
-    :class:`~repro.experiments.executor.RepetitionExecutor` view that shifts
-    every case to that repetition's seed offset — and the per-seed results
-    fold into one mean ± 95%-CI result
-    (:func:`repro.analysis.stats.fold_experiment_results`).  The fold indexes
-    by repetition, never by shard or artifact order, so serial, sharded and
-    store-replayed runs of the same manifest aggregate bit-identically.
-    Caseless experiments (attack studies, configuration tables) run their own
-    seeded harnesses outside the executor, and non-``repeatable`` experiments
-    (figure-less tables) cannot express error bars; both assemble exactly
-    once.  With ``repetitions=1`` this is a plain pass-through — byte-for-byte
-    the historical single-trajectory assembly.
+    For each repetition r the experiment folds
+    (:meth:`~repro.experiments.manifest.ExperimentManifest.repetitions_of`),
+    the manifest's specs at r
+    (:meth:`~repro.experiments.manifest.ExperimentManifest.plan_at`) are
+    fetched through ``executor`` in one batch and handed, in plan order, to
+    the definition's ``assemble`` — which sees no executor, so it reads
+    exactly the cases its plan listed.  The per-seed results fold into one
+    mean ± 95%-CI result (:func:`repro.analysis.stats.fold_experiment_results`);
+    the fold indexes by repetition, never by shard or artifact order, so
+    serial, sharded and store-replayed runs of the same manifest aggregate
+    bit-identically.  A single repetition (the default, and always for
+    caseless and figure-less experiments) is returned unfolded.
     """
-    repeatable = definition.repeatable and bool(manifest.plans[definition.key])
-    repetitions = manifest.repetitions if repeatable else 1
-    if repetitions == 1:
-        return definition.assemble(manifest.scale, executor)
     per_seed = [
-        definition.assemble(manifest.scale,
-                            RepetitionExecutor(executor, repetition))
-        for repetition in range(repetitions)]
+        definition.assemble(manifest.scale, executor.run_specs(
+            manifest.plan_at(definition.key, repetition)))
+        for repetition in range(manifest.repetitions_of(definition.key))]
+    if len(per_seed) == 1:
+        return per_seed[0]
     return fold_experiment_results(per_seed)
 
 
@@ -386,8 +390,8 @@ def merge_artifacts(paths: Iterable[str], manifest: ExperimentManifest,
     _validate_artifacts(manifest, artifacts)
 
     # Memory-only, holding exactly the receipt keys: a store entry no shard
-    # executed can never rescue an incomplete plan() (voiding the
-    # exactly-once proof), and the merge writes to no store.
+    # executed is never served (voiding the exactly-once proof), and the
+    # merge writes to no store.
     store = ResultStore(os.environ.get("REPRO_STORE_DIR") or os.path.join(
         os.path.dirname(artifacts[0][0]), "store"))
     cache = RunResultCache(store=False)

@@ -6,18 +6,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import make_bpu
 from ..core.secure import BranchPredictionUnit
-from ..cpu.config import CoreConfig, fpga_prototype, sunny_cove_smt
+from ..cpu.config import CoreConfig
 from ..cpu.core import SingleThreadCore
 from ..cpu.smt import SmtCore
 from ..cpu.stats import RunResult
 from ..workloads.pairs import BenchmarkPair, make_pair_workloads
-from .executor import CaseSpec, SweepExecutor
-from .scaling import ExperimentScale, default_scale
+from .executor import CaseSpec
+from .scaling import ExperimentScale
 
 __all__ = ["build_bpu", "run_single_thread_case", "run_smt_case",
            "plan_overhead_single_thread", "assemble_overhead_single_thread",
-           "plan_overhead_smt", "assemble_overhead_smt",
-           "overhead_figure_single_thread", "overhead_figure_smt"]
+           "plan_overhead_smt", "assemble_overhead_smt"]
 
 
 def build_bpu(config: CoreConfig, preset: str, seed: int,
@@ -89,11 +88,9 @@ def plan_overhead_single_thread(mechanisms: "Sequence[Tuple[str, str, Optional[i
                                 pairs: Sequence[BenchmarkPair],
                                 config: CoreConfig,
                                 scale: ExperimentScale) -> List[CaseSpec]:
-    """Enumerate the cases behind a single-thread overhead figure.
-
-    The order is the contract between :func:`plan_overhead_single_thread` and
-    :func:`assemble_overhead_single_thread`: one baseline per pair first, then
-    one block of pairs per mechanism series.
+    """Enumerate the cases behind a single-thread overhead figure: one
+    baseline per pair first, then one block of pairs per mechanism series
+    (the order :func:`assemble_overhead_single_thread` reads them in).
     """
     specs = [CaseSpec("single", pair, config, "baseline", scale,
                       label="baseline") for pair in pairs]
@@ -108,7 +105,11 @@ def assemble_overhead_single_thread(name: str, description: str,
                                     mechanisms: "Sequence[Tuple[str, str, Optional[int]]]",
                                     pairs: Sequence[BenchmarkPair],
                                     results: Sequence[RunResult]):
-    """Build the overhead figure from results ordered as the plan emits them."""
+    """Build the overhead figure from results ordered as the plan emits them.
+
+    Every series value is that pair's overhead versus the pair's baseline,
+    measured on the target benchmark.
+    """
     from ..analysis.figures import FigureSeries
 
     figure = FigureSeries(name=name, description=description,
@@ -124,54 +125,15 @@ def assemble_overhead_single_thread(name: str, description: str,
             values.append(result.overhead_vs(baselines[pair.case],
                                              workload=pair.target))
         figure.add_series(label, values)
-    return figure, baselines
-
-
-def overhead_figure_single_thread(name: str, description: str,
-                                  mechanisms: "List[Tuple[str, str, Optional[int]]]",
-                                  pairs: List[BenchmarkPair],
-                                  config: Optional[CoreConfig] = None,
-                                  scale: Optional[ExperimentScale] = None,
-                                  *, executor: SweepExecutor):
-    """Build a per-case overhead figure on the single-threaded core.
-
-    All cases — the per-pair baselines and every mechanism series — are
-    planned by :func:`plan_overhead_single_thread`, submitted to a
-    :class:`repro.experiments.executor.SweepExecutor` in one batch (so they
-    deduplicate against each other and against previously cached runs, and
-    fan out over worker processes when ``REPRO_JOBS > 1``), then assembled by
-    :func:`assemble_overhead_single_thread`.
-
-    Args:
-        name: figure name.
-        description: figure description.
-        mechanisms: list of ``(series label, preset, switch_interval)``; the
-            interval is in real cycles (``None`` keeps the default).
-        pairs: benchmark pairs (x-axis categories).
-        config: core configuration; the FPGA prototype by default.
-        scale: experiment scale.
-        executor: sweep executor.
-
-    Returns:
-        A tuple ``(figure, baselines)`` where ``figure`` is the populated
-        :class:`repro.analysis.figures.FigureSeries` of overheads versus the
-        per-case baseline and ``baselines`` maps case name to its baseline
-        :class:`repro.cpu.stats.RunResult`.
-    """
-    scale = scale or default_scale()
-    config = config or fpga_prototype()
-    specs = plan_overhead_single_thread(mechanisms, pairs, config, scale)
-    results = executor.run_specs(specs)
-    return assemble_overhead_single_thread(name, description, mechanisms,
-                                           pairs, results)
+    return figure
 
 
 def plan_overhead_smt(mechanisms: "Sequence[Tuple[str, str]]",
                       pairs: Sequence[BenchmarkPair],
                       config: CoreConfig,
                       scale: ExperimentScale) -> List[CaseSpec]:
-    """Enumerate the cases behind an SMT overhead figure (same order contract
-    as :func:`plan_overhead_single_thread`)."""
+    """Enumerate the cases behind an SMT overhead figure (same order as
+    :func:`plan_overhead_single_thread`)."""
     specs = [CaseSpec("smt", pair, config, "baseline", scale,
                       label="baseline") for pair in pairs]
     for label, preset in mechanisms:
@@ -184,7 +146,8 @@ def assemble_overhead_smt(name: str, description: str,
                           mechanisms: "Sequence[Tuple[str, str]]",
                           pairs: Sequence[BenchmarkPair],
                           results: Sequence[RunResult]):
-    """Build the SMT overhead figure from plan-ordered results."""
+    """Build the SMT overhead figure from plan-ordered results (overheads on
+    total elapsed cycles)."""
     from ..analysis.figures import FigureSeries
 
     figure = FigureSeries(name=name, description=description,
@@ -199,32 +162,4 @@ def assemble_overhead_smt(name: str, description: str,
             position += 1
             values.append(result.overhead_vs(baselines[pair.case]))
         figure.add_series(label, values)
-    return figure, baselines
-
-
-def overhead_figure_smt(name: str, description: str,
-                        mechanisms: "List[Tuple[str, str]]",
-                        pairs: List[BenchmarkPair],
-                        config: Optional[CoreConfig] = None,
-                        scale: Optional[ExperimentScale] = None,
-                        *, executor: SweepExecutor):
-    """Build a per-case overhead figure on the SMT core.
-
-    Args:
-        name: figure name.
-        description: figure description.
-        mechanisms: list of ``(series label, preset)``.
-        pairs: benchmark pairs or quads (must match the core's thread count).
-        config: core configuration; the Sunny-Cove-like SMT-2 core by default.
-        scale: experiment scale.
-        executor: sweep executor.
-
-    Returns:
-        ``(figure, baselines)`` as for :func:`overhead_figure_single_thread`,
-        with overheads computed on total elapsed cycles.
-    """
-    scale = scale or default_scale()
-    config = config or sunny_cove_smt()
-    specs = plan_overhead_smt(mechanisms, pairs, config, scale)
-    results = executor.run_specs(specs)
-    return assemble_overhead_smt(name, description, mechanisms, pairs, results)
+    return figure

@@ -4,17 +4,22 @@ The paper sweeps the context-switch interval only over 4M/8M/12M cycles and
 evaluates SMT-4 only for Complete Flush (Figure 2).  These experiments extend
 the evaluation along the axes DESIGN.md calls out:
 
-* :func:`switch_interval_sensitivity` — Noisy-XOR-BP overhead as the timer
-  period varies from 2M to 24M cycles (does the "insignificant on a
-  single-threaded core" conclusion hold at much higher switch rates?);
-* :func:`mispredict_penalty_sensitivity` — how the overhead scales with the
-  pipeline's misprediction penalty (deeper pipelines pay more per lost
-  prediction, the reason the Sunny-Cove model shows larger numbers);
-* :func:`smt4_noisy_xor` — Noisy-XOR-BP versus the flush mechanisms on an
-  SMT-4 core, completing the comparison the paper only shows for flushes.
+* switch interval (:func:`assemble_switch_interval_sensitivity`) —
+  Noisy-XOR-BP overhead as the timer period varies from 2M to 24M cycles
+  (does the "insignificant on a single-threaded core" conclusion hold at
+  much higher switch rates?);
+* mispredict penalty (:func:`assemble_mispredict_penalty_sensitivity`) — how
+  the overhead scales with the pipeline's misprediction penalty (deeper
+  pipelines pay more per lost prediction, the reason the Sunny-Cove model
+  shows larger numbers);
+* SMT-4 (:func:`assemble_smt4_noisy_xor`) — Noisy-XOR-BP versus the flush
+  mechanisms on an SMT-4 core, completing the comparison the paper only
+  shows for flushes.
 
-Each driver returns an :class:`repro.experiments.base.ExperimentResult` and
-is registered in :func:`repro.experiments.manifest.experiment_registry`.
+Each study is a ``plan_*``/``assemble_*`` pair registered in
+:func:`repro.experiments.manifest.experiment_registry`; ``assemble_*``
+builds an :class:`repro.experiments.base.ExperimentResult` from the plan's
+results.
 """
 
 from __future__ import annotations
@@ -25,18 +30,19 @@ from typing import List, Optional, Sequence, Tuple
 from ..analysis.figures import FigureSeries
 from ..analysis.metrics import arithmetic_mean, percent
 from ..cpu.config import fpga_prototype, sunny_cove_smt
+from ..cpu.stats import RunResult
 from ..workloads.pairs import case_names, get_pair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .scaling import ExperimentScale, default_scale
 
 __all__ = [
-    "switch_interval_sensitivity",
     "plan_switch_interval_sensitivity",
-    "mispredict_penalty_sensitivity",
+    "assemble_switch_interval_sensitivity",
     "plan_mispredict_penalty_sensitivity",
-    "smt4_noisy_xor",
+    "assemble_mispredict_penalty_sensitivity",
     "plan_smt4_noisy_xor",
+    "assemble_smt4_noisy_xor",
 ]
 
 _MILLION = 1_000_000
@@ -48,9 +54,9 @@ def plan_switch_interval_sensitivity(
         cases: Sequence[str] = ("case1", "case6", "case7"),
         intervals_m: Sequence[int] = (2, 4, 8, 12, 24),
         predictor: str = "tage") -> List[CaseSpec]:
-    """Cases for :func:`switch_interval_sensitivity` (same knobs).
+    """Cases for :func:`assemble_switch_interval_sensitivity` (same knobs).
 
-    Order contract: per case, per interval, baseline then protected.
+    Plan order: per case, per interval, baseline then protected.
     """
     scale = scale or default_scale()
     config = fpga_prototype(predictor)
@@ -68,13 +74,12 @@ def plan_switch_interval_sensitivity(
     return specs
 
 
-def switch_interval_sensitivity(scale: Optional[ExperimentScale] = None, *,
-                                preset: str = "noisy_xor_bp",
-                                cases: Sequence[str] = ("case1", "case6", "case7"),
-                                intervals_m: Sequence[int] = (2, 4, 8, 12, 24),
-                                predictor: str = "tage",
-                                executor: SweepExecutor
-                                ) -> ExperimentResult:
+def assemble_switch_interval_sensitivity(
+        scale: ExperimentScale, results: Sequence[RunResult], *,
+        preset: str = "noisy_xor_bp",
+        cases: Sequence[str] = ("case1", "case6", "case7"),
+        intervals_m: Sequence[int] = (2, 4, 8, 12, 24),
+        predictor: str = "tage") -> ExperimentResult:
     """Noisy-XOR-BP overhead versus context-switch interval (single-thread).
 
     For every case and interval, both the baseline and the protected core run
@@ -82,21 +87,19 @@ def switch_interval_sensitivity(scale: Optional[ExperimentScale] = None, *,
     of key regeneration rather than of the scheduling change.
 
     Args:
-        scale: experiment scale (default scale when omitted).
+        scale: experiment scale the plan was enumerated at.
+        results: one result per case of
+            :func:`plan_switch_interval_sensitivity` (same knobs), in plan
+            order.
         preset: protection preset under study.
         cases: Table 3 single-thread cases to include.
         intervals_m: timer periods in millions of cycles.
         predictor: direction predictor of the core.
-        executor: sweep executor.
 
     Returns:
         An :class:`ExperimentResult` whose figure has one series per case
         (plus the per-interval mean row in the table).
     """
-    scale = scale or default_scale()
-    results = executor.run_specs(plan_switch_interval_sensitivity(
-        scale, preset=preset, cases=cases, intervals_m=intervals_m,
-        predictor=predictor))
     categories = [f"{m}M" for m in intervals_m]
     figure = FigureSeries(
         name="Ablation: switch-interval sensitivity",
@@ -136,9 +139,9 @@ def plan_mispredict_penalty_sensitivity(
         case: str = "case1",
         penalties: Sequence[int] = (8, 11, 17, 24),
         predictor: str = "tage") -> List[CaseSpec]:
-    """Cases for :func:`mispredict_penalty_sensitivity` (same knobs).
+    """Cases for :func:`assemble_mispredict_penalty_sensitivity` (same knobs).
 
-    Order contract: per penalty, baseline then protected.
+    Plan order: per penalty, baseline then protected.
     """
     scale = scale or default_scale()
     base_config = fpga_prototype(predictor)
@@ -154,13 +157,12 @@ def plan_mispredict_penalty_sensitivity(
     return specs
 
 
-def mispredict_penalty_sensitivity(scale: Optional[ExperimentScale] = None, *,
-                                   preset: str = "noisy_xor_bp",
-                                   case: str = "case1",
-                                   penalties: Sequence[int] = (8, 11, 17, 24),
-                                   predictor: str = "tage",
-                                   executor: SweepExecutor
-                                   ) -> ExperimentResult:
+def assemble_mispredict_penalty_sensitivity(
+        scale: ExperimentScale, results: Sequence[RunResult], *,
+        preset: str = "noisy_xor_bp",
+        case: str = "case1",
+        penalties: Sequence[int] = (8, 11, 17, 24),
+        predictor: str = "tage") -> ExperimentResult:
     """Isolation overhead versus the core's misprediction penalty.
 
     The paper's two platforms differ mainly in pipeline depth (10 versus 19
@@ -170,17 +172,15 @@ def mispredict_penalty_sensitivity(scale: Optional[ExperimentScale] = None, *,
     penalty on an otherwise fixed core.
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per case of
+            :func:`plan_mispredict_penalty_sensitivity` (same knobs), in plan
+            order.
         preset: protection preset under study.
         case: Table 3 single-thread case to run.
         penalties: redirect penalties (cycles) to sweep.
         predictor: direction predictor of the core.
-        executor: sweep executor.
     """
-    scale = scale or default_scale()
-    results = executor.run_specs(plan_mispredict_penalty_sensitivity(
-        scale, preset=preset, case=case, penalties=penalties,
-        predictor=predictor))
     pair = get_pair(case, "single")
     rows = []
     overheads = []
@@ -213,9 +213,9 @@ def plan_smt4_noisy_xor(scale: Optional[ExperimentScale] = None, *,
                                                     "precise_flush",
                                                     "noisy_xor_bp"),
                         max_quads: int = 4) -> List[CaseSpec]:
-    """Cases for :func:`smt4_noisy_xor` (same knobs).
+    """Cases for :func:`assemble_smt4_noisy_xor` (same knobs).
 
-    Order contract: per quad, baseline then one case per preset.
+    Plan order: per quad, baseline then one case per preset.
     """
     scale = scale or default_scale()
     config = sunny_cove_smt(predictor, smt_threads=4)
@@ -229,12 +229,12 @@ def plan_smt4_noisy_xor(scale: Optional[ExperimentScale] = None, *,
     return specs
 
 
-def smt4_noisy_xor(scale: Optional[ExperimentScale] = None, *,
-                   predictor: str = "tournament",
-                   presets: Tuple[str, ...] = ("complete_flush", "precise_flush",
-                                               "noisy_xor_bp"),
-                   max_quads: int = 4,
-                   executor: SweepExecutor) -> ExperimentResult:
+def assemble_smt4_noisy_xor(
+        scale: ExperimentScale, results: Sequence[RunResult], *,
+        predictor: str = "tournament",
+        presets: Tuple[str, ...] = ("complete_flush", "precise_flush",
+                                    "noisy_xor_bp"),
+        max_quads: int = 4) -> ExperimentResult:
     """Noisy-XOR-BP versus flush mechanisms on an SMT-4 core.
 
     Figure 2 shows that Complete Flush degrades further from SMT-2 to SMT-4
@@ -242,15 +242,13 @@ def smt4_noisy_xor(scale: Optional[ExperimentScale] = None, *,
     comparison on the SMT-4 quads of the benchmark set.
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per case of :func:`plan_smt4_noisy_xor` (same
+            knobs), in plan order.
         predictor: shared direction predictor of the SMT core.
         presets: protection presets to compare (baseline is always run).
         max_quads: number of SMT-4 quads to include.
-        executor: sweep executor.
     """
-    scale = scale or default_scale()
-    results = executor.run_specs(plan_smt4_noisy_xor(
-        scale, predictor=predictor, presets=presets, max_quads=max_quads))
     quads = case_names("smt4")[:max_quads]
     figure = FigureSeries(
         name="Ablation: SMT-4 isolation comparison",

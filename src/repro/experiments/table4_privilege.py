@@ -12,12 +12,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..cpu.config import fpga_prototype
+from ..cpu.stats import RunResult
 from ..workloads.pairs import SINGLE_THREAD_PAIRS, BenchmarkPair
 from .base import ExperimentResult
-from .executor import CaseSpec, SweepExecutor
+from .executor import CaseSpec
 from .scaling import ExperimentScale, default_scale
 
-__all__ = ["run", "plan", "PAPER_PRIVILEGE_SWITCH_RATES"]
+__all__ = ["plan", "assemble", "PAPER_PRIVILEGE_SWITCH_RATES"]
 
 #: The paper's Table 4: privilege switches per million cycles per case.
 PAPER_PRIVILEGE_SWITCH_RATES = {
@@ -35,7 +36,7 @@ def _setup(scale, pairs):
 
 def plan(scale: Optional[ExperimentScale] = None,
          pairs: Optional[Sequence[BenchmarkPair]] = None) -> List[CaseSpec]:
-    """Enumerate every simulation case Table 4 needs (same knobs as ``run``)."""
+    """Enumerate every simulation case Table 4 needs: one per pair."""
     scale, pairs = _setup(scale, pairs)
     config = fpga_prototype()
     return [CaseSpec("single", pair, config, "noisy_xor_bp", scale,
@@ -43,18 +44,17 @@ def plan(scale: Optional[ExperimentScale] = None,
             for pair in pairs]
 
 
-def run(scale: Optional[ExperimentScale] = None,
-        pairs: Optional[Sequence[BenchmarkPair]] = None,
-        *, executor: SweepExecutor) -> ExperimentResult:
-    """Reproduce Table 4.
+def assemble(scale: ExperimentScale, results: Sequence[RunResult],
+             pairs: Optional[Sequence[BenchmarkPair]] = None
+             ) -> ExperimentResult:
+    """Reproduce Table 4 from the results of :func:`plan` (same knobs).
 
     Args:
-        scale: experiment scale.
+        scale: experiment scale the plan was enumerated at.
+        results: one result per planned case, in plan order.
         pairs: subset of the single-thread pairs (all 12 by default).
-        executor: sweep executor.
     """
     scale, pairs = _setup(scale, pairs)
-    results = executor.run_specs(plan(scale, pairs))
     rows = []
     for pair, result in zip(pairs, results):
         # The syscall schedule is scaled by ``syscall_time_scale``; convert the

@@ -6,5 +6,7 @@ fault-tolerance suite and the CI chaos job drive through the
 ``tests``) because the injection points sit inside the worker processes and
 the atomic-write path of the real execution layer — the hooks must be
 importable wherever a simulation runs, including pool workers on another
-machine.
+machine.  :func:`repro.testing.drivers.run_driver` runs one experiment
+driver (plan, fetch, assemble) outside a manifest, for the driver tests and
+the golden fixtures.
 """

@@ -346,6 +346,25 @@ class TestRunAllCommand:
         assert main(["merge", f"{out}/shard-0-of-64.json"]) == 2
         assert "merge failed" in capsys.readouterr().err
 
+    def test_merge_rejects_malformed_artifacts(self, tmp_path, capsys):
+        # Exit 2 (bad input) with the path named, never a traceback and
+        # exit 1 (the code for cases that failed permanently).
+        out = str(tmp_path / "shards")
+        assert main(["run", "all", "--experiments", "table5", "--shard",
+                     "0/1", "--out", out]) == 0
+        capsys.readouterr()
+        receipt = f"{out}/shard-0-of-1.json"
+        with open(receipt, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["cases"] = []
+        listed = tmp_path / "listed.json"
+        listed.write_text(json.dumps(payload))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        for bogus in (listed, empty):
+            assert main(["merge", str(bogus)]) == 2
+            assert f"merge failed: {bogus}: " in capsys.readouterr().err
+
 
 class TestRepetitionsOption:
     def test_malformed_repetitions_rejected(self, capsys):

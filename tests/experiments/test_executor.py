@@ -13,7 +13,7 @@ from repro.experiments.executor import (
     env_jobs,
 )
 from repro.experiments.runner import (
-    overhead_figure_single_thread,
+    assemble_overhead_single_thread,
     plan_overhead_single_thread,
     plan_overhead_smt,
 )
@@ -225,12 +225,14 @@ class TestSweepIntegration:
         pairs = SINGLE_THREAD_PAIRS[:2]
         executor.run_specs(plan_overhead_single_thread([], pairs, CONFIG, TINY))
         baseline_runs = executor.simulated
-        figure, baselines = overhead_figure_single_thread(
-            "fig", "test figure", [("CF", "complete_flush", None)], list(pairs),
-            config=CONFIG, scale=TINY, executor=executor)
+        mechanisms = [("CF", "complete_flush", None)]
+        results = executor.run_specs(plan_overhead_single_thread(
+            mechanisms, pairs, CONFIG, TINY))
+        figure = assemble_overhead_single_thread(
+            "fig", "test figure", mechanisms, pairs, results)
         # Only the complete_flush series is new; baselines come from cache.
         assert executor.simulated == baseline_runs + len(pairs)
-        assert set(baselines) == {p.case for p in pairs}
+        assert figure.categories == [p.case for p in pairs]
         assert "CF" in figure.series
 
     def test_parallel_sweep_matches_serial(self):

@@ -27,6 +27,7 @@ from repro.experiments import (
 )
 from repro.experiments.executor import RunResultCache, SweepExecutor
 from repro.experiments.manifest import experiment_registry
+from repro.testing.drivers import run_driver
 from repro.workloads import SINGLE_THREAD_PAIRS, SMT2_PAIRS
 
 #: A deliberately tiny scale so driver tests stay fast.
@@ -114,22 +115,25 @@ class TestCheapExperiments:
 
 class TestFigureDrivers:
     def test_fig1_structure_on_reduced_problem(self, executor):
-        result = fig1_flush_single.run(TINY, pairs=SINGLE_THREAD_PAIRS[:2],
-                                       executor=executor)
+        result = run_driver(executor, fig1_flush_single.plan,
+                            fig1_flush_single.assemble, TINY,
+                            pairs=SINGLE_THREAD_PAIRS[:2])
         assert result.figure is not None
         assert result.figure.categories == ["case1", "case2"]
         assert set(result.figure.series) == {"flush-4M", "flush-8M", "flush-12M"}
 
     def test_fig7_honours_interval_subset(self, executor):
-        result = fig7_xor_btb.run(TINY, pairs=SINGLE_THREAD_PAIRS[5:6],
-                                  intervals=["8M"], executor=executor)
+        result = run_driver(executor, fig7_xor_btb.plan, fig7_xor_btb.assemble,
+                            TINY, pairs=SINGLE_THREAD_PAIRS[5:6],
+                            intervals=["8M"])
         assert set(result.figure.series) == {"XOR-BTB-8M", "Noisy-XOR-BTB-8M"}
         assert result.figure.categories == ["case6"]
 
     def test_fig10_reduced_run_reports_mpki_ordering(self, executor):
-        result = fig10_smt_predictors.run(TINY, predictors=["gshare", "tage"],
-                                          pairs=SMT2_PAIRS[7:9],
-                                          executor=executor)
+        result = run_driver(executor, fig10_smt_predictors.plan,
+                            fig10_smt_predictors.assemble, TINY,
+                            predictors=["gshare", "tage"],
+                            pairs=SMT2_PAIRS[7:9])
         mpki = {row[0]: float(row[1]) for row in result.rows[:2]}
         assert mpki["gshare"] > mpki["tage"]
         assert len(result.figure.series) == 2 * 3
@@ -137,13 +141,15 @@ class TestFigureDrivers:
 
 class TestAblations:
     def test_encoder_ablation_runs(self, executor):
-        result = ablations.encoder_ablation(TINY, case="case6",
-                                            executor=executor)
+        result = run_driver(executor, ablations.plan_encoder_ablation,
+                            ablations.assemble_encoder_ablation, TINY,
+                            case="case6")
         assert [row[0] for row in result.rows] == ["xor", "shift_xor", "sbox"]
 
     def test_key_refresh_ablation_shows_security_gap(self, executor):
-        result = ablations.key_refresh_ablation(TINY, case="case5",
-                                                executor=executor)
+        result = run_driver(executor, ablations.plan_key_refresh_ablation,
+                            ablations.assemble_key_refresh_ablation, TINY,
+                            case="case5")
         by_policy = {row[0]: row for row in result.rows}
         paper_policy = by_policy["context + privilege switches (paper)"]
         weak_policy = by_policy["context switches only"]

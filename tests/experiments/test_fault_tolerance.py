@@ -240,8 +240,8 @@ REGISTRY = {
     "figure1": ExperimentDef(
         "figure1",
         plan=lambda scale: fig1_flush_single.plan(scale, pairs=PAIRS),
-        assemble=lambda scale, executor: fig1_flush_single.run(
-            scale, pairs=PAIRS, executor=executor)),
+        assemble=lambda scale, results: fig1_flush_single.assemble(
+            scale, results, pairs=PAIRS)),
 }
 
 
@@ -392,7 +392,7 @@ class TestStoreRerun:
         assert not os.path.exists(fpath)
 
     def test_caseless_assembly_failure_is_recorded(self, tmp_path):
-        def _boom(scale, executor):
+        def _boom(scale, results):
             raise RuntimeError("kaput")
 
         registry = dict(REGISTRY)

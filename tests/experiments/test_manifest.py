@@ -8,6 +8,8 @@ reordering), and the strict ``i/n`` shard parsing.
 
 import pytest
 
+from repro.analysis.export import result_to_dict
+from repro.cpu.stats import RunResult, ThreadStats
 from repro.experiments.manifest import (
     ShardSpec,
     build_manifest,
@@ -68,6 +70,41 @@ class TestPlans:
         first = {spec.cache_key() for spec in definition.plan(TINY)}
         second = {spec.cache_key() for spec in definition.plan(other)}
         assert not first & second
+
+
+def _synthetic(spec, position, factor=1.0):
+    """A position-dependent stand-in for a simulated case; ``factor`` scales
+    every cycle count."""
+    cycles = factor * (1_000_000.0 + 10_000.0 * position)
+    threads = {
+        name: ThreadStats(name=name, instructions=400_000, branches=80_000,
+                          conditional_branches=60_000,
+                          direction_mispredicts=2_000 + 10 * position,
+                          target_mispredicts=300, btb_lookups=80_000,
+                          btb_hits=70_000,
+                          cycles=cycles / len(spec.pair.benchmarks))
+        for name in spec.pair.benchmarks}
+    return RunResult(config_name=spec.config.name, mechanism=spec.preset,
+                     predictor=spec.config.predictor, cycles=cycles,
+                     instructions=400_000 * len(threads), threads=threads,
+                     context_switches=40, privilege_switches=400,
+                     time_scale=spec.scale.time_scale)
+
+
+class TestAssemblyReadsEveryCase:
+    @pytest.mark.parametrize("key", CASE_BASED)
+    def test_every_planned_case_changes_the_result(self, key):
+        # An unread case would be a simulation wasted on every run: slow
+        # each planned case down in turn and the assembly must notice.
+        definition = experiment_registry()[key]
+        specs = definition.plan(TINY)
+        results = [_synthetic(spec, i) for i, spec in enumerate(specs)]
+        reference = result_to_dict(definition.assemble(TINY, results))
+        for i, spec in enumerate(specs):
+            slowed = list(results)
+            slowed[i] = _synthetic(spec, i, factor=1.5)
+            assert result_to_dict(definition.assemble(TINY, slowed)) \
+                != reference, f"{key} never reads case {i} ({spec.label})"
 
 
 class TestManifest:

@@ -50,18 +50,18 @@ REGISTRY = {
     "figure1": ExperimentDef(
         "figure1",
         plan=lambda scale: fig1_flush_single.plan(scale, pairs=GOLDEN_PAIRS),
-        assemble=lambda scale, executor: fig1_flush_single.run(
-            scale, pairs=GOLDEN_PAIRS, executor=executor)),
+        assemble=lambda scale, results: fig1_flush_single.assemble(
+            scale, results, pairs=GOLDEN_PAIRS)),
     "figure8": ExperimentDef(
         "figure8",
         plan=lambda scale: fig8_xor_pht.plan(scale, pairs=GOLDEN_PAIRS,
                                              intervals=["8M"]),
-        assemble=lambda scale, executor: fig8_xor_pht.run(
-            scale, pairs=GOLDEN_PAIRS, intervals=["8M"], executor=executor)),
+        assemble=lambda scale, results: fig8_xor_pht.assemble(
+            scale, results, pairs=GOLDEN_PAIRS, intervals=["8M"])),
     "table5": ExperimentDef(
         "table5",
         plan=lambda scale: [],
-        assemble=lambda scale, executor: table5_hwcost.run(scale)),
+        assemble=lambda scale, results: table5_hwcost.run(scale)),
 }
 
 
@@ -248,6 +248,29 @@ class TestMergeValidation:
         bogus.write_text(json.dumps({"schema": 999}))
         with pytest.raises(ValueError, match="schema"):
             load_artifact(str(bogus))
+
+    @pytest.mark.parametrize("payload", [[], "receipt", 3, None])
+    def test_non_object_artifact_rejected(self, tmp_path, payload):
+        bogus = tmp_path / "shard-0-of-1.json"
+        bogus.write_text(json.dumps(payload))
+        with pytest.raises(ValueError,
+                           match=f"{bogus}: a shard artifact is a JSON "
+                                 "object"):
+            load_artifact(str(bogus))
+
+    @pytest.mark.parametrize("field", ["cases", "experiment_results"])
+    @pytest.mark.parametrize("value", [[], None, "x"])
+    def test_non_object_fields_rejected(self, shard_dir, tmp_path, field,
+                                        value):
+        payload = load_artifact(shard_artifact_path(str(shard_dir),
+                                                    ShardSpec(0, 2)))
+        payload[field] = value
+        bogus = tmp_path / "shard-0-of-2.json"
+        bogus.write_text(json.dumps(payload))
+        with pytest.raises(ValueError,
+                           match=f"{bogus}: shard-artifact field "
+                                 f"'{field}' must be an object"):
+            merge_artifacts([str(bogus)], _manifest())
 
 
 class TestOutputs:

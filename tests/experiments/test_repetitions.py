@@ -27,7 +27,6 @@ from repro.cpu.config import fpga_prototype
 from repro.experiments import fig1_flush_single
 from repro.experiments.executor import (
     CaseSpec,
-    RepetitionExecutor,
     RunResultCache,
     SweepExecutor,
 )
@@ -74,7 +73,7 @@ PINNED_REGISTRY = {
             CaseSpec("single", PAIRS[0], fpga_prototype(), "complete_flush",
                      scale),
         ],
-        assemble=lambda scale, executor: None),
+        assemble=lambda scale, results: None),
 }
 
 #: Regression pins for the manifest hash (engine 2026.3-packed-btb).  These
@@ -92,8 +91,8 @@ def _figure1_registry(pairs=PAIRS):
     return {"figure1": ExperimentDef(
         "figure1",
         plan=lambda scale: fig1_flush_single.plan(scale, pairs=pairs),
-        assemble=lambda scale, executor: fig1_flush_single.run(
-            scale, pairs=pairs, executor=executor))}
+        assemble=lambda scale, results: fig1_flush_single.assemble(
+            scale, results, pairs=pairs))}
 
 
 def _result_bytes(results):
@@ -171,7 +170,7 @@ class TestPinnedHash:
         # "repetitions" field of the hash payload separates these.
         caseless = {"caseless": ExperimentDef(
             "caseless", plan=lambda scale: [],
-            assemble=lambda scale, executor: None)}
+            assemble=lambda scale, results: None)}
         one = build_manifest(scale=PINNED_SCALE, experiments=caseless)
         three = build_manifest(scale=PINNED_SCALE, experiments=caseless,
                                repetitions=3)
@@ -195,24 +194,37 @@ class TestParsing:
                            repetitions=0)
 
 
-class TestRepetitionExecutor:
+class TestPlanAt:
+    def _manifest(self):
+        registry = {"offset": ExperimentDef(
+            "offset",
+            plan=lambda scale: [CaseSpec("single", PAIRS[0], fpga_prototype(),
+                                         "baseline", scale, seed_offset=5)],
+            assemble=lambda scale, results: None)}
+        return build_manifest(scale=TINY, experiments=registry,
+                              repetitions=3)
+
     def test_shifts_seed_offsets(self):
-        captured = []
+        manifest = self._manifest()
+        base = manifest.plans["offset"][0]
+        assert manifest.plan_at("offset", 2)[0].seed_offset == 7
+        assert base.seed_offset == 5  # original untouched
+        assert manifest.plan_at("offset", 0)[0] is base
 
-        class Probe:
-            def run_specs(self, specs):
-                captured.extend(specs)
-                return [None] * len(specs)
+    def test_returns_the_expanded_instances(self):
+        # Assembly reads the very specs unique_cases() hashed, so it
+        # re-hashes no cache key.
+        manifest = self._manifest()
+        planned = [manifest.plan_at("offset", repetition)[0]
+                   for repetition in range(3)]
+        assert planned[2] is manifest.plan_at("offset", 2)[0]
+        assert [id(spec) for spec in manifest.unique_cases().values()] \
+            == [id(spec) for spec in planned]
 
-        spec = CaseSpec("single", PAIRS[0], fpga_prototype(), "baseline",
-                        TINY, seed_offset=5)
-        RepetitionExecutor(Probe(), 2).run_spec(spec)
-        assert captured[0].seed_offset == 7
-        assert spec.seed_offset == 5  # original untouched
-
-    def test_rejects_negative_repetition(self):
-        with pytest.raises(ValueError):
-            RepetitionExecutor(SweepExecutor(jobs=1), -1)
+    @pytest.mark.parametrize("repetition", [-1, 3])
+    def test_rejects_repetitions_outside_the_manifest(self, repetition):
+        with pytest.raises(ValueError, match="repetitions 0..2"):
+            self._manifest().plan_at("offset", repetition)
 
 
 class TestAggregationDeterminism:
@@ -290,12 +302,9 @@ class TestAggregationDeterminism:
 
 class TestNonRepeatableExperiments:
     def _registry(self):
-        def assemble(scale, executor):
+        def assemble(scale, results):
             from repro.experiments.base import ExperimentResult
 
-            results = executor.run_specs([
-                CaseSpec("single", PAIRS[0], fpga_prototype(), "baseline",
-                         scale)])
             return ExperimentResult(name="norep", description="figure-less",
                                     headers=["cycles"],
                                     rows=[[results[0].cycles]])

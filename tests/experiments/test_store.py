@@ -56,11 +56,12 @@ def _spec(preset="baseline", **overrides):
 
 
 def _probe_registry():
-    """One experiment planning (and assembling from) the one ``_spec()``."""
+    """One experiment planning the one ``_spec()``; its assembly is the
+    plan's results."""
     return {"probe": ExperimentDef(
         "probe",
         plan=lambda scale: [_spec()],
-        assemble=lambda scale, executor: executor.run_specs([_spec()]))}
+        assemble=lambda scale, results: results)}
 
 
 @pytest.fixture(scope="module")
@@ -525,20 +526,15 @@ class TestReceiptMerge:
     def test_unexecuted_store_entry_is_never_served(self, tmp_path,
                                                     simulated, monkeypatch):
         # The merge store (here REPRO_STORE_DIR, which the shard published
-        # to) also holds a case no shard executed: it must NOT rescue an
-        # incomplete plan()/assemble() pair, and the merge adds no entry.
+        # to) also holds a case no shard executed: the assembly reads only
+        # its plan's results, and the merge adds no entry.
         key, result = simulated
         store = ResultStore(str(tmp_path / "env-store"))
         hidden = _spec(preset="complete_flush")
         SweepExecutor(jobs=1, cache=RunResultCache(store=store)).run_spec(
             hidden)
 
-        # plan() misses the complete_flush case its assemble() reads.
-        registry = {"broken": ExperimentDef(
-            "broken",
-            plan=lambda scale: [_spec()],
-            assemble=lambda scale, ex: ex.run_specs([_spec(), hidden]))}
-        manifest = build_manifest(scale=TINY, experiments=registry)
+        manifest = build_manifest(scale=TINY, experiments=_probe_registry())
         receipt = execute_shard(manifest, None, str(tmp_path / "shards"),
                                 jobs=1, cache=RunResultCache(store=store))
         assert load_artifact(receipt)["cases"] == {
@@ -547,8 +543,8 @@ class TestReceiptMerge:
         assert before == sorted([key, hidden.cache_key()])
 
         monkeypatch.setenv("REPRO_STORE_DIR", store.directory)
-        with pytest.raises(RuntimeError, match="replay-only"):
-            merge_artifacts([receipt], manifest)
+        merged = merge_artifacts([receipt], manifest)
+        assert [run.cycles for run in merged["probe"]] == [result.cycles]
         assert store.keys() == before
         assert not (tmp_path / "shards" / "store").exists()
 

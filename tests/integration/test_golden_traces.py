@@ -42,6 +42,7 @@ from repro.experiments.executor import RunResultCache, SweepExecutor
 from repro.experiments.scaling import ExperimentScale
 from repro.security.analysis import build_security_table
 from repro.security.leakage import leakage_report
+from repro.testing.drivers import run_driver
 from repro.workloads.pairs import SINGLE_THREAD_PAIRS, SMT2_PAIRS, SMT4_QUADS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -88,40 +89,42 @@ def _executor():
 
 
 def _fig1(executor):
-    return fig1_flush_single.run(scale=GOLDEN_SCALE,
-                                 pairs=SINGLE_THREAD_PAIRS[:2],
-                                 executor=executor)
+    return run_driver(executor, fig1_flush_single.plan,
+                      fig1_flush_single.assemble, GOLDEN_SCALE,
+                      pairs=SINGLE_THREAD_PAIRS[:2])
 
 
 def _fig2(executor):
-    return fig2_flush_smt.run(scale=GOLDEN_SCALE,
-                              smt2_pairs=SMT2_PAIRS[:1],
-                              smt4_quads=SMT4_QUADS[:1],
-                              executor=executor)
+    return run_driver(executor, fig2_flush_smt.plan, fig2_flush_smt.assemble,
+                      GOLDEN_SCALE, smt2_pairs=SMT2_PAIRS[:1],
+                      smt4_quads=SMT4_QUADS[:1])
 
 
 def _fig3(executor):
     # Tournament under Complete and Precise Flush on SMT-2.
-    return fig3_precise_flush.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:3],
-                                  executor=executor)
+    return run_driver(executor, fig3_precise_flush.plan,
+                      fig3_precise_flush.assemble, GOLDEN_SCALE,
+                      pairs=SMT2_PAIRS[:3])
 
 
 def _fig8(executor):
-    return fig8_xor_pht.run(scale=GOLDEN_SCALE,
-                            pairs=SINGLE_THREAD_PAIRS[:2],
-                            intervals=["8M"], executor=executor)
+    return run_driver(executor, fig8_xor_pht.plan, fig8_xor_pht.assemble,
+                      GOLDEN_SCALE, pairs=SINGLE_THREAD_PAIRS[:2],
+                      intervals=["8M"])
 
 
 def _fig10(executor):
     # All four SMT predictors x {baseline, CF, PF, Noisy-XOR-BP}.
-    return fig10_smt_predictors.run(scale=GOLDEN_SCALE, pairs=SMT2_PAIRS[:2],
-                                    executor=executor)
+    return run_driver(executor, fig10_smt_predictors.plan,
+                      fig10_smt_predictors.assemble, GOLDEN_SCALE,
+                      pairs=SMT2_PAIRS[:2])
 
 
 def _smt4(executor):
     # Complete Flush, Precise Flush and Noisy-XOR-BP on one SMT-4 quad.
-    return sensitivity.smt4_noisy_xor(scale=GOLDEN_SCALE, max_quads=1,
-                                      executor=executor)
+    return run_driver(executor, sensitivity.plan_smt4_noisy_xor,
+                      sensitivity.assemble_smt4_noisy_xor, GOLDEN_SCALE,
+                      max_quads=1)
 
 
 def _rows(result):

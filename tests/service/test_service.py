@@ -39,12 +39,12 @@ REGISTRY = {
     "figure1": ExperimentDef(
         "figure1",
         plan=lambda scale: fig1_flush_single.plan(TINY, pairs=TINY_PAIRS),
-        assemble=lambda scale, executor: fig1_flush_single.run(
-            TINY, pairs=TINY_PAIRS, executor=executor)),
+        assemble=lambda scale, results: fig1_flush_single.assemble(
+            TINY, results, pairs=TINY_PAIRS)),
     "table5": ExperimentDef(
         "table5",
         plan=lambda scale: [],
-        assemble=lambda scale, executor: table5_hwcost.run(TINY)),
+        assemble=lambda scale, results: table5_hwcost.run(TINY)),
 }
 
 
